@@ -6,11 +6,13 @@ solar refresh, snapshot builds, policy upcalls, settlement, telemetry.
 Emits a JSON record with:
 
 - ``ticks_per_s``        — tick-loop throughput (higher is better);
-- ``per_app_us_per_tick``— amortized per-application cost of one tick;
+- ``per_app_us_per_tick``— amortized per-application cost of one tick:
+  wall time over the run's tenant-ticks (the sum of the ``cluster.apps``
+  series), so a churning population is divided by its live size;
 - ``peak_rss_mb``        — peak resident set size of the process;
 - ``unbatched_wall_s`` / ``speedup_vs_unbatched`` — the same fleet run
-  with the engine's batched hot path disabled (``engine.batched =
-  False``), the fallback loop the parity tests pin against.
+  on the engine's per-app object reference path (``engine.batched =
+  False``), the path the parity tests pin the production path against.
 
 The committed baseline lives at ``benchmarks/BENCH_scale.json``.  The CI
 ``perf-regression`` job reruns this benchmark and **fails the build**
@@ -33,7 +35,7 @@ import resource
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.sim.fleet import build_churn_fleet, build_fleet
 
@@ -72,9 +74,8 @@ def time_fleet_run(
 ) -> Dict[str, Any]:
     """Build one fleet (static or churn) and time ``engine.run`` alone.
 
-    With ``profile``, the engine's tick profiler is enabled for the run
-    and the per-phase rollup rides along in the returned dict — the
-    timing then includes the profiler's (gated, ~1%) overhead.
+    With ``profile``, the engine profiler's per-phase rollup rides along
+    in the returned dict (the engine profiles every tick either way).
     """
     params = {
         "apps": apps,
@@ -85,14 +86,14 @@ def time_fleet_run(
     }
     builder = build_churn_fleet if scenario == "fleet_churn" else build_fleet
     fleet = builder(params)
-    if profile:
-        fleet.engine.profiler.enabled = True
     started = time.perf_counter()
     executed = fleet.engine.run(ticks)
     wall_s = time.perf_counter() - started
+    app_counts = fleet.ecovisor.database.series("cluster.apps").values()
     result: Dict[str, Any] = {
         "wall_s": wall_s,
         "ticks_executed": float(executed),
+        "app_ticks": float(app_counts.sum()),
         "containers": float(fleet.num_containers),
     }
     if profile:
@@ -132,7 +133,7 @@ def run_benchmark(
         "containers": batched["containers"],
         "wall_s": wall_s,
         "ticks_per_s": ticks / wall_s,
-        "per_app_us_per_tick": wall_s / ticks / apps * 1e6,
+        "per_app_us_per_tick": wall_s / batched["app_ticks"] * 1e6,
         "peak_rss_mb": peak_rss_mb(),
     }
     if profile:
@@ -146,82 +147,6 @@ def run_benchmark(
         result["unbatched_wall_s"] = unbatched["wall_s"]
         result["speedup_vs_unbatched"] = unbatched["wall_s"] / wall_s
     return result
-
-
-def check_profiler_overhead(
-    apps: int,
-    ticks: int,
-    mix: str,
-    seed: int,
-    scenario: str,
-    budget: float,
-    repeats: int = 3,
-) -> int:
-    """Gate the profiler's enabled-vs-disabled cost; exit status 0/1.
-
-    A 2% budget cannot be checked by comparing two whole-run wall times
-    on a shared runner: ambient interference (CPU steal, frequency
-    drift) perturbs a quarter-second run by far more than that, and the
-    machine's quiet floor itself wanders over the tens of seconds that
-    back-to-back runs span.  The gate therefore pairs the modes at
-    *chunk* granularity: four identical fleets are built up front — a
-    (disabled, enabled) pair and an (enabled, disabled) pair, opposite
-    build orders cancelling allocation-order bias — and short same-work
-    slices of ``engine.run`` rotate between them, so each ratio's two
-    samples sit milliseconds apart and see the same machine.  Each
-    rotation yields two enabled/disabled ratios; the middle-half
-    trimmed mean of all ratios discards the chunks an interference
-    burst landed on, and what survives isolates the profiler's cost.
-    """
-    chunk_ticks = max(ticks // 8, 5)
-    chunks = 8 * max(repeats, 1)
-    params = {
-        "apps": apps,
-        "ticks": chunk_ticks * (chunks + 1),
-        "seed": seed,
-        "mix": mix,
-        "batched": True,
-    }
-    builder = build_churn_fleet if scenario == "fleet_churn" else build_fleet
-
-    def build(profile: bool) -> Any:
-        fleet = builder(params)
-        if profile:
-            fleet.engine.profiler.enabled = True
-        # First chunk untimed: trace-cache priming, allocator growth.
-        fleet.engine.run(chunk_ticks)
-        return fleet.engine
-
-    d1, e1 = build(False), build(True)
-    e2, d2 = build(True), build(False)
-    ratios: List[float] = []
-    for i in range(chunks):
-        rotation = (d1, e1, e2, d2) if i % 2 == 0 else (e1, d1, d2, e2)
-        walls = {}
-        for engine in rotation:
-            started = time.perf_counter()
-            engine.run(chunk_ticks)
-            walls[id(engine)] = time.perf_counter() - started
-        ratios.append(walls[id(e1)] / walls[id(d1)])
-        ratios.append(walls[id(e2)] / walls[id(d2)])
-    trim = len(ratios) // 4
-    core = sorted(ratios)[trim : len(ratios) - trim]
-    overhead = sum(core) / len(core) - 1.0
-    verdict = "ok" if overhead <= budget else "FAIL"
-    print(
-        f"\nprofiler overhead gate ({apps} apps, {len(ratios)} paired "
-        f"{chunk_ticks}-tick chunk ratios, middle-half trimmed mean): "
-        f"{overhead * 100:+.2f}% (budget {budget * 100:.1f}%) -> {verdict}"
-    )
-    if verdict != "ok":
-        print(
-            "Profiler overhead exceeded the budget: the enabled-path "
-            "brackets got more expensive, or timing leaked into the "
-            "disabled loop (it must stay free of perf_counter calls).",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def print_table(result: Dict[str, Any]) -> None:
@@ -337,36 +262,9 @@ def main() -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="run with the tick profiler enabled and record the phase "
-             "breakdown in the JSON output",
-    )
-    parser.add_argument(
-        "--overhead-check",
-        type=float,
-        default=None,
-        metavar="BUDGET",
-        help="gate the profiler's enabled-vs-disabled overhead at BUDGET "
-             "(e.g. 0.02 for 2%%); runs instead of the normal benchmark",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="repetitions per mode for --overhead-check (min wall time wins)",
+        help="record the tick profiler's phase breakdown in the JSON output",
     )
     args = parser.parse_args()
-    if args.overhead_check is not None:
-        raise SystemExit(
-            check_profiler_overhead(
-                apps=args.apps,
-                ticks=args.ticks,
-                mix=args.mix,
-                seed=args.seed,
-                scenario=args.scenario,
-                budget=args.overhead_check,
-                repeats=args.repeats,
-            )
-        )
     result = run_benchmark(
         apps=args.apps,
         ticks=args.ticks,

@@ -369,10 +369,10 @@ def _fmt_seconds(seconds: float) -> str:
 def run_profile(
     scenario_name: str, ticks: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Run one fleet scenario with the tick profiler on; returns a report.
+    """Run one fleet scenario and report its tick profile.
 
     The report is what ``repro profile`` prints and ``--out`` persists:
-    the profiler summary (phase table, histogram percentiles, slow
+    the profiler summary (phase table, exact ring percentiles, slow
     ticks) plus the run's wall-clock time, so the phase-sum-vs-wall
     coverage figure is part of the artifact.
     """
@@ -394,7 +394,6 @@ def run_profile(
     builder = build_churn_fleet if "churn" in scenario.tags else build_fleet
     fleet = builder(params)
     engine = fleet.engine
-    engine.profiler.enabled = True
     start = perf_counter()
     executed = engine.run(int(params["ticks"]))
     wall_s = perf_counter() - start

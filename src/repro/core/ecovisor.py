@@ -182,17 +182,12 @@ class Ecovisor:
         self._current_tick_duration_s = self._config.tick_interval_s
         self._carbon_sample_time_s = 0.0
         self._state_builds = 0
-        #: Batched hot path toggle: with True (the default) settlement
-        #: reuses the monitor's one bulk container-power pass and
-        #: ``begin_tick`` reads primed signal arrays when available;
-        #: with False every phase re-derives its inputs per application
-        #: (the fallback loop the parity tests compare against).
-        self.batched = True
         self._signal_cache: Optional[SignalTraceCache] = None
         # Columnar hot path (core/fleetarrays.py): fleet state lives in
         # struct-of-arrays rows, snapshots are lazy RowEnergyState views,
         # and telemetry/ledger writes buffer until first read.  Off by
-        # default; the engine enables it alongside `batched`.
+        # default (the object reference path); the engine turns it on
+        # for batched runs.
         self._columnar = False
         self._fleet: Optional[FleetArrays] = None
         self._phase_stamp = 0
@@ -821,7 +816,7 @@ class Ecovisor:
         return self._platform.running_containers_for(app_name)
 
     # ------------------------------------------------------------------
-    # Batched signal priming
+    # Signal priming
     # ------------------------------------------------------------------
     def prime_signal_cache(self, start_index: int, times) -> None:
         """Precompute per-tick solar/carbon/price arrays for a run.
@@ -1180,21 +1175,15 @@ class Ecovisor:
         fractions: Dict[str, float] = {}
         total_grid_w = 0.0
         total_solar_used_w = 0.0
-        batched = self.batched
 
-        # One bulk power-measurement pass; on the batched path its
-        # readings also provide per-app demand (one container-list walk
-        # per app, recorded via the monitor) and the cluster total,
-        # instead of re-deriving each from the platform per application.
+        # The object reference path: every measurement is re-derived
+        # from the platform (the columnar kernel above reuses one bulk
+        # pass and is parity-tested against this).
         container_readings = self._monitor.sample_containers(time_s)
-        if batched:
-            self._monitor.sample_cluster(time_s, container_readings)
-        else:
-            self._monitor.sample_apps(time_s, self._apps.keys())
-            self._monitor.sample_cluster(time_s)
+        self._monitor.sample_apps(time_s, self._apps.keys())
+        self._monitor.sample_cluster(time_s)
 
         platform = self._platform
-        monitor = self._monitor
         ledger = self._ledger
         carbon = self._current_carbon
         price = self._current_price
@@ -1204,13 +1193,7 @@ class Ecovisor:
             if app.name not in self._apps:
                 continue
             containers = platform.running_containers_for(app.name)
-            if batched:
-                demand_w = sum(container_readings[c.id] for c in containers)
-                monitor.record_app_power(
-                    time_s, app.name, demand_w, len(containers)
-                )
-            else:
-                demand_w = platform.app_power_w(app.name)
+            demand_w = platform.app_power_w(app.name)
             settlement = app.ves.settle(
                 demand_w,
                 carbon,
@@ -1223,11 +1206,7 @@ class Ecovisor:
             app.state = self._finalize_state(app, containers, container_readings)
             self._record_app_telemetry(app, settlement, time_s)
             self._attribute_to_containers(
-                containers,
-                settlement,
-                container_readings,
-                # Batched: the app's measured power is already in hand.
-                total_power_w=demand_w if batched else None,
+                containers, settlement, container_readings
             )
             self._publish_battery_events(app, time_s)
             fractions[app.name] = (
@@ -1340,21 +1319,14 @@ class Ecovisor:
         containers: List[Container],
         settlement: TickSettlement,
         container_readings: Dict[str, float],
-        total_power_w: Optional[float] = None,
     ) -> None:
         """Split an app's settled energy and carbon across its containers.
 
         Attribution is proportional to each container's share of the
         application's measured power, the same resource-usage-based
-        attribution as the prototype [48, 60].  ``total_power_w`` lets
-        the batched loop pass the app power it already summed from the
-        same readings; None recomputes it (the fallback path).
+        attribution as the prototype [48, 60].
         """
-        total_power = (
-            total_power_w
-            if total_power_w is not None
-            else sum(container_readings.get(c.id, 0.0) for c in containers)
-        )
+        total_power = sum(container_readings.get(c.id, 0.0) for c in containers)
         carbon_series = self._container_carbon_series
         for container in containers:
             power = container_readings.get(container.id, 0.0)

@@ -36,10 +36,9 @@ Byte-parity contract (pinned by ``test_columnar_parity.py``):
   ``upcall_epoch``; the plane detects the bump between items and
   finishes the remaining apps on the reference path, then rebuilds.
 
-The profiled engine loop asks ``invoke_policies`` to time the fallback
-barriers (``timed=True``); the returned seconds let the profiler split
-the upcall phase into ``policy_batch``/``policy_fallback`` without
-double counting.
+``invoke_policies`` times the fallback barriers and returns their
+seconds, which let the engine's profiler split the upcall phase into
+``policy_batch``/``policy_fallback`` without double counting.
 """
 
 from __future__ import annotations
@@ -416,8 +415,8 @@ class UpcallPlane:
         self._wb_memo: Dict[type, bool] = {}
 
     # -- policy upcalls -------------------------------------------------
-    def invoke_policies(self, tick, timed: bool = False) -> float:
-        """Deliver the tick upcalls; returns fallback seconds when timed.
+    def invoke_policies(self, tick) -> float:
+        """Deliver the tick upcalls; returns the seconds spent in fallbacks.
 
         Byte-equivalent to ``Ecovisor.invoke_app_ticks`` on any fleet:
         segments run their class kernels and apply staged actions in
@@ -441,21 +440,15 @@ class UpcallPlane:
                 # A callback admitted/evicted an app or registered a
                 # callback mid-delivery: finish the remaining apps on
                 # the reference path and rebuild next tick.
-                if timed:
-                    t0 = perf_counter()
-                    self._scalar_tail(tick, item.start)
-                    fallback_s += perf_counter() - t0
-                else:
-                    self._scalar_tail(tick, item.start)
+                t0 = perf_counter()
+                self._scalar_tail(tick, item.start)
+                fallback_s += perf_counter() - t0
                 self._p_epoch = -1
                 return fallback_s
             if type(item) is _Fallback:
-                if timed:
-                    t0 = perf_counter()
-                    self._invoke_one(tick, item.reg)
-                    fallback_s += perf_counter() - t0
-                else:
-                    self._invoke_one(tick, item.reg)
+                t0 = perf_counter()
+                self._invoke_one(tick, item.reg)
+                fallback_s += perf_counter() - t0
                 continue
             groups = item.groups
             for rows in groups:

@@ -287,21 +287,6 @@ class Histogram(Metric):
         counts = self._counts.tolist()
         return dict(zip((*self.bounds, math.inf), counts))
 
-    def percentile(self, q: float) -> float:
-        """Approximate q-th percentile (upper bound of the q bucket)."""
-        self._require_leaf()
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if self._count == 0:
-            return 0.0
-        target = q / 100.0 * self._count
-        cumulative = 0
-        for bound, count in zip(self.bounds, self._counts):
-            cumulative += int(count)
-            if cumulative >= target:
-                return bound
-        return math.inf
-
     def _leaf_samples(self) -> Iterator[Sample]:
         cumulative = 0
         for bound, count in zip(self.bounds, self._counts):

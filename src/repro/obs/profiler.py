@@ -27,9 +27,9 @@ histogram per phase plus one for the whole tick (rolled up into the
 metrics registry), and a bounded slow-tick log retaining the full
 breakdown of any tick slower than ``slow_factor`` × the median tick
 (median recomputed every 32 ticks so detection costs nothing
-per-tick).  A disabled profiler records nothing — the engine selects a
-loop without any timing calls, so ``enabled=False`` is near-zero
-overhead (gated at ≤2% in CI).
+per-tick).  The engine records every tick; there is no switch.
+Reports take totals, means and shares from the cumulative histograms
+and exact p50/p99 from the ticks the ring retains.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class TickProfiler:
 
     Parameters
     ----------
-    enabled:
-        When ``False`` the profiler is inert: the engine runs its
-        unprofiled loop and :meth:`record` is never called.
     registry:
         Metrics registry receiving the histogram rollups
         (``tick_phase_seconds{phase=...}`` and ``tick_total_seconds``).
@@ -77,7 +74,6 @@ class TickProfiler:
 
     def __init__(
         self,
-        enabled: bool = True,
         registry: Optional[MetricsRegistry] = None,
         ring_size: int = 512,
         slow_factor: float = 4.0,
@@ -91,7 +87,6 @@ class TickProfiler:
             raise ValueError(
                 f"slow_log_size must be positive, got {slow_log_size}"
             )
-        self.enabled = enabled
         self.ring_size = ring_size
         self.slow_factor = slow_factor
         self.slow_log_size = slow_log_size
@@ -243,11 +238,25 @@ class TickProfiler:
         """Cumulative wall-clock seconds across all recorded ticks."""
         return self._total_hist.sum
 
+    def _ring_percentiles(self) -> np.ndarray:
+        """Exact p50 (row 0) and p99 (row 1) of every ring column.
+
+        Computed over the retained ticks only; zeros while the ring is
+        empty.  Column order matches the ring: tick index, the six
+        phases, total.
+        """
+        rows = self._ring[: self._ring_count]
+        if not len(rows):
+            return np.zeros((2, self._ring.shape[1]))
+        return np.percentile(rows, (50.0, 99.0), axis=0)
+
     def phase_table(self) -> List[Dict[str, Any]]:
-        """Per-phase rollup rows: total/mean seconds and share of tick time."""
+        """Per-phase rollup rows: total/mean seconds and share of tick
+        time since construction, plus p50/p99 over the retained ring."""
         grand_total = self.total_seconds()
+        pct = self._ring_percentiles()
         rows = []
-        for name in PHASES:
+        for i, name in enumerate(PHASES, start=1):
             series = self._phase_hist.labels(phase=name)
             count = series.count
             rows.append(
@@ -256,8 +265,8 @@ class TickProfiler:
                     "total_s": series.sum,
                     "mean_s": series.sum / count if count else 0.0,
                     "share": series.sum / grand_total if grand_total else 0.0,
-                    "p50_s": series.percentile(50.0),
-                    "p99_s": series.percentile(99.0),
+                    "p50_s": float(pct[0, i]),
+                    "p99_s": float(pct[1, i]),
                 }
             )
         return rows
@@ -266,14 +275,15 @@ class TickProfiler:
         """Everything a report needs: totals, table, slow ticks."""
         count = self._total_hist.count
         total = self.total_seconds()
+        pct = self._ring_percentiles()
         return {
             "phases": PHASES,
             "ticks_recorded": self.ticks_recorded,
             "ring_retained": self._ring_count,
             "total_s": total,
             "mean_tick_s": total / count if count else 0.0,
-            "p50_tick_s": self._total_hist.percentile(50.0),
-            "p99_tick_s": self._total_hist.percentile(99.0),
+            "p50_tick_s": float(pct[0, -1]),
+            "p99_tick_s": float(pct[1, -1]),
             "phase_table": self.phase_table(),
             "slow_ticks_total": self.slow_ticks_total,
             "slow_ticks": self.slow_ticks(),
@@ -283,7 +293,7 @@ class TickProfiler:
         """The ``GET /v1/metrics/ticks`` response body."""
         ticks = self.last(last)
         return {
-            "enabled": self.enabled,
+            "enabled": True,
             "phases": list(PHASES),
             "ring_size": self.ring_size,
             "ticks_recorded": self.ticks_recorded,

@@ -18,6 +18,15 @@ protocol (Section 3.1).  One engine tick performs, in order:
 The engine stops at ``max_ticks`` or, optionally, as soon as every
 tracked batch job has completed.
 
+There is one loop and two paths through it.  ``batched=True`` (the
+default) is the production path: columnar settlement
+(:mod:`repro.core.fleetarrays`), primed signal arrays, and grouped
+upcalls (:mod:`repro.core.upcalls`).  ``batched=False`` is the per-app
+object reference path the parity suites compare it against.  Either
+way the loop stamps each phase boundary with ``perf_counter`` and
+records the six durations in ``engine.profiler``
+(:class:`~repro.obs.profiler.TickProfiler`), so every tick is profiled.
+
 Control plane v1.1 makes the tenant population dynamic: applications can
 be admitted, rebalanced, and evicted **mid-run** — immediately (through
 ``add_application`` / ``remove_application``, or externally through the
@@ -63,13 +72,10 @@ class SimulationEngine:
         self._clock = clock or SimulationClock(
             tick_interval_s=ecovisor.config.tick_interval_s
         )
-        # Disabled by default: the unprofiled loop stays byte-identical
-        # to the pre-observability hot path.  Flip ``engine.profiler.
-        # enabled`` (or pass an enabled profiler) to get per-tick phase
-        # timings; rollups land in the ecovisor's metrics registry.
-        self.profiler = profiler or TickProfiler(
-            enabled=False, registry=ecovisor.metrics
-        )
+        # Every tick is profiled; rollups land in the ecovisor's metrics
+        # registry, so ``/v1/metrics`` and ``/v1/metrics/ticks`` are
+        # populated on every engine.
+        self.profiler = profiler or TickProfiler(registry=ecovisor.metrics)
         ecovisor.profiler = self.profiler
         self._apps: List[Application] = []
         self._observers: List[TickObserver] = []
@@ -103,13 +109,13 @@ class SimulationEngine:
 
     @property
     def batched(self) -> bool:
-        """Whether :meth:`run` uses the batched tick hot path.
+        """Whether :meth:`run` takes the production or the reference path.
 
         True (the default) primes the ecovisor's per-tick signal cache
-        for the run and lets settlement reuse the bulk container power
-        pass.  False forces the per-application fallback loop — the
-        reference the batched path is parity-tested against, and the
-        ``use_snapshots=False`` analogue for benchmarking.
+        for the run, settles through the columnar kernel and delivers
+        upcalls through the vectorized plane.  False runs the per-app
+        object path: the reference the production path is parity-tested
+        against.
         """
         return self._batched
 
@@ -245,7 +251,6 @@ class SimulationEngine:
         if max_ticks <= 0:
             raise SimulationError(f"max_ticks must be positive, got {max_ticks}")
         ecovisor = self._ecovisor
-        ecovisor.batched = self._batched
         # The columnar struct-of-arrays kernel rides the batched toggle;
         # batched=False remains the per-app reference object path the
         # parity harness compares against.
@@ -261,68 +266,16 @@ class SimulationEngine:
             ecovisor.prime_signal_cache(clock.tick_index, times)
         else:
             ecovisor.clear_signal_cache()
-        if self.profiler.enabled:
-            return self._run_profiled(max_ticks, stop_when_batch_complete)
-        observers = self._observers
-        plane = self._plane if self._batched else None
-        executed = 0
-        for _ in range(max_ticks):
-            tick = self._clock.current_tick()
-            if (
-                self._scheduled_evictions
-                or self._scheduled_share_changes
-                or self._scheduled_admissions
-            ):
-                self._process_scheduled(tick.index)
-            ecovisor.begin_tick(tick)
-            if plane is not None:
-                plane.invoke_policies(tick)
-            else:
-                ecovisor.invoke_app_ticks(tick)
-            # Snapshot after the upcalls: applications admitted during
-            # them are stepped and settled this very tick; evictions
-            # later in the tick leave a harmless no-op finish_tick.
-            apps = list(self._apps)
-            if plane is not None:
-                plane.step_workloads(tick, tick.duration_s, apps)
-                fractions = ecovisor.settle(tick)
-                plane.finish_workloads(tick, tick.duration_s, fractions, apps)
-            else:
-                for app in apps:
-                    app.step(tick, tick.duration_s)
-                fractions = ecovisor.settle(tick)
-                for app in apps:
-                    app.finish_tick(
-                        tick, tick.duration_s, fractions.get(app.name, 1.0)
-                    )
-            for observer in observers:
-                observer(tick)
-            self._clock.advance()
-            executed += 1
-            if stop_when_batch_complete and self._all_batch_complete():
-                break
-        return executed
-
-    def _run_profiled(
-        self, max_ticks: int, stop_when_batch_complete: bool
-    ) -> int:
-        """The tick loop with phase timing brackets.
-
-        A deliberate duplicate of the loop body in :meth:`run`: keeping
-        the unprofiled path free of any per-tick conditionals or
-        ``perf_counter`` calls is what makes ``enabled=False`` near-zero
-        overhead (CI gates it at ≤2%).  Phase boundaries are consecutive
-        ``perf_counter`` reads, so the six durations partition the tick
-        exactly — their sum *is* the wall-clock tick time.  The policy
-        window (t1..t2) splits into ``policy_batch``/``policy_fallback``
-        by subtracting the plane's inline fallback timings; on the
-        unbatched path the whole window is fallback time.
-        """
-        ecovisor = self._ecovisor
         observers = self._observers
         profiler = self.profiler
         plane = self._plane if self._batched else None
         executed = 0
+        # Phase boundaries are consecutive ``perf_counter`` reads, so the
+        # six durations partition the tick exactly: their sum *is* the
+        # wall-clock tick time.  The policy window (t1..t2) splits into
+        # ``policy_batch``/``policy_fallback`` by subtracting the plane's
+        # inline fallback timings; on the unbatched path the whole
+        # window is fallback time.
         for _ in range(max_ticks):
             t0 = perf_counter()
             tick = self._clock.current_tick()
@@ -335,10 +288,13 @@ class SimulationEngine:
             ecovisor.begin_tick(tick)
             t1 = perf_counter()
             if plane is not None:
-                fallback_s = plane.invoke_policies(tick, timed=True)
+                fallback_s = plane.invoke_policies(tick)
             else:
                 ecovisor.invoke_app_ticks(tick)
             t2 = perf_counter()
+            # Snapshot after the upcalls: applications admitted during
+            # them are stepped and settled this very tick; evictions
+            # later in the tick leave a harmless no-op finish_tick.
             apps = list(self._apps)
             if plane is not None:
                 plane.step_workloads(tick, tick.duration_s, apps)

@@ -11,8 +11,7 @@ orchestration platform's power model and writes every signal into the
 Hot-path notes: the monitor runs once per tick for every container and
 application, so it caches its :class:`~repro.telemetry.timeseries.Series`
 handles (no per-append name formatting or registry lookups) and measures
-all container powers in one platform pass that settlement then reuses
-instead of re-deriving power per application.
+all container powers in one platform pass.
 
 Series naming scheme (stable, used by benches and analysis):
 
@@ -30,7 +29,7 @@ Series naming scheme (stable, used by benches and analysis):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.telemetry.timeseries import Series, TimeSeriesDatabase
@@ -65,7 +64,7 @@ class PowerMonitor:
         """Measure per-container power; returns {container_id: watts}.
 
         One bulk platform pass; settlement reuses the returned readings
-        for per-application demand instead of re-measuring.
+        to attribute each app's energy across its containers.
         """
         readings = self._platform.container_powers()
         handles = self._container_handles
@@ -80,13 +79,7 @@ class PowerMonitor:
     def sample_apps(
         self, time_s: float, app_names: Iterable[str]
     ) -> Dict[str, float]:
-        """Measure per-application power; returns {app_name: watts}.
-
-        The per-app fallback: the platform is re-queried per
-        application.  The batched settlement loop instead sums each
-        app's power from the bulk container readings itself and records
-        through :meth:`record_app_power`.
-        """
+        """Measure per-application power; returns {app_name: watts}."""
         readings: Dict[str, float] = {}
         platform = self._platform
         for app_name in app_names:
@@ -97,34 +90,9 @@ class PowerMonitor:
             self._series(f"app.{app_name}.containers").append(time_s, float(count))
         return readings
 
-    def record_app_power(
-        self, time_s: float, app_name: str, power_w: float, container_count: int
-    ) -> None:
-        """Persist one app's already-measured power and container count.
-
-        The batched settlement loop measures each application once (from
-        the bulk container readings) and records through here, instead
-        of :meth:`sample_apps` re-walking every app's container list.
-        """
-        self._series(f"app.{app_name}.power_w").append(time_s, power_w)
-        self._series(f"app.{app_name}.containers").append(
-            time_s, float(container_count)
-        )
-
-    def sample_cluster(
-        self,
-        time_s: float,
-        container_readings: Optional[Dict[str, float]] = None,
-    ) -> float:
+    def sample_cluster(self, time_s: float) -> float:
         """Measure whole-cluster power including the platform baseline."""
-        if container_readings is None:
-            power = self._platform.cluster_power_w()
-        else:
-            attributed = sum(
-                container_readings[c.id]
-                for c in self._platform.running_containers()
-            )
-            power = attributed + self._platform.baseline_power_w()
+        power = self._platform.cluster_power_w()
         self._series("cluster.power_w").append(time_s, power)
         return power
 

@@ -235,7 +235,6 @@ class TestObservabilityParity:
         # Mutates the shared world (runs extra ticks), so it runs last:
         # every parity test above re-reads both sides live anyway.
         engine = world["env"].engine
-        engine.profiler.enabled = True
         engine.run(5)
         payload = world["client"].tick_profile(last=3)
         assert payload["enabled"] is True

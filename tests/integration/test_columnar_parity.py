@@ -7,12 +7,11 @@ observable the simulator produces must be **byte-identical** between the
 columnar hot path (``engine.batched = True``) and the per-app object
 reference path (``engine.batched = False``).
 
-Where :mod:`tests.integration.test_fleet_parity` checks one committed
-fleet configuration, this module is a *differential harness*: hypothesis
-draws randomized fleet sizes, policy mixes, trace seeds (which select
-the solar/carbon/price regimes and, through the shared-plant stride, the
-battery-holding subset), and churn schedules, and every drawn fleet is
-run down both paths and compared on four surfaces:
+This module is a *differential harness*: hypothesis draws randomized
+fleet sizes, policy mixes, trace seeds (which select the solar/carbon/
+price regimes and, through the shared-plant stride, the battery-holding
+subset), and churn schedules, plus committed ``@example`` fleets, and
+every fleet is run down both paths and compared on five surfaces:
 
 - per-app :class:`EnergyState` snapshots at every tick (the lazy
   :class:`~repro.core.state.RowEnergyState` views must materialize the
@@ -22,7 +21,9 @@ run down both paths and compared on four surfaces:
 - the full telemetry database (series names, timestamps, values — the
   columnar path buffers these and flushes lazily), and
 - per-app event journals (battery/solar/share/lifecycle signals in
-  publish order, including retired feeds of evicted churn tenants).
+  publish order, including retired feeds of evicted churn tenants), and
+- the carbon and price signal histories (the primed signal arrays must
+  record exactly the observations live sampling does).
 
 Comparison is by SHA-256 over a canonical JSON dump, so "identical"
 means identical down to the float bit patterns (``json.dumps`` emits
@@ -41,7 +42,13 @@ from hypothesis import strategies as st
 
 from repro.cluster.container import reset_container_id_counter
 from repro.core.errors import InsufficientResourcesError
-from repro.sim.fleet import POLICY_MIXES, build_churn_fleet, build_fleet
+from repro.sim.fleet import (
+    POLICY_MIXES,
+    build_churn_fleet,
+    build_fleet,
+    fleet_root_seed,
+    run_fleet,
+)
 
 # Small-but-varied fleets: large enough to mix all policy kinds, both
 # workload classes, and battery holders vs grid-only tenants; small
@@ -73,8 +80,9 @@ _SETTINGS = dict(
 )
 
 
-def _capture(params, batched, churn=False):
-    """Run one fleet down one path; return every observable surface."""
+def _run(params, batched, churn=False):
+    """Run one fleet down one path; return its ecovisor and per-tick
+    snapshots of every app's :class:`EnergyState`."""
     # Container ids embed a process-global counter; reset it so both
     # captures name identical containers identically (ids appear in
     # snapshots, telemetry series names, and journal payloads).
@@ -96,7 +104,16 @@ def _capture(params, batched, churn=False):
 
     engine.add_observer(observer)
     engine.run(int(params["ticks"]))
-    assert ecovisor.batched is batched and ecovisor.columnar is batched
+    return ecovisor, states
+
+
+def _capture(params, batched, churn=False):
+    """Run one fleet down one path; return every observable surface."""
+    ecovisor, states = _run(params, batched, churn)
+    # The two paths really differed: only the production path settles
+    # columnar and primes its signal cache.
+    assert ecovisor.columnar is batched
+    assert (ecovisor._signal_cache is not None) is batched
     return collect_surfaces(ecovisor, states)
 
 
@@ -105,7 +122,7 @@ def collect_surfaces(ecovisor, states):
 
     Shared with :mod:`tests.integration.test_fallback_parity`, which
     builds its own (partially batch-incompatible) fleets but compares
-    the same four surfaces.
+    the same five surfaces.
     """
     ledger = ecovisor.ledger
     accounts = {}
@@ -142,11 +159,16 @@ def collect_surfaces(ecovisor, states):
             "dropped": page.dropped,
         }
 
+    price_signal = ecovisor.price_signal
     return {
         "states": states,
         "accounts": accounts,
         "telemetry": telemetry,
         "journals": journals,
+        "signal_histories": {
+            "carbon": ecovisor.carbon_service.history(),
+            "price": price_signal.history() if price_signal else None,
+        },
     }
 
 
@@ -237,10 +259,11 @@ def _assert_parity(params, churn=False):
 class TestColumnarDifferentialParity:
     @settings(max_examples=8, **_SETTINGS)
     @given(params=FLEET_PARAMS)
+    @example(params={"apps": 24, "ticks": 50, "seed": 2023, "mix": "balanced"})
     @example(params={"apps": 20, "ticks": 36, "seed": 2023, "mix": "balanced"})
     @example(params={"apps": 3, "ticks": 5, "seed": 0, "mix": "agnostic"})
     def test_static_fleet_surfaces_byte_identical(self, params):
-        """Randomized static fleets: all four surfaces, both paths."""
+        """Randomized static fleets: all five surfaces, both paths."""
         _assert_parity(params)
 
     @settings(max_examples=5, **_SETTINGS)
@@ -259,6 +282,23 @@ class TestColumnarDifferentialParity:
         """Admit/evict/set_share churn mid-run: rows retire and respawn
         without perturbing a single byte of any surface."""
         _assert_parity(params, churn=True)
+
+
+class TestFleetDeterminism:
+    def test_metrics_identical_across_modes(self):
+        params = {"apps": 16, "ticks": 30, "seed": 7, "mix": "carbon"}
+        assert run_fleet({**params, "batched": True}) == run_fleet(
+            {**params, "batched": False}
+        )
+
+    def test_root_seed_from_config_digest_only(self):
+        base = {"apps": 10, "ticks": 20, "seed": 3, "mix": "balanced"}
+        assert fleet_root_seed(base) == fleet_root_seed({**base, "batched": False})
+        assert fleet_root_seed(base) != fleet_root_seed({**base, "seed": 4})
+
+    def test_rebuild_is_bit_identical(self):
+        params = {"apps": 10, "ticks": 25, "seed": 11, "mix": "balanced"}
+        assert run_fleet(dict(params)) == run_fleet(dict(params))
 
 
 class TestHarnessSensitivity:

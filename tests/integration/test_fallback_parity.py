@@ -101,7 +101,6 @@ def _capture(batched):
     )
     engine.schedule_eviction(EVICT_TICK, "legacy-churn")
 
-    engine.profiler.enabled = True
     states = []
 
     def observer(tick):

@@ -1,131 +1,65 @@
-"""Fleet parity: batched hot path vs per-app fallback, byte-identical.
+"""Fleet parity on the committed config, one surface per test.
 
-The batched tick engine (primed signal arrays, one bulk container-power
-pass reused for demand/cluster telemetry, cached series handles) must be
-an *optimization*, not a semantic change.  These tests run the same
-deterministic fleet twice — ``engine.batched = True`` and ``False`` —
-and require tick-for-tick identical :class:`EnergyState` snapshots,
-settlement ledgers, telemetry series, and sweep metrics.
+The columnar hot path (``engine.batched = True``) must be an
+*optimization*, not a semantic change.  These tests run the committed
+fleet (24 apps, 50 ticks, seed 2023, balanced mix) down both engine
+paths once and require identical :class:`EnergyState` snapshots at every
+tick, settlement ledgers, telemetry series and signal histories against
+the per-app object reference path (``engine.batched = False``), so a
+failure names the surface that drifted.  Randomized fleets and churn
+schedules live in the differential harness,
+:mod:`tests.integration.test_columnar_parity`, whose runner and surface
+collector this module reuses.
 """
-
-import hashlib
-import json
 
 import pytest
 
-from repro.cluster.container import reset_container_id_counter
-from repro.sim.fleet import build_fleet, fleet_root_seed, run_fleet
+from tests.integration.test_columnar_parity import (
+    _digest,
+    _first_difference,
+    _run,
+    collect_surfaces,
+)
 
 PARAMS = {"apps": 24, "ticks": 50, "seed": 2023, "mix": "balanced"}
 
 
-def _capture_run(params, batched):
-    """Run one fleet, recording every app's snapshot at every tick."""
-    # Container ids embed a process-global counter; reset it so both
-    # captures name identical containers identically (ids appear in
-    # snapshots and telemetry series names).
-    reset_container_id_counter()
-    fleet = build_fleet({**params, "batched": batched})
-    ecovisor = fleet.ecovisor
-    names = ecovisor.app_names()
-    per_tick_states = []
-
-    def observer(tick):
-        per_tick_states.append(
-            {name: ecovisor.state_for(name).to_dict() for name in names}
-        )
-
-    fleet.engine.add_observer(observer)
-    fleet.engine.run(int(params["ticks"]))
-    return fleet, per_tick_states
-
-
 @pytest.fixture(scope="module")
 def captures():
-    batched = _capture_run(PARAMS, True)
-    fallback = _capture_run(PARAMS, False)
-    return batched, fallback
+    """(ecovisor, surfaces) for the columnar run, then the object run."""
+    runs = [_run(PARAMS, batched) for batched in (True, False)]
+    return [(eco, collect_surfaces(eco, states)) for eco, states in runs]
 
 
-def _first_difference(states_a, states_b):
-    """Locate the first differing (tick, app, field) for a readable fail."""
-    for t, (sa, sb) in enumerate(zip(states_a, states_b)):
-        for name in sa:
-            if sa[name] != sb[name]:
-                for field in sa[name]:
-                    if sa[name][field] != sb[name][field]:
-                        return (
-                            f"tick {t}, app {name}, field {field}: "
-                            f"{sa[name][field]!r} != {sb[name][field]!r}"
-                        )
-    return None
+def _assert_identical(captures, surface):
+    (_, columnar), (_, objects) = captures
+    a, b = columnar[surface], objects[surface]
+    # Digest comparison pins float bit patterns; the first-difference
+    # report keeps a (hypothetical) failure readable.
+    assert _digest(a) == _digest(b) and a == b, _first_difference(a, b, surface)
 
 
 class TestBatchedUnbatchedParity:
     def test_snapshots_identical_every_tick(self, captures):
-        (_, states_a), (_, states_b) = captures
-        assert len(states_a) == PARAMS["ticks"]
-        # Digest comparison keeps a (hypothetical) failure readable:
-        # diffing two multi-megabyte JSON strings in the assertion
-        # message is what we want to avoid.
-        digest_a = hashlib.sha256(
-            json.dumps(states_a, sort_keys=True).encode()
-        ).hexdigest()
-        digest_b = hashlib.sha256(
-            json.dumps(states_b, sort_keys=True).encode()
-        ).hexdigest()
-        assert digest_a == digest_b, _first_difference(states_a, states_b)
+        (_, columnar), _ = captures
+        assert len(columnar["states"]) == PARAMS["ticks"]
+        _assert_identical(captures, "states")
 
     def test_settlement_ledgers_identical(self, captures):
-        (fleet_a, _), (fleet_b, _) = captures
-        for name in fleet_a.ecovisor.app_names():
-            a = fleet_a.ecovisor.ledger.account(name)
-            b = fleet_b.ecovisor.ledger.account(name)
-            assert a.settlements == b.settlements  # frozen dataclass eq
-            assert (a.energy_wh, a.carbon_g, a.cost_usd, a.unmet_wh) == (
-                b.energy_wh,
-                b.carbon_g,
-                b.cost_usd,
-                b.unmet_wh,
-            )
+        _assert_identical(captures, "accounts")
 
     def test_telemetry_series_identical(self, captures):
-        (fleet_a, _), (fleet_b, _) = captures
-        db_a = fleet_a.ecovisor.database
-        db_b = fleet_b.ecovisor.database
-        assert db_a.series_names() == db_b.series_names()
-        for name in db_a.series_names():
-            series_a, series_b = db_a.series(name), db_b.series(name)
-            assert series_a.times().tolist() == series_b.times().tolist(), name
-            assert series_a.values().tolist() == series_b.values().tolist(), name
+        (eco_a, _), (eco_b, _) = captures
+        assert eco_a.database.series_names() == eco_b.database.series_names()
+        _assert_identical(captures, "telemetry")
 
     def test_signal_histories_identical(self, captures):
-        (fleet_a, _), (fleet_b, _) = captures
-        eco_a, eco_b = fleet_a.ecovisor, fleet_b.ecovisor
-        assert eco_a.carbon_service.history() == eco_b.carbon_service.history()
-        assert eco_a.price_signal.history() == eco_b.price_signal.history()
+        _assert_identical(captures, "signal_histories")
 
     def test_modes_actually_differed(self, captures):
-        (fleet_a, _), (fleet_b, _) = captures
-        assert fleet_a.ecovisor.batched is True
-        assert fleet_b.ecovisor.batched is False
-        # The batched run primed its signal cache; the fallback did not.
-        assert fleet_a.ecovisor._signal_cache is not None
-        assert fleet_b.ecovisor._signal_cache is None
-
-
-class TestFleetDeterminism:
-    def test_metrics_identical_across_modes(self):
-        params = {"apps": 16, "ticks": 30, "seed": 7, "mix": "carbon"}
-        assert run_fleet({**params, "batched": True}) == run_fleet(
-            {**params, "batched": False}
-        )
-
-    def test_root_seed_from_config_digest_only(self):
-        base = {"apps": 10, "ticks": 20, "seed": 3, "mix": "balanced"}
-        assert fleet_root_seed(base) == fleet_root_seed({**base, "batched": False})
-        assert fleet_root_seed(base) != fleet_root_seed({**base, "seed": 4})
-
-    def test_rebuild_is_bit_identical(self):
-        params = {"apps": 10, "ticks": 25, "seed": 11, "mix": "balanced"}
-        assert run_fleet(dict(params)) == run_fleet(dict(params))
+        (eco_a, _), (eco_b, _) = captures
+        assert eco_a.columnar is True
+        assert eco_b.columnar is False
+        # The columnar run primed its signal cache; the object run did not.
+        assert eco_a._signal_cache is not None
+        assert eco_b._signal_cache is None

@@ -244,22 +244,24 @@ class TestBatchedToggle:
         engine = SimulationEngine(ecovisor, SimulationClock(60.0))
         assert engine.batched is True
         engine.run(3)
-        assert ecovisor.batched is True
+        assert ecovisor.columnar is True
         assert ecovisor._signal_cache is not None
 
     def test_unbatched_clears_cache(self):
         ecovisor = make_ecovisor()
         engine = SimulationEngine(ecovisor, SimulationClock(60.0), batched=False)
         engine.run(3)
-        assert ecovisor.batched is False
+        assert ecovisor.columnar is False
         assert ecovisor._signal_cache is None
 
     def test_toggle_between_runs(self):
         ecovisor = make_ecovisor()
         engine = SimulationEngine(ecovisor, SimulationClock(60.0))
         engine.run(2)
+        assert ecovisor.columnar is True
         engine.batched = False
         engine.run(2)
+        assert ecovisor.columnar is False
         assert ecovisor._signal_cache is None
 
     def test_run_past_primed_window_falls_back_to_live(self):
@@ -271,3 +273,43 @@ class TestBatchedToggle:
         engine.run(2)
         assert ecovisor.current_carbon_g_per_kwh == 150.0
         assert len(ecovisor.carbon_service.history()) == 4
+
+
+class TestEveryTickProfiled:
+    """One loop serves both paths, and it profiles every tick."""
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_default_engine_records_every_tick(self, batched):
+        eco = make_ecovisor(solar_w=0.0)
+        engine = SimulationEngine(eco, SimulationClock(60.0), batched=batched)
+        job = TinyJob(work=240.0)
+        api = engine.add_application(job, ShareConfig())
+        engine.add_application(CountingService(), ShareConfig())
+        api.scale_to(2, cores=1)
+        executed = engine.run(7)
+        assert engine.profiler.ticks_recorded == executed == 7
+        # An early stop records exactly the ticks it ran.
+        executed += engine.run(100, stop_when_batch_complete=True)
+        assert job.is_complete
+        assert engine.profiler.ticks_recorded == executed < 107
+        ticks = engine.profiler.last()
+        assert [t["tick_index"] for t in ticks] == list(range(executed))
+        for tick in ticks:
+            assert len(tick["phases"]) == 6
+            assert all(d >= 0.0 for d in tick["phases"].values())
+            assert sum(tick["phases"].values()) == pytest.approx(
+                tick["total_s"], rel=1e-12
+            )
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_rollups_reach_the_ecovisor_registry(self, batched):
+        eco = make_ecovisor()
+        engine = SimulationEngine(eco, SimulationClock(60.0), batched=batched)
+        engine.add_application(CountingService(), ShareConfig())
+        engine.run(4)
+        assert eco.profiler is engine.profiler
+        assert eco.metrics.get("tick_total_seconds").count == 4
+        if not batched:
+            # The reference path's upcall window is all fallback time.
+            phases = eco.metrics.get("tick_phase_seconds")
+            assert phases.labels(phase="policy_batch").sum == 0.0

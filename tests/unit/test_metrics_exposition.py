@@ -115,7 +115,6 @@ def world():
     """An ecovisor with a profiled engine run and scraped REST traffic."""
     ecovisor = make_ecovisor()
     engine = SimulationEngine(ecovisor)
-    engine.profiler.enabled = True
     engine.add_application(
         MLTrainingJob(name="a", total_work_units=1e6),
         ShareConfig(grid_power_w=float("inf")),

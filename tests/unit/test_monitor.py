@@ -72,34 +72,6 @@ class TestPlantRecording:
 
 
 class TestBatchedSampling:
-    def test_record_app_power_matches_sample_apps_series(self, setup):
-        # The batched settlement loop sums bulk readings and records
-        # via record_app_power; the recorded series must be exactly
-        # what the per-app fallback sampler would have written.
-        platform, monitor = setup
-        platform.launch_container("a", 1).set_demand_utilization(0.8)
-        platform.launch_container("a", 1).set_demand_utilization(0.4)
-        platform.launch_container("b", 2).set_demand_utilization(0.6)
-        readings = monitor.sample_containers(0.0)
-        for name in ("a", "b"):
-            containers = platform.running_containers_for(name)
-            power = sum(readings[c.id] for c in containers)
-            monitor.record_app_power(0.0, name, power, len(containers))
-        live = monitor.sample_apps(60.0, ["a", "b"])
-        for name in ("a", "b"):
-            values = monitor.database.series(f"app.{name}.power_w").values()
-            assert values[0] == values[1] == live[name]
-            counts = monitor.database.series(f"app.{name}.containers").values()
-            assert counts[0] == counts[1]
-
-    def test_sample_cluster_with_readings_matches_live(self, setup):
-        platform, monitor = setup
-        platform.launch_container("a", 1).set_demand_utilization(0.8)
-        readings = monitor.sample_containers(0.0)
-        assert monitor.sample_cluster(0.0, readings) == monitor.sample_cluster(
-            60.0
-        )
-
     def test_series_handles_are_cached(self, setup):
         _, monitor = setup
         monitor.record_carbon_intensity(0.0, 100.0)

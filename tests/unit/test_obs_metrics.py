@@ -99,15 +99,6 @@ class TestHistogram:
         assert samples[("_bucket", "+Inf")] == 3
         assert samples[("_count", None)] == 3
 
-    def test_percentile_is_bucket_upper_bound(self):
-        h = Histogram("lat", buckets=(0.1, 1.0, 10.0))
-        for _ in range(99):
-            h.observe(0.05)
-        h.observe(5.0)
-        assert h.percentile(50.0) == 0.1
-        assert h.percentile(100.0) == 10.0
-        assert Histogram("empty").percentile(50.0) == 0.0
-
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             Histogram("lat", buckets=(1.0, 0.1))

@@ -119,10 +119,39 @@ class TestReporting:
         assert len(summary["phase_table"]) == len(PHASES)
         assert summary["slow_ticks_total"] == 0
 
+    def test_percentiles_are_exact_over_the_ring(self):
+        # 101 ticks whose settle phase takes 0, 1, ..., 100 µs (shuffled
+        # so ring order cannot matter).  Exact percentiles land between
+        # histogram bucket edges: p50 = 50 µs, p99 = 99 µs.
+        p = TickProfiler(ring_size=128)
+        for i in range(101):
+            settle_s = (i * 37 % 101) * 1e-6
+            p.record(i, 1e-3, 0.0, 0.0, 0.0, settle_s, 0.0)
+        settle = next(r for r in p.phase_table() if r["phase"] == "settle")
+        assert settle["p50_s"] == pytest.approx(50e-6, rel=1e-9)
+        assert settle["p99_s"] == pytest.approx(99e-6, rel=1e-9)
+        begin = p.phase_table()[0]
+        assert begin["p50_s"] == begin["p99_s"] == pytest.approx(1e-3)
+        summary = p.summary()
+        assert summary["p50_tick_s"] == pytest.approx(1e-3 + 50e-6, rel=1e-9)
+        assert summary["p99_tick_s"] == pytest.approx(1e-3 + 99e-6, rel=1e-9)
+
+    def test_percentiles_cover_only_retained_ticks(self):
+        p = TickProfiler(ring_size=4)
+        record_uniform(p, 10, phase_s=5e-3)  # evicted from the ring
+        record_uniform(p, 4, phase_s=1e-3)
+        assert p.summary()["p99_tick_s"] == pytest.approx(6e-3)
+        # Totals and means stay cumulative over every recorded tick.
+        assert p.summary()["mean_tick_s"] == pytest.approx(
+            (10 * 30e-3 + 4 * 6e-3) / 14
+        )
+
     def test_empty_profiler_reports_zeros(self):
         p = TickProfiler()
         assert p.phase_table()[0]["share"] == 0.0
+        assert p.phase_table()[0]["p99_s"] == 0.0
         assert p.summary()["mean_tick_s"] == 0.0
+        assert p.summary()["p50_tick_s"] == 0.0
         assert p.ticks_payload()["returned"] == 0
 
     def test_ticks_payload_shape(self):
