@@ -55,8 +55,7 @@ def main() -> None:
     api.set_battery_charge_rate(0.0)  # never charge from the grid
 
     # 5. Register a tick() upcall that reacts to carbon-intensity.
-    #    Two-parameter callbacks receive the tick's immutable EnergyState
-    #    snapshot (single-parameter callbacks still work).
+    #    The callback receives the tick's immutable EnergyState snapshot.
     def on_tick(tick, state):
         if state.grid_carbon_g_per_kwh > 250.0:
             api.set_container_powercap(worker_a.id, 1.5)

@@ -79,8 +79,6 @@ def main() -> None:
     # Unknown application and unknown route map to 404.
     show("GET /v1/apps/ghost/solar (404)", server.request("GET", "/v1/apps/ghost/solar"))
     show("GET /nope (404)", server.request("GET", "/nope"))
-    # Legacy unversioned paths answer 301 with the /v1 Location.
-    show("GET /apps/shop/solar (301)", server.request("GET", "/apps/shop/solar"))
 
 
 if __name__ == "__main__":

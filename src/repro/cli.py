@@ -226,7 +226,6 @@ def build_route_rows() -> List[tuple]:
             backing,
         )
         for method, path, backing in server.router.route_table()
-        if path.startswith("/v1/")
     ]
 
 
@@ -237,11 +236,7 @@ def cmd_routes(args) -> None:
     )
     for method, path, transport, backing in build_route_rows():
         print(f"{method:7s} {path:45s} {transport:10s} {backing}")
-    print(
-        "\nlegacy unversioned paths answer 301 with a Location header "
-        "(admin routes are /v1-only); sse rows stream from the async "
-        "gateway (`repro serve`)"
-    )
+    print("\nsse rows stream from the async gateway (`repro serve`)")
 
 
 def cmd_scenarios(args) -> None:

@@ -1,14 +1,15 @@
 """Typed Python client for the ecovisor's versioned REST surface.
 
-:class:`EcovisorClient` mirrors :class:`~repro.core.api.EcovisorAPI`
-one-to-one over the Router transport: every Table 1 call (plus the
-container-management surface) has a method with the same name, the same
-parameters, and — pinned by the parity tests — the same return values as
-the in-process API, with :class:`~repro.core.state.EnergyState` and the
-signal dataclasses reconstructed losslessly from the wire format.  The
-one in-process-only call is ``register_tick``: an upcall cannot cross
-the transport, so external controllers poll :meth:`EcovisorClient.events`
-(the cursor-paged journal feed) instead.
+:class:`EcovisorClient` mirrors the ``/v1`` route table over the Router
+transport: each ``/v1/apps/{app}`` route has a method.  Calls that
+:class:`~repro.core.api.EcovisorAPI` also has keep its name, parameters
+and — pinned by the parity tests — return values; each scalar ``get_*``
+returns the same value as its ``state()`` field; and
+:class:`~repro.core.state.EnergyState` and the signal dataclasses are
+reconstructed losslessly from the wire format.  The one in-process-only
+call is ``register_tick``: an upcall cannot cross the transport, so
+external controllers poll :meth:`EcovisorClient.events` (the cursor-paged
+journal feed) instead.
 
 :class:`EcovisorAdminClient` drives the v1.1 control plane: dynamic
 admission, share rebalancing, and eviction.
@@ -136,7 +137,7 @@ class _ClientBase:
 
 
 class EcovisorClient(_ClientBase):
-    """Per-application SDK handle, one-to-one with ``EcovisorAPI``."""
+    """Per-application SDK handle over the ``/v1/apps/{app}`` routes."""
 
     def __init__(self, transport: Any, app_name: str):
         super().__init__(transport)
@@ -246,7 +247,7 @@ class EcovisorClient(_ClientBase):
         )
 
     # ------------------------------------------------------------------
-    # Getters (Table 1) — same values as the in-process delegates
+    # Getters (Table 1) — same values as the matching state() fields
     # ------------------------------------------------------------------
     def get_solar_power(self) -> float:
         return self._request("GET", f"{self._base}/solar")["solar_w"]

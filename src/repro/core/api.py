@@ -14,9 +14,10 @@ The v1 surface is snapshot-first:
 - :attr:`EcovisorAPI.signals` is the typed subscription bus
   (``api.signals.on(CarbonChange, cb, threshold=..., debounce_s=...)``).
 - The Table 1 *setters* are unchanged.
-- The Table 1 *getters* remain as thin deprecated delegates onto the
-  snapshot so pre-v1 code keeps passing; before the first tick (no
-  snapshot yet) they fall back to the equivalent live reads.
+- The Table 1 *getters* are the snapshot's fields
+  (``get_solar_power()`` is ``state().solar_power_w``, and so on; the
+  full map is in ``docs/api_tour.md``).  Only the per-container reads
+  stay methods, because they take a container id.
 
 Units: the paper's table lists kW because it targets datacenter scale; the
 prototype cluster (like ours) operates at watt scale, so this API speaks
@@ -32,31 +33,22 @@ container", Section 3.1): ``launch_container``, ``stop_container``,
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cluster.container import Container
-from repro.core.ecovisor import Ecovisor
+from repro.core.ecovisor import Ecovisor, TickCallback
 from repro.core.signals import SignalBus
 from repro.core.state import EnergyState
 
 
 class EcovisorAPI:
-    """Per-application handle onto the ecovisor (Table 1 / API v1).
+    """Per-application handle onto the ecovisor (Table 1 / API v1)."""
 
-    ``use_snapshots=False`` forces every deprecated getter down the
-    legacy live-read path — the pre-v1 behaviour, kept addressable so
-    ``benchmarks/bench_api_hotpath.py`` can measure the getter-storm
-    cost against the snapshot path.
-    """
-
-    def __init__(
-        self, ecovisor: Ecovisor, app_name: str, use_snapshots: bool = True
-    ):
+    def __init__(self, ecovisor: Ecovisor, app_name: str):
         self._ecovisor = ecovisor
         self._app_name = app_name
         self._ves = ecovisor.ves_for(app_name)
         self._platform = ecovisor.platform
-        self._use_snapshots = use_snapshots
         self._signals: Optional[SignalBus] = None
         # Handle-local role-list memo: the workload and policy consult
         # the worker pool several times per tick, and this handle is
@@ -100,12 +92,6 @@ class EcovisorAPI:
             self._signals = self._ecovisor.signal_bus_for(self._app_name)
         return self._signals
 
-    def _snapshot(self) -> Optional[EnergyState]:
-        """The stored tick snapshot, or None (pre-tick / live mode)."""
-        if not self._use_snapshots:
-            return None
-        return self._ecovisor.latest_state(self._app_name)
-
     # ------------------------------------------------------------------
     # Setters (Table 1)
     # ------------------------------------------------------------------
@@ -124,100 +110,8 @@ class EcovisorAPI:
         self._require_battery().set_max_discharge(watts)
 
     # ------------------------------------------------------------------
-    # Getters (Table 1) — deprecated delegates onto the snapshot
+    # Per-container reads (Table 1)
     # ------------------------------------------------------------------
-    def get_solar_power(self) -> float:
-        """Current virtual solar power output (W).
-
-        .. deprecated:: v1  Use ``state().solar_power_w``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.solar_power_w
-        return self._ves.solar_power_w
-
-    def get_grid_power(self) -> float:
-        """Virtual grid power usage over the last settled tick (W).
-
-        .. deprecated:: v1  Use ``state().grid_power_w``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.grid_power_w
-        return self._ves.grid_power_w
-
-    def get_grid_carbon(self) -> float:
-        """Current grid carbon-intensity (g CO2 / kWh).
-
-        .. deprecated:: v1  Use ``state().grid_carbon_g_per_kwh``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.grid_carbon_g_per_kwh
-        return self._ecovisor.current_carbon_g_per_kwh
-
-    def get_grid_price(self) -> float:
-        """Current grid electricity price ($/kWh; 0.0 without a market).
-
-        .. deprecated:: v1  Use ``state().grid_price_usd_per_kwh``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.grid_price_usd_per_kwh
-        return self._ecovisor.current_price_usd_per_kwh
-
-    def get_energy_cost(self) -> float:
-        """Cumulative grid cost ($) billed to this application.
-
-        .. deprecated:: v1  Use ``state().total_cost_usd``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.total_cost_usd
-        return self._ecovisor.ledger.app_cost_usd(self._app_name)
-
-    def get_battery_discharge_rate(self) -> float:
-        """Battery discharge power over the last settled tick (W).
-
-        .. deprecated:: v1  Use ``state().battery`` (None without a
-        battery share) or the zero-default
-        ``state().battery_discharge_rate_w``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.battery_discharge_rate_w
-        if self._ves.battery is None:
-            return 0.0
-        return self._ves.battery.last_discharge_w
-
-    def get_battery_charge_level(self) -> float:
-        """Usable energy stored in the virtual battery (Wh).
-
-        .. deprecated:: v1  Use ``state().battery`` (None without a
-        battery share) or the zero-default
-        ``state().battery_charge_level_wh``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.battery_charge_level_wh
-        if self._ves.battery is None:
-            return 0.0
-        return self._ves.battery.usable_wh
-
-    def get_battery_capacity(self) -> float:
-        """Usable capacity of the virtual battery (Wh).
-
-        .. deprecated:: v1  Use ``state().battery`` (None without a
-        battery share) or the zero-default
-        ``state().battery_capacity_wh``.
-        """
-        snapshot = self._snapshot()
-        if snapshot is not None:
-            return snapshot.battery_capacity_wh
-        if self._ves.battery is None:
-            return 0.0
-        return self._ves.battery.usable_capacity_wh
-
     def get_container_powercap(self, container_id: str) -> Optional[float]:
         """A container's current power cap (W); None when uncapped.
 
@@ -230,27 +124,26 @@ class EcovisorAPI:
     def get_container_power(self, container_id: str) -> float:
         """A container's most recent measured power draw (W).
 
-        .. deprecated:: v1  Use ``state().container_power_w[cid]``.
-        Containers launched after the tick's snapshot was built fall
-        back to a live measurement.
+        Read from ``state().container_power_w``; containers launched
+        after the tick's snapshot was built fall back to a live
+        measurement.
         """
         self._owned(container_id)
-        snapshot = self._snapshot()
-        if snapshot is not None and container_id in snapshot.container_power_w:
-            return snapshot.container_power_w[container_id]
-        return self._ecovisor.platform.container_power_w(container_id)
+        power = self.state().container_power_w.get(container_id)
+        if power is None:
+            return self._platform.container_power_w(container_id)
+        return power
 
     # ------------------------------------------------------------------
     # Asynchronous notification (Table 1)
     # ------------------------------------------------------------------
-    def register_tick(self, callback: Callable[..., None]) -> None:
+    def register_tick(self, callback: TickCallback) -> None:
         """Register the application's ``tick()`` upcall.
 
         The ecovisor invokes the callback once per tick interval, before
         the interval's energy is settled, so adjustments made inside the
-        callback govern the upcoming interval.  Callbacks accepting two
-        positional parameters receive ``(tick, state)``; single-parameter
-        callbacks keep the legacy ``(tick)`` shape.
+        callback govern the upcoming interval.  The callback receives
+        ``(tick, state)``, where ``state`` is this tick's snapshot.
         """
         self._ecovisor.register_tick_callback(self._app_name, callback)
 
@@ -333,8 +226,6 @@ class EcovisorAPI:
         return f"EcovisorAPI(app={self._app_name!r})"
 
 
-def connect(
-    ecovisor: Ecovisor, app_name: str, use_snapshots: bool = True
-) -> EcovisorAPI:
+def connect(ecovisor: Ecovisor, app_name: str) -> EcovisorAPI:
     """Obtain the API handle for a registered application."""
-    return EcovisorAPI(ecovisor, app_name, use_snapshots=use_snapshots)
+    return EcovisorAPI(ecovisor, app_name)

@@ -24,10 +24,8 @@ Tick protocol (driven by :class:`~repro.sim.engine.SimulationEngine`):
    then publish change events (so event subscribers observe the fresh
    snapshot).
 2. :meth:`invoke_app_ticks` — deliver the ``tick()`` upcall to every
-   registered application callback.  Two-parameter callbacks receive
-   ``(tick, state)`` — the snapshot built in step 1; one-parameter
-   callbacks keep the legacy ``(tick)`` shape (arity is inspected at
-   registration).
+   registered application callback as ``(tick, state)``, where ``state``
+   is the snapshot built in step 1.
 3. (the engine steps workloads, which set container utilization demands)
 4. :meth:`settle` — measure per-app power, settle each virtual energy
    system, attribute carbon to apps and containers, finalize each app's
@@ -42,7 +40,6 @@ instead of re-polling live getters.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -84,31 +81,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.monitor import PowerMonitor
 from repro.telemetry.timeseries import Series, TimeSeriesDatabase
 
-TickCallback = Callable[..., None]
-
-
-def _callback_arity(callback: TickCallback) -> int:
-    """1 for legacy ``cb(tick)`` callbacks, 2 for ``cb(tick, state)``.
-
-    The back-compat shim of the v1 API: arity is inspected once at
-    registration, so both shapes coexist on the same bus.  Callables
-    whose signature cannot be inspected (builtins like ``list.append``)
-    default to the legacy single-argument shape.
-    """
-    try:
-        signature = inspect.signature(callback)
-    except (TypeError, ValueError):
-        return 1
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind == parameter.VAR_POSITIONAL:
-            return 2
-        if parameter.kind in (
-            parameter.POSITIONAL_ONLY,
-            parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return 2 if positional >= 2 else 1
+TickCallback = Callable[[TickInfo, EnergyState], None]
 
 
 @dataclass(slots=True)
@@ -125,7 +98,7 @@ class _RegisteredApp:
 
     name: str
     ves: VirtualEnergySystem
-    tick_callbacks: Tuple[Tuple[TickCallback, int], ...] = ()
+    tick_callbacks: Tuple[TickCallback, ...] = ()
     previous_solar_w: float = 0.0
     battery_was_full: bool = False
     battery_was_empty: bool = False
@@ -649,13 +622,11 @@ class Ecovisor:
     def register_tick_callback(self, name: str, callback: TickCallback) -> None:
         """Register an application's ``tick()`` upcall (Table 1).
 
-        Callbacks accepting two positional parameters receive
-        ``(tick, state)`` where ``state`` is the tick's
-        :class:`EnergyState` snapshot; single-parameter callbacks keep
-        the legacy ``(tick)`` shape.
+        The callback receives ``(tick, state)`` where ``state`` is the
+        tick's :class:`EnergyState` snapshot.
         """
         app = self._app(name)
-        app.tick_callbacks = (*app.tick_callbacks, (callback, _callback_arity(callback)))
+        app.tick_callbacks = (*app.tick_callbacks, callback)
         self._upcall_epoch += 1
 
     @property
@@ -676,7 +647,7 @@ class Ecovisor:
 
         Before the first tick a bootstrap snapshot is built on demand
         (and not cached, so pre-run container launches and demand
-        changes stay visible to the legacy live-read fallbacks).
+        changes stay visible to the next read).
         """
         app = self._app(name)
         if self._columnar:
@@ -685,17 +656,6 @@ class Ecovisor:
                 return state
         if app.state is None:
             return self._build_state(app, bootstrap=True)
-        return app.state
-
-    def latest_state(self, name: str) -> Optional[EnergyState]:
-        """The stored tick snapshot, or None before the first tick.
-
-        The deprecated getters use this to decide between snapshot
-        delegation and the legacy live-read fallback.
-        """
-        app = self._app(name)
-        if self._columnar:
-            return self._columnar_state(app)
         return app.state
 
     def _battery_state(self, ves: VirtualEnergySystem) -> Optional[BatteryState]:
@@ -766,10 +726,6 @@ class Ecovisor:
                 f"application {app_name!r} does not own container {container_id!r}"
             )
         return container
-
-    def _owned_container(self, app_name: str, container_id: str) -> Container:
-        """Deprecated alias of :meth:`owned_container`."""
-        return self.owned_container(app_name, container_id)
 
     def launch_container(
         self,
@@ -1134,24 +1090,18 @@ class Ecovisor:
         apps = self._apps
         columnar = self._columnar
         for app in list(apps.values()):
-            if app.name not in apps:
-                continue
-            state: Optional[EnergyState] = None
             # The tuple is an immutable snapshot: callbacks registered
             # during delivery replace it and take effect next tick.
-            for callback, arity in app.tick_callbacks:
-                if arity >= 2:
-                    if state is None:
-                        # The app handle is already resolved; only fall
-                        # back to the name lookup when no columnar row
-                        # view exists for it yet.
-                        if columnar:
-                            state = self._columnar_state(app)
-                        if state is None:
-                            state = self.state_for(app.name)
-                    callback(tick, state)
-                else:
-                    callback(tick)
+            callbacks = app.tick_callbacks
+            if not callbacks or app.name not in apps:
+                continue
+            # The app handle is already resolved; only fall back to the
+            # name lookup when no columnar row view exists for it yet.
+            state = self._columnar_state(app) if columnar else None
+            if state is None:
+                state = self.state_for(app.name)
+            for callback in callbacks:
+                callback(tick, state)
 
     def settle(self, tick: TickInfo) -> Dict[str, float]:
         """Settle every application's tick; returns served-energy fractions.
@@ -1360,7 +1310,7 @@ class Ecovisor:
         app.battery_was_empty = battery.is_empty
 
     # ------------------------------------------------------------------
-    # Current environment readings (back the Table 1 getters)
+    # Current environment readings (the tick signals every snapshot carries)
     # ------------------------------------------------------------------
     @property
     def current_tick_index(self) -> int:

@@ -4,7 +4,8 @@ The paper's ecovisor exposes one periodic upcall, ``tick()``, plus a set of
 library-level notifications layered on top of it (Table 2):
 ``notify_solar_change``, ``notify_carbon_change``, ``notify_battery_full``
 and ``notify_battery_empty``.  This module provides the dispatch substrate:
-typed events and a small synchronous publish/subscribe bus.
+typed events and a small synchronous publish/subscribe bus.  Applications
+subscribe through :mod:`repro.core.signals` (``api.signals.on(...)``).
 
 Events are delivered synchronously within the tick in which they occur,
 matching the paper's observation that minute-scale ticks are fine-grained

@@ -8,34 +8,24 @@ the example library of Table 2:
 
 - interval energy/carbon queries per container and per application,
 - carbon *rate* limits (a threshold rate of emissions per unit time) and
-  carbon *budgets* (a total limit), and
-- change notifications for solar, carbon, price, and the virtual battery
-  filling or emptying.
+  carbon *budgets* (a total limit).
 
 Rate limits are enforced cooperatively each tick: the library translates
 the configured mg/s rate into per-container power caps at the tick
 snapshot's carbon-intensity, using the Table 1 setters only —
 demonstrating that the narrow API suffices to build these abstractions.
 
-Notifications ride the typed :class:`~repro.core.signals.SignalBus`
-(``api.signals``); the legacy ``notify_*`` methods remain as thin
-deprecated delegates onto it.
+Table 2's change notifications (``notify_solar_change`` and friends)
+are subscriptions on the typed :class:`~repro.core.signals.SignalBus`:
+``api.signals.on(SolarChange, callback)`` and so on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.api import EcovisorAPI
 from repro.core.clock import TickInfo
-from repro.core.events import (
-    BatteryEmptyEvent,
-    BatteryFullEvent,
-    CarbonChangeEvent,
-    PriceChangeEvent,
-    SolarChangeEvent,
-)
-from repro.core.signals import Subscription
 from repro.core.state import EnergyState
 from repro.core.units import power_for_carbon_rate
 
@@ -148,54 +138,6 @@ class AppEnergyLibrary:
     def budget_exceeded(self) -> bool:
         remaining = self.remaining_budget_g()
         return remaining is not None and remaining < 0
-
-    # ------------------------------------------------------------------
-    # Notifications (Table 2) — deprecated delegates onto api.signals
-    # ------------------------------------------------------------------
-    def notify_solar_change(
-        self, callback: Callable[[SolarChangeEvent], None]
-    ) -> Subscription:
-        """Invoke ``callback`` when this app's virtual solar output changes.
-
-        .. deprecated:: v1  Use ``api.signals.on(SolarChange, callback)``.
-        """
-        return self._api.signals.on(SolarChangeEvent, callback)
-
-    def notify_carbon_change(
-        self, callback: Callable[[CarbonChangeEvent], None]
-    ) -> Subscription:
-        """Invoke ``callback`` when grid carbon-intensity changes.
-
-        .. deprecated:: v1  Use ``api.signals.on(CarbonChange, callback)``.
-        """
-        return self._api.signals.on(CarbonChangeEvent, callback)
-
-    def notify_price_change(
-        self, callback: Callable[[PriceChangeEvent], None]
-    ) -> Subscription:
-        """Invoke ``callback`` when the grid electricity price changes.
-
-        .. deprecated:: v1  Use ``api.signals.on(PriceChange, callback)``.
-        """
-        return self._api.signals.on(PriceChangeEvent, callback)
-
-    def notify_battery_full(
-        self, callback: Callable[[BatteryFullEvent], None]
-    ) -> Subscription:
-        """Invoke ``callback`` when this app's virtual battery fills.
-
-        .. deprecated:: v1  Use ``api.signals.on(BatteryFull, callback)``.
-        """
-        return self._api.signals.on(BatteryFullEvent, callback)
-
-    def notify_battery_empty(
-        self, callback: Callable[[BatteryEmptyEvent], None]
-    ) -> Subscription:
-        """Invoke ``callback`` when this app's virtual battery empties.
-
-        .. deprecated:: v1  Use ``api.signals.on(BatteryEmpty, callback)``.
-        """
-        return self._api.signals.on(BatteryEmptyEvent, callback)
 
     # ------------------------------------------------------------------
     # Per-tick rate enforcement (cooperative, built on Table 1 setters)

@@ -1,9 +1,8 @@
 """Typed per-application signal subscriptions (API v1).
 
-The Table 2 library exposed change notifications as five ad-hoc
-``notify_*`` methods, each hand-rolling its own filtering closure over
-the ecovisor's :class:`~repro.core.events.EventBus`.  API v1 replaces
-that plumbing with one typed subscription surface::
+The paper's Table 2 library lists change notifications
+(``notify_solar_change`` and friends).  API v1 serves all of them through
+one typed subscription surface::
 
     sub = api.signals.on(CarbonChange, callback)
     api.signals.on(SolarChange, callback, threshold=2.0)   # |delta| >= 2 W
@@ -21,9 +20,6 @@ The bus adds, per subscription:
   is below the threshold (in the signal's native delta unit);
 - **debounce** — deliveries are separated by at least ``debounce_s`` of
   simulation time.
-
-The legacy ``notify_*`` methods on :class:`~repro.core.library.
-AppEnergyLibrary` are thin deprecated delegates onto this bus.
 """
 
 from __future__ import annotations

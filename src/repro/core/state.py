@@ -15,8 +15,8 @@ notifications (:mod:`repro.core.signals`) layered on top.
 Snapshot lifecycle (one snapshot per app per tick):
 
 1. ``Ecovisor.begin_tick`` *builds* the snapshot right after sampling
-   the environment.  At that point it holds exactly what the legacy
-   getters would return during the tick upcall window: this tick's
+   the environment.  At that point it holds what the paper's Table 1
+   getters return during the tick upcall window: this tick's
    solar/carbon/price, and battery/grid/ledger figures from the
    previous settlement.
 2. ``Ecovisor.settle`` *finalizes* the same snapshot
@@ -41,9 +41,10 @@ class BatteryState:
     """Immutable view of one application's virtual battery at a tick.
 
     ``None`` in :attr:`EnergyState.battery` means the application has no
-    virtual battery share — the explicit spelling of what the legacy
-    getters flatten into 0.0 returns (see the zero-default properties on
-    :class:`EnergyState` for that access style).
+    virtual battery share — the explicit spelling of what the paper's
+    Table 1 battery getters flatten into 0.0 returns (see the
+    zero-default properties on :class:`EnergyState` for that access
+    style).
     """
 
     charge_level_wh: float
@@ -120,7 +121,7 @@ class EnergyState:
         )
 
     # ------------------------------------------------------------------
-    # Battery zero-default access style (legacy getter semantics)
+    # Battery zero-default access style (Table 1 getter semantics)
     # ------------------------------------------------------------------
     @property
     def has_battery(self) -> bool:

@@ -363,17 +363,14 @@ class _Segment:
 def _batchable_policy(reg):
     """The policy to batch ``reg`` under, or None for the fallback path.
 
-    Conservative on purpose: exactly one registered callback, resolved
-    through the arity-2 shim, bound to ``on_tick`` of an *attached*
-    policy whose own class body opts in with ``batch_compatible = True``
-    and supplies ``on_tick_batch``.
+    Conservative on purpose: exactly one registered callback, bound to
+    ``on_tick`` of an *attached* policy whose own class body opts in
+    with ``batch_compatible = True`` and supplies ``on_tick_batch``.
     """
     callbacks = reg.tick_callbacks
     if len(callbacks) != 1:
         return None
-    callback, arity = callbacks[0]
-    if arity < 2:
-        return None
+    callback = callbacks[0]
     policy = getattr(callback, "__self__", None)
     if policy is None:
         return None
@@ -466,19 +463,14 @@ class UpcallPlane:
     def _invoke_one(self, tick, reg) -> None:
         """The reference per-app upcall body (mirrors invoke_app_ticks)."""
         eco = self._eco
-        if reg.name not in eco._apps:
+        callbacks = reg.tick_callbacks
+        if not callbacks or reg.name not in eco._apps:
             return
-        state = None
-        for callback, arity in reg.tick_callbacks:
-            if arity >= 2:
-                if state is None:
-                    if eco._columnar:
-                        state = eco._columnar_state(reg)
-                    if state is None:
-                        state = eco.state_for(reg.name)
-                callback(tick, state)
-            else:
-                callback(tick)
+        state = eco._columnar_state(reg) if eco._columnar else None
+        if state is None:
+            state = eco.state_for(reg.name)
+        for callback in callbacks:
+            callback(tick, state)
 
     def _scalar_tail(self, tick, start: int) -> None:
         for reg in self._p_regs[start:]:

@@ -65,7 +65,7 @@ class VirtualBattery:
 
     @property
     def usable_wh(self) -> float:
-        """Usable stored energy (what ``get_battery_charge_level`` reports)."""
+        """Usable stored energy (what ``state().battery_charge_level_wh`` reports)."""
         return self._battery.usable_wh
 
     @property

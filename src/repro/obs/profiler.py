@@ -11,8 +11,9 @@ wall-clock tick time by construction:
   plane (``core/upcalls.py``): per-class ``on_tick_batch`` kernels and
   staged scale applies.
 - ``policy_fallback`` — per-app policy ``on_tick`` callbacks: every
-  app the plane routes to the reference path (custom policies,
-  arity-1 shims, the whole fleet when batching is off).  On a mixed
+  app the plane routes to the reference path (policies that do not opt
+  in, apps with several callbacks, the whole fleet when batching is
+  off).  On a mixed
   fleet the plane times the fallback barriers inline, so the two
   sub-phases still sum to the upcall window without double counting.
 - ``workload_step`` — per-app workload ``step`` calls.

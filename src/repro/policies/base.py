@@ -82,12 +82,7 @@ class Policy(abc.ABC):
         return self._api is not None
 
     def attach(self, app: Application, api: EcovisorAPI) -> None:
-        """Bind the policy to its application and register for ticks.
-
-        The ecovisor inspects the registered ``on_tick`` override's
-        arity: v1 policies receive ``(tick, state)``, legacy
-        single-argument overrides keep receiving ``(tick)``.
-        """
+        """Bind the policy to its application and register for ticks."""
         self._app = app
         self._api = api
         api.register_tick(self.on_tick)
@@ -102,9 +97,7 @@ class Policy(abc.ABC):
 
         ``state`` is the application's frozen
         :class:`~repro.core.state.EnergyState` for this tick — the same
-        instance every other consumer of the tick reads.  Legacy
-        subclasses overriding ``on_tick(self, tick)`` keep working; the
-        registration-time arity shim dispatches both shapes.
+        instance every other consumer of the tick reads.
         """
 
     # ------------------------------------------------------------------

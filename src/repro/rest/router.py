@@ -96,18 +96,9 @@ class Response:
     def ok(self) -> bool:
         return 200 <= self.status < 300
 
-    @property
-    def is_redirect(self) -> bool:
-        return 300 <= self.status < 400
-
     def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """The named response header, case-insensitively."""
         return _header_lookup(self.headers, name, default)
-
-    @property
-    def location(self) -> Optional[str]:
-        """The ``Location`` header of a redirect response, if any."""
-        return self.header("Location")
 
     @property
     def etag(self) -> Optional[str]:
@@ -198,7 +189,7 @@ class Router:
         ``path`` may carry a query string (``/x?cursor=3``), parsed into
         ``Request.query``; ``headers`` become ``Request.headers``
         (conditional-GET validators ride here).  A handler may return a
-        full :class:`Response` (redirects, custom statuses); any other
+        full :class:`Response` (custom statuses and headers); any other
         return value becomes a 200 body.
         """
         requests = self._requests

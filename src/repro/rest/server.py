@@ -12,17 +12,16 @@ The surface is versioned under ``/v1``.  The headline route is::
 which returns the application's full immutable per-tick
 :class:`~repro.core.state.EnergyState` snapshot in **one** round-trip —
 solar, grid, carbon, price, battery (``null`` without a battery share),
-per-container power, and cumulative ledger figures — instead of the
-getter-per-field polling the unversioned surface encouraged.  Legacy
-unversioned paths answer ``301 Moved Permanently`` with a ``Location``
-header pointing at the ``/v1`` equivalent.
+per-container power, and cumulative ledger figures — instead of one
+round-trip per field.  Every route lives under ``/v1``; any other path
+answers 404.
 
 Control plane v1.1 adds the **admin namespace** (dynamic application
-lifecycle — no legacy twin, so only under ``/v1/admin``) and the
-**event feed**: ``GET /v1/apps/{app}/events?cursor=N`` is a cursor-paged
-read of the application's bounded event journal, letting an external
-controller tail the signals the in-process ``SignalBus`` delivered
-without holding a callback in this process.
+lifecycle under ``/v1/admin``) and the **event feed**:
+``GET /v1/apps/{app}/events?cursor=N`` is a cursor-paged read of the
+application's bounded event journal, letting an external controller
+tail the signals the in-process ``SignalBus`` delivered without holding
+a callback in this process.
 
 Routes (all under ``/v1``):
 
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import functools
 from typing import Any, Callable, Dict, Optional
-from urllib.parse import urlencode
 
 from repro.core.accounting import AppAccount
 from repro.core.api import EcovisorAPI, connect
@@ -189,22 +187,14 @@ class EcovisorRestServer:
         method: str,
         path: str,
         body: dict | None = None,
-        follow_redirects: bool = False,
         headers: dict | None = None,
     ) -> Response:
         """Issue one request against the API surface.
 
-        ``follow_redirects`` chases the 301 from a legacy unversioned
-        path to its ``/v1`` home (one hop), the way an HTTP client
-        configured to follow redirects would.  ``headers`` carries
-        request headers (e.g. ``If-None-Match`` for conditional GETs).
+        ``headers`` carries request headers (e.g. ``If-None-Match`` for
+        conditional GETs).
         """
-        response = self._router.dispatch(method, path, body, headers)
-        if follow_redirects and response.is_redirect and response.location:
-            response = self._router.dispatch(
-                method, response.location, body, headers
-            )
-        return response
+        return self._router.dispatch(method, path, body, headers)
 
     # ------------------------------------------------------------------
     # Route handlers
@@ -217,9 +207,8 @@ class EcovisorRestServer:
         return self._apis[app_name]
 
     def _add(self, method: str, pattern: str, handler) -> None:
-        """Register a v1 route plus the 301 redirect from the legacy path."""
+        """Register a route under the ``/v1`` prefix."""
         self._router.add(method, API_PREFIX + pattern, handler)
-        self._router.add(method, pattern, self._redirect_to_v1)
 
     def _snapshot_response(self, request: Request, payload_fn) -> Response:
         """Serve one snapshot-derived read with conditional-GET support.
@@ -236,20 +225,8 @@ class EcovisorRestServer:
             return Response(304, None, headers=headers)
         return Response(200, payload_fn(state), headers=headers)
 
-    def _redirect_to_v1(self, request: Request) -> Response:
-        location = API_PREFIX + request.path
-        if request.query:
-            # Preserve the query string (e.g. the event feed's cursor)
-            # across the redirect, as an HTTP 301 would.
-            location += "?" + urlencode(request.query)
-        return Response(
-            301,
-            {"error": "moved permanently", "location": location},
-            headers={"Location": location},
-        )
-
     def _add_admin(self, method: str, pattern: str, handler) -> None:
-        """Register a v1-only route (no legacy twin) as uncacheable.
+        """Register a route under the ``/v1`` prefix as uncacheable.
 
         The metrics scrape and the admin namespace are live operational
         state: every response (success or error Response alike) carries
@@ -276,11 +253,11 @@ class EcovisorRestServer:
         self._add("POST", "/apps/{app}/containers/{cid}/cores", self._set_cores)
         self._add("POST", "/apps/{app}/scale", self._scale)
         self._add("GET", "/apps/{app}/events", self._app_events)
-        # The push twin of the cursor feed.  v1-only (no legacy twin):
-        # the async gateway serves it over SSE; in-process the stub
-        # answers 501 pointing at `repro serve`.
+        # The push twin of the cursor feed: the async gateway serves it
+        # over SSE; in-process the stub answers 501 pointing at
+        # `repro serve`.
         self._add_admin("GET", "/apps/{app}/events/stream", self._app_events_stream)
-        # Observability surface (v1-only, like admin: no legacy twin).
+        # Observability surface.
         self._add_admin("GET", "/metrics", self._get_metrics)
         self._add_admin("GET", "/metrics/ticks", self._get_metrics_ticks)
         self._add_admin("GET", "/admin/apps", self._admin_list_apps)
@@ -325,8 +302,8 @@ class EcovisorRestServer:
             request,
             lambda state: {
                 "battery": state.battery.to_dict() if state.battery else None,
-                # Zero-default figures (legacy access style, kept for
-                # battery-less apps and pre-v1 clients).
+                # Zero-default figures for battery-less apps; the SDK's
+                # battery getters read these.
                 "charge_level_wh": state.battery_charge_level_wh,
                 "capacity_wh": state.battery_capacity_wh,
                 "discharge_rate_w": state.battery_discharge_rate_w,

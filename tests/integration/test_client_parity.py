@@ -3,7 +3,8 @@
 Every ``EcovisorAPI`` method is driven twice — in-process and through
 ``EcovisorClient`` over the Router transport — and the results must be
 *byte-identical* (exact float equality, identical serialized
-snapshots).  The event feed must replay exactly the signals the
+snapshots).  Each scalar SDK getter must equal its ``api.state()``
+field.  The event feed must replay exactly the signals the
 in-process ``SignalBus`` delivered, reconstructed to equal dataclasses.
 """
 
@@ -88,17 +89,15 @@ class TestObservationParity:
         assert world["client"].state() == world["api"].state()
 
     def test_every_scalar_getter_byte_identical(self, world):
-        api, client = world["api"], world["client"]
-        assert client.get_solar_power() == api.get_solar_power()
-        assert client.get_grid_power() == api.get_grid_power()
-        assert client.get_grid_carbon() == api.get_grid_carbon()
-        assert client.get_grid_price() == api.get_grid_price()
-        assert client.get_energy_cost() == api.get_energy_cost()
-        assert client.get_battery_charge_level() == api.get_battery_charge_level()
-        assert client.get_battery_capacity() == api.get_battery_capacity()
-        assert (
-            client.get_battery_discharge_rate() == api.get_battery_discharge_rate()
-        )
+        state, client = world["api"].state(), world["client"]
+        assert client.get_solar_power() == state.solar_power_w
+        assert client.get_grid_power() == state.grid_power_w
+        assert client.get_grid_carbon() == state.grid_carbon_g_per_kwh
+        assert client.get_grid_price() == state.grid_price_usd_per_kwh
+        assert client.get_energy_cost() == state.total_cost_usd
+        assert client.get_battery_charge_level() == state.battery_charge_level_wh
+        assert client.get_battery_capacity() == state.battery_capacity_wh
+        assert client.get_battery_discharge_rate() == state.battery_discharge_rate_w
 
     def test_meaningful_figures(self, world):
         # Guard against vacuous parity: the run produced real flows.

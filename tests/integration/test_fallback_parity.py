@@ -2,30 +2,38 @@
 
 The vectorized upcall plane (:mod:`repro.core.upcalls`) routes each
 tenant either through a grouped per-class kernel or through the per-app
-reference path.  The routing rules are conservative — a policy subclass
-that does not re-opt-in with ``batch_compatible`` in its *own* class
-body falls back, as does any legacy single-argument ``on_tick``
-registered through the arity shim.  This module pins the property the
-rules exist for: a **mixed** fleet, where some tenants take the batch
-kernels and others take the fallback path in the same tick, produces
-byte-identical observables to the fully-unbatched reference run.
+reference path.  The routing rules are conservative, and a tenant falls
+back for one of two reasons: its policy class does not opt in with
+``batch_compatible`` in its *own* class body, or it registered more
+than one tick callback.  This module pins the property the rules exist
+for: a **mixed** fleet, where some tenants take the batch kernels and
+others take the fallback path in the same tick, produces byte-identical
+observables to the fully-unbatched reference run.
 
-Three fallback shapes ride inside an otherwise-batched fleet:
+Four fallback tenants ride inside an otherwise-batched fleet:
 
 - a bare subclass of a stock batch-compatible policy (identical
-  behavior, but the opt-in flag deliberately does not inherit),
-- a legacy policy overriding ``on_tick(self, tick)`` (arity-1, shimmed),
-- a second legacy tenant admitted mid-run and evicted again later, so
-  the plane regroups around a fallback app coming and going.
+  behavior, but the opt-in flag deliberately does not inherit);
+- a custom policy with no batch kernel, stepping its pool 1 <-> 2;
+- a second such tenant admitted mid-run and evicted again later, so the
+  plane regroups around a fallback app coming and going;
+- a stock batch-compatible policy sharing its app with an
+  ``AppEnergyLibrary`` carbon-rate limit: two callbacks on one app.
 
 The batched run's tick profiler must show *both* ``policy_batch`` and
 ``policy_fallback`` time — otherwise the fleet silently collapsed onto
 one path and the test proves nothing.
 """
 
+import math
+
 from repro.cluster.container import reset_container_id_counter
+from repro.core.api import connect
 from repro.core.clock import TickInfo
 from repro.core.config import ShareConfig
+from repro.core.library import AppEnergyLibrary
+from repro.core.state import EnergyState
+from repro.core.upcalls import _batchable_policy
 from repro.policies import SuspendResumePolicy
 from repro.policies.base import Policy
 from repro.sim.fleet import build_fleet
@@ -41,6 +49,11 @@ from tests.integration.test_columnar_parity import (
 #: sees both sides of the threshold over the run.
 CARBON_THRESHOLD = 350.0
 
+#: The two-callback tenant's library carbon-rate limit (mg/s).  Low
+#: enough that the resulting cap binds its 1.25 W worker in the run's
+#: higher-carbon ticks only, so the compared surfaces see the library.
+APP_CARBON_RATE_MG_S = 0.08
+
 PARAMS = {"apps": 9, "ticks": 40, "seed": 2023, "mix": "balanced"}
 ADMIT_TICK = 8
 EVICT_TICK = 24
@@ -52,8 +65,8 @@ class ShadowSuspendPolicy(SuspendResumePolicy):
     checked on the class's own ``__dict__`` and does not inherit)."""
 
 
-class LegacyStepPolicy(Policy):
-    """Pre-v1 controller: single-argument ``on_tick`` via the arity shim.
+class PeriodicStepPolicy(Policy):
+    """A custom controller with no batch kernel (never opts in).
 
     Deterministically steps its worker pool 1 <-> 2 on a fixed period so
     the fallback path exercises real scaling actions, not just no-ops.
@@ -66,18 +79,17 @@ class LegacyStepPolicy(Policy):
     def on_attach(self) -> None:
         self.scale_workers(1)
 
-    def on_tick(self, tick: TickInfo) -> None:  # legacy arity-1 shape
+    def on_tick(self, tick: TickInfo, state: EnergyState) -> None:
         want = 2 if (tick.index // self._period) % 2 else 1
         if self.current_worker_count() != want:
             self.scale_workers(want)
 
 
-def _capture(batched):
-    """One mixed fleet down one engine path: surfaces + phase totals."""
+def _build(batched):
+    """The mixed fleet with every fallback tenant added, down one path."""
     reset_container_id_counter()
     fleet = build_fleet({**PARAMS, "batched": batched})
     engine = fleet.engine
-    ecovisor = fleet.ecovisor
     grid_only = ShareConfig(grid_power_w=float("inf"))
     minute = 60.0
 
@@ -87,21 +99,43 @@ def _capture(batched):
         ShadowSuspendPolicy(CARBON_THRESHOLD, 1),
     )
     engine.add_application(
-        MLTrainingJob(name="legacy-static", total_work_units=35 * minute),
+        MLTrainingJob(name="stepper-static", total_work_units=35 * minute),
         grid_only,
-        LegacyStepPolicy(),
+        PeriodicStepPolicy(),
     )
+    # A stock batchable policy plus the library's rate-limit callback:
+    # the second callback alone sends the app down the fallback path.
+    engine.add_application(
+        MLTrainingJob(name="two-callbacks", total_work_units=30 * minute),
+        grid_only,
+        SuspendResumePolicy(CARBON_THRESHOLD, 1),
+    )
+    library = AppEnergyLibrary(connect(fleet.ecovisor, "two-callbacks"))
+    library.set_app_carbon_rate(APP_CARBON_RATE_MG_S)
     # A fallback tenant that arrives and departs mid-run: the plane must
     # regroup (and the columnar rows retire) around a per-app-path app.
     engine.schedule_admission(
         ADMIT_TICK,
-        MLTrainingJob(name="legacy-churn", total_work_units=10 * minute),
+        MLTrainingJob(name="stepper-churn", total_work_units=10 * minute),
         grid_only,
-        LegacyStepPolicy(period=3),
+        PeriodicStepPolicy(period=3),
     )
-    engine.schedule_eviction(EVICT_TICK, "legacy-churn")
+    engine.schedule_eviction(EVICT_TICK, "stepper-churn")
+    return fleet
 
+
+def _capture(batched):
+    """One mixed fleet down one engine path.
+
+    Returns the surfaces, the phase totals, and the number of ticks in
+    which a library-set power cap held the two-callback tenant's draw.
+    """
+    fleet = _build(batched)
+    engine = fleet.engine
+    ecovisor = fleet.ecovisor
+    platform = ecovisor.platform
     states = []
+    binding_ticks = []
 
     def observer(tick):
         states.append(
@@ -110,10 +144,17 @@ def _capture(batched):
                 for name in ecovisor.app_names()
             }
         )
+        if any(
+            c.power_cap_w is not None
+            and math.isclose(platform.container_power_w(c.id), c.power_cap_w)
+            for c in platform.running_containers_for("two-callbacks")
+        ):
+            binding_ticks.append(tick.index)
 
     engine.add_observer(observer)
     engine.run(int(PARAMS["ticks"]))
-    return collect_surfaces(ecovisor, states), engine.profiler.phase_totals()
+    surfaces = collect_surfaces(ecovisor, states)
+    return surfaces, engine.profiler.phase_totals(), len(binding_ticks)
 
 
 class TestFallbackParity:
@@ -121,16 +162,32 @@ class TestFallbackParity:
         """The routing predicate the fallback tenants rely on."""
         assert SuspendResumePolicy.__dict__.get("batch_compatible") is True
         assert "batch_compatible" not in ShadowSuspendPolicy.__dict__
-        assert "batch_compatible" not in LegacyStepPolicy.__dict__
+        assert "batch_compatible" not in PeriodicStepPolicy.__dict__
+
+    def test_routing_per_tenant(self):
+        """Both fallback reasons route to None; a stock tenant batches."""
+        apps = _build(batched=True).ecovisor._apps
+        stock = apps["fleet-0000"]
+        assert _batchable_policy(stock) is stock.tick_callbacks[0].__self__
+        assert _batchable_policy(apps["shadow-suspend"]) is None
+        assert _batchable_policy(apps["stepper-static"]) is None
+        two = apps["two-callbacks"]
+        assert len(two.tick_callbacks) == 2
+        assert type(two.tick_callbacks[0].__self__) is SuspendResumePolicy
+        assert _batchable_policy(two) is None
 
     def test_mixed_fleet_surfaces_byte_identical(self):
-        mixed, phases = _capture(batched=True)
-        reference, _ = _capture(batched=False)
+        mixed, phases, binding = _capture(batched=True)
+        reference, _, reference_binding = _capture(batched=False)
 
         # The mixed run must actually have been mixed: grouped kernels
         # for the stock tenants AND per-app fallbacks for ours.
         assert phases["policy_batch"] > 0.0
         assert phases["policy_fallback"] > 0.0
+        # The library's second callback really held the tenant's draw,
+        # in some ticks but not all.
+        assert 0 < binding < PARAMS["ticks"]
+        assert binding == reference_binding
 
         if _digest(mixed) == _digest(reference) and mixed == reference:
             return
@@ -141,11 +198,11 @@ class TestFallbackParity:
 
     def test_churn_tenant_lived_and_left(self):
         """The mid-run tenant really joined, journaled, and was evicted."""
-        surfaces, _ = _capture(batched=True)
+        surfaces, _, _ = _capture(batched=True)
         final_states = surfaces["states"][-1]
-        assert "legacy-churn" not in final_states
-        assert "legacy-churn" in surfaces["accounts"]
-        assert surfaces["accounts"]["legacy-churn"]["energy_wh"] > 0.0
-        assert "legacy-churn" in surfaces["journals"]
+        assert "stepper-churn" not in final_states
+        assert "stepper-churn" in surfaces["accounts"]
+        assert surfaces["accounts"]["stepper-churn"]["energy_wh"] > 0.0
+        assert "stepper-churn" in surfaces["journals"]
         mid_states = surfaces["states"][ADMIT_TICK + 1]
-        assert "legacy-churn" in mid_states
+        assert "stepper-churn" in mid_states

@@ -31,14 +31,16 @@ class TestGetters:
     def test_solar_and_carbon(self, bound):
         eco, api, _ = bound
         run_ticks(eco, 1)
-        assert api.get_solar_power() == pytest.approx(5.0)  # half of 10 W
-        assert api.get_grid_carbon() == pytest.approx(250.0)
+        state = api.state()
+        assert state.solar_power_w == pytest.approx(5.0)  # half of 10 W
+        assert state.grid_carbon_g_per_kwh == pytest.approx(250.0)
 
     def test_battery_getters(self, bound):
         eco, api, _ = bound
-        assert api.get_battery_charge_level() > 0
-        assert api.get_battery_capacity() > api.get_battery_charge_level()
-        assert api.get_battery_discharge_rate() == 0.0
+        state = api.state()
+        assert state.battery_charge_level_wh > 0
+        assert state.battery_capacity_wh > state.battery_charge_level_wh
+        assert state.battery_discharge_rate_w == 0.0
 
     def test_grid_power_after_settlement(self, bound):
         eco, api, _ = bound
@@ -48,7 +50,7 @@ class TestGetters:
             container.set_demand_utilization(1.0)
 
         run_ticks(eco, 2, demand)
-        assert api.get_grid_power() == pytest.approx(0.0)  # solar covers 5 W
+        assert api.state().grid_power_w == pytest.approx(0.0)  # solar covers 5 W
 
     def test_container_getters(self, bound):
         eco, api, _ = bound
@@ -74,8 +76,10 @@ class TestSetters:
         api = connect(eco, "nobatt")
         with pytest.raises(ConfigurationError):
             api.set_battery_charge_rate(1.0)
-        assert api.get_battery_charge_level() == 0.0
-        assert api.get_battery_discharge_rate() == 0.0
+        state = api.state()
+        assert state.battery is None
+        assert state.battery_charge_level_wh == 0.0
+        assert state.battery_discharge_rate_w == 0.0
 
     def test_powercap_clear(self, bound):
         _, api, _ = bound
@@ -124,7 +128,7 @@ class TestTickRegistration:
     def test_tick_callback_runs(self, bound):
         eco, api, _ = bound
         calls = []
-        api.register_tick(calls.append)
+        api.register_tick(lambda tick, state: calls.append(tick))
         run_ticks(eco, 4)
         assert len(calls) == 4
         assert calls[0].index == 0

@@ -125,7 +125,7 @@ class TestTickLoop:
         eco = make_ecovisor()
         eco.register_app("a", ShareConfig())
         calls = []
-        eco.register_tick_callback("a", calls.append)
+        eco.register_tick_callback("a", lambda tick, state: calls.append(tick))
         run_ticks(eco, 3)
         assert len(calls) == 3
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.api import connect
 from repro.core.config import ShareConfig
 from repro.core.library import AppEnergyLibrary
+from repro.core.signals import BatteryFull, CarbonChange, SolarChange
 from tests.conftest import make_ecovisor, run_ticks
 
 
@@ -149,9 +150,8 @@ class TestNotifications:
             trace=CarbonTrace([100.0, 400.0] * 5),
         )
         eco.register_app("a", ShareConfig())
-        lib = AppEnergyLibrary(connect(eco, "a"))
         got = []
-        lib.notify_carbon_change(got.append)
+        connect(eco, "a").signals.on(CarbonChange, got.append)
         run_ticks(eco, 12)
         assert len(got) >= 1
 
@@ -159,9 +159,8 @@ class TestNotifications:
         eco = make_ecovisor(solar_w=50.0, battery_config=small_battery_config)
         eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
         eco.register_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
-        lib_a = AppEnergyLibrary(connect(eco, "a"))
         got_a = []
-        lib_a.notify_battery_full(got_a.append)
+        connect(eco, "a").signals.on(BatteryFull, got_a.append)
         run_ticks(eco, 60 * 6)
         assert all(event.app_name == "a" for event in got_a)
         assert len(got_a) == 1
@@ -176,8 +175,7 @@ class TestNotifications:
             TabularSolarTrace([0.0, 0.5, 1.0, 0.2]),
         )
         eco.register_app("a", ShareConfig(solar_fraction=1.0))
-        lib = AppEnergyLibrary(connect(eco, "a"))
         got = []
-        lib.notify_solar_change(got.append)
+        connect(eco, "a").signals.on(SolarChange, got.append)
         run_ticks(eco, 4)
         assert len(got) >= 1

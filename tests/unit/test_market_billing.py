@@ -8,6 +8,7 @@ from repro.core.config import ShareConfig
 from repro.core.errors import EnergyConservationError
 from repro.core.events import PriceChangeEvent
 from repro.core.library import AppEnergyLibrary
+from repro.core.signals import PriceChange
 from repro.market.prices import PriceTrace, constant_price_trace
 from tests.conftest import make_ecovisor, run_ticks
 
@@ -137,10 +138,10 @@ class TestMarketSurface:
         eco = self._eco()
         container = eco.launch_container("a", 1)
         run_ticks(eco, 3, lambda tick: container.set_demand_utilization(1.0))
-        api = connect(eco, "a")
-        assert api.get_grid_price() == pytest.approx(0.40)
-        assert api.get_energy_cost() == pytest.approx(eco.ledger.app_cost_usd("a"))
-        assert api.get_energy_cost() > 0.0
+        state = connect(eco, "a").state()
+        assert state.grid_price_usd_per_kwh == pytest.approx(0.40)
+        assert state.total_cost_usd == pytest.approx(eco.ledger.app_cost_usd("a"))
+        assert state.total_cost_usd > 0.0
 
     def test_library_cost_query(self):
         eco = self._eco()
@@ -191,9 +192,7 @@ class TestMarketSurface:
 
     def test_library_notify_price_change(self):
         eco = self._eco(price_trace=PriceTrace([0.10, 0.50]))
-        api = connect(eco, "a")
-        library = AppEnergyLibrary(api)
         seen = []
-        library.notify_price_change(seen.append)
+        connect(eco, "a").signals.on(PriceChange, seen.append)
         run_ticks(eco, 10)
         assert len(seen) == 1

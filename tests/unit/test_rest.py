@@ -4,17 +4,9 @@ import pytest
 
 from repro.core.config import ShareConfig
 from repro.market.prices import constant_price_trace
-from repro.rest.router import Router
+from repro.rest.router import UNMATCHED_ROUTE_LABEL, Router
 from repro.rest.server import API_PREFIX, SSE_ROUTES, EcovisorRestServer
 from tests.conftest import make_ecovisor, run_ticks
-
-
-def _legacy_routes():
-    """Every legacy (unversioned) route of a freshly wired server."""
-    server = EcovisorRestServer(make_ecovisor())
-    return sorted(
-        (m, p) for m, p in server.router.routes() if not p.startswith("/v1/")
-    )
 
 
 class TestRouter:
@@ -251,73 +243,22 @@ class TestBatteryRoutes:
         assert response.status == 400
 
 
-class TestVersioning:
-    """Legacy unversioned paths 301 to their /v1 homes."""
+class TestV1OnlyRouteTable:
+    """Every route lives under /v1; an unversioned path matches nothing."""
 
-    def test_legacy_get_redirects(self, server):
-        response = server.request("GET", "/apps/a/solar")
-        assert response.status == 301
-        assert response.is_redirect
-        assert response.location == "/v1/apps/a/solar"
-        assert response.body["location"] == "/v1/apps/a/solar"
-
-    def test_legacy_post_redirects(self, server):
-        response = server.request(
-            "POST", "/apps/a/battery/charge_rate", {"watts": 2.0}
+    def test_every_route_is_under_v1(self, server):
+        assert all(
+            pattern.startswith(API_PREFIX + "/")
+            for _, pattern in server.router.routes()
         )
-        assert response.status == 301
-        assert response.location == "/v1/apps/a/battery/charge_rate"
 
-    def test_follow_redirects_lands_on_v1(self, server):
-        response = server.request("GET", "/apps/a/solar", follow_redirects=True)
-        assert response.ok
-        assert response.body["solar_w"] == pytest.approx(5.0)
-
-    def test_redirect_substitutes_path_params(self, server):
-        cid = server.request(
-            "POST", "/v1/apps/a/containers", {"cores": 1}
-        ).body["id"]
-        response = server.request("GET", f"/apps/a/containers/{cid}/power")
-        assert response.status == 301
-        assert response.location == f"/v1/apps/a/containers/{cid}/power"
-
-    def test_every_nonadmin_v1_route_has_a_legacy_redirect(self, server):
-        # Admin, metrics, and SSE stream routes are v1-only (no pre-v1.1
-        # client ever saw them); every other v1 route keeps its 301
-        # legacy twin.
-        routes = server.router.routes()
-        v1 = {
-            (m, p)
-            for m, p in routes
-            if p.startswith("/v1/")
-            and not p.startswith(("/v1/admin", "/v1/metrics"))
-            and (m, p) not in SSE_ROUTES
-        }
-        legacy = {(m, p) for m, p in routes if not p.startswith("/v1/")}
-        assert {(m, p[len("/v1"):]) for m, p in v1} == legacy
-
-    def test_admin_routes_have_no_legacy_twin(self, server):
-        legacy = {p for _, p in server.router.routes() if not p.startswith("/v1/")}
-        assert not any(p.startswith(("/admin", "/metrics")) for p in legacy)
-
-    @pytest.mark.parametrize("method,pattern", _legacy_routes())
-    def test_every_legacy_route_redirects_to_a_live_v1_route(
-        self, server, method, pattern
-    ):
-        # Generated from Router.routes(): a new route cannot silently
-        # ship without its legacy 301 resolving to a live /v1 home.
-        path = pattern.replace("{app}", "a").replace("{cid}", "some-cid")
-        response = server.request(method, path)
-        assert response.status == 301
-        assert response.location == API_PREFIX + path
-        assert (method, API_PREFIX + pattern) in server.router.routes()
-        # The Location must dispatch to a handler, not fall through to
-        # 404 "no route" / 405 (400/404 from the handler itself is fine
-        # for placeholder ids and empty bodies).
-        followed = server.request(method, response.location)
-        assert followed.status != 405
-        if followed.status == 404:
-            assert "no route" not in followed.body["error"]
+    def test_unversioned_path_is_404_counted_as_unmatched(self):
+        eco = make_ecovisor()
+        eco.register_app("a", ShareConfig())
+        server = EcovisorRestServer(eco)
+        assert server.request("GET", "/apps/a/solar").status == 404
+        requests = eco.metrics.get("http_requests_total")
+        assert requests.labels(route=UNMATCHED_ROUTE_LABEL, status="404").value == 1
 
 
 class TestStateRoute:
@@ -534,16 +475,6 @@ class TestEventFeedRoute:
     def test_negative_limit_is_400(self, server):
         assert server.request("GET", "/v1/apps/a/events?limit=-1").status == 400
 
-    def test_legacy_redirect_preserves_query_string(self, server):
-        response = server.request("GET", "/apps/a/events?cursor=99")
-        assert response.status == 301
-        assert response.location == "/v1/apps/a/events?cursor=99"
-        followed = server.request(
-            "GET", "/apps/a/events?cursor=99", follow_redirects=True
-        )
-        assert followed.ok
-        assert followed.body["events"] == []  # cursor survived the hop
-
     def test_unknown_app_is_404(self, server):
         assert server.request("GET", "/v1/apps/ghost/events").status == 404
 
@@ -554,10 +485,10 @@ class TestHeaderCaseInsensitivity:
     def test_response_header_lookup_ignores_case(self):
         from repro.rest.router import Response
 
-        response = Response(301, None, headers={"location": "/v1/x"})
-        assert response.location == "/v1/x"
-        assert response.header("LOCATION") == "/v1/x"
-        assert response.header("Location") == "/v1/x"
+        response = Response(200, None, headers={"etag": '"a:1:0"'})
+        assert response.etag == '"a:1:0"'
+        assert response.header("ETAG") == '"a:1:0"'
+        assert response.header("ETag") == '"a:1:0"'
 
     def test_request_header_lookup_ignores_case(self):
         from repro.rest.router import Request

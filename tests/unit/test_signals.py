@@ -174,19 +174,6 @@ class TestEventOrdering:
 
 
 class TestLibraryDelegation:
-    def test_notify_methods_ride_the_signal_bus(self):
-        from repro.core.library import AppEnergyLibrary
-
-        eco, api, _ = _bus_ecovisor(solar_w=10.0)
-        library = AppEnergyLibrary(api)
-        seen = []
-        sub = library.notify_solar_change(seen.append)
-        run_ticks(eco, 1)
-        assert [e.app_name for e in seen] == ["a"]
-        sub.cancel()
-        run_ticks(eco, 1)
-        assert len(seen) == 1
-
     def test_library_enforce_rates_uses_snapshot(self):
         from repro.core.library import AppEnergyLibrary
 

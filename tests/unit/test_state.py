@@ -92,10 +92,10 @@ class TestSnapshotContents:
 
 
 class TestBatteryAbsentUnification:
-    """state().battery is None without a share; getters stay zero-default.
+    """state().battery is None without a share; properties stay zero-default.
 
     Both access styles are supported: the explicit Optional on the
-    snapshot, and the legacy zero-default getters/properties.
+    snapshot, and the zero-default properties.
     """
 
     def test_battery_state_present(self, bound):
@@ -123,13 +123,6 @@ class TestBatteryAbsentUnification:
         assert state.battery_discharge_rate_w == 0.0
         assert state.battery_soc_fraction == 0.0
 
-    def test_legacy_getters_zero_default_without_share(self, bound):
-        eco, _, api = bound
-        run_ticks(eco, 1)
-        assert api.get_battery_charge_level() == 0.0
-        assert api.get_battery_capacity() == 0.0
-        assert api.get_battery_discharge_rate() == 0.0
-
     def test_setters_still_raise_without_share(self, bound):
         _, _, api = bound
         with pytest.raises(ConfigurationError):
@@ -142,16 +135,15 @@ class TestComputedOncePerTick:
     def test_bare_tick_loop_builds_once_per_app_per_tick(self, bound):
         eco, api, api2 = bound
         ticks = 5
+        container = api.launch_container(1)
         assert eco.state_builds == 0
 
-        def observer(tick):
-            # A getter storm inside the upcall window must not trigger
+        def observer(tick, state):
+            # A read storm inside the upcall window must not trigger
             # extra builds: every consumer shares the tick's snapshot.
             for _ in range(10):
-                api.get_solar_power()
-                api.get_grid_carbon()
-                api.get_battery_charge_level()
                 api.state()
+                api.get_container_power(container.id)
 
         api.register_tick(observer)
         run_ticks(eco, ticks)
@@ -177,19 +169,6 @@ class TestComputedOncePerTick:
         run_ticks(eco, 2)
         assert eco.state_builds == 2 * 2
 
-    def test_legacy_getters_delegate_to_snapshot(self, bound):
-        eco, api, _ = bound
-        run_ticks(eco, 2)
-        state = api.state()
-        assert api.get_solar_power() == state.solar_power_w
-        assert api.get_grid_power() == state.grid_power_w
-        assert api.get_grid_carbon() == state.grid_carbon_g_per_kwh
-        assert api.get_grid_price() == state.grid_price_usd_per_kwh
-        assert api.get_energy_cost() == state.total_cost_usd
-        assert api.get_battery_charge_level() == state.battery_charge_level_wh
-        assert api.get_battery_capacity() == state.battery_capacity_wh
-        assert api.get_battery_discharge_rate() == state.battery_discharge_rate_w
-
 
 class TestTickCallbackArity:
     def test_two_arg_callback_receives_state(self, bound):
@@ -205,12 +184,11 @@ class TestTickCallbackArity:
         assert all(isinstance(s, EnergyState) for _, s in seen)
         assert seen[0][1].app_name == "a"
 
-    def test_one_arg_callback_still_works(self, bound):
+    def test_one_arg_callback_fails_at_first_upcall(self, bound):
         eco, api, _ = bound
-        calls = []
-        api.register_tick(calls.append)  # builtin bound method: legacy arity
-        run_ticks(eco, 3)
-        assert len(calls) == 3
+        api.register_tick(lambda tick: None)
+        with pytest.raises(TypeError):
+            run_ticks(eco, 1)
 
     def test_serialization_roundtrip(self, bound):
         eco, api, _ = bound
