@@ -19,7 +19,10 @@ library queries (``get_app_carbon``, ``get_container_carbon``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError, EnergyConservationError
 from repro.core.units import energy_cost_usd
@@ -168,6 +171,11 @@ class AppAccount:
     ``finalized`` is set when the application is evicted: the account
     stays in the ledger (so cluster totals keep conserving across
     churn) but refuses further settlements.
+
+    Ticks settled by the columnar kernel arrive through
+    :meth:`CarbonLedger.write_back`: their totals are added at once,
+    but their :class:`TickSettlement` objects are built only when
+    :attr:`settlements` is first read (most runs never read them).
     """
 
     app_name: str
@@ -180,13 +188,38 @@ class AppAccount:
     curtailed_wh: float = 0.0
     unmet_wh: float = 0.0
     finalized: bool = False
-    settlements: List[TickSettlement] = field(default_factory=list)
+    _settlements: List[TickSettlement] = field(
+        default_factory=list, init=False, repr=False
+    )
+    # Written-back but unbuilt ticks, in order: (records, index) pairs,
+    # one per write-back batch (see CarbonLedger.write_back).
+    _deferred: list = field(default_factory=list, init=False, repr=False)
 
-    def add(self, settlement: TickSettlement) -> None:
+    @property
+    def settlements(self) -> List[TickSettlement]:
+        """Every settlement of this account, in tick order."""
+        if self._deferred:
+            self._build_deferred()
+        return self._settlements
+
+    def _build_deferred(self) -> None:
+        name = self.app_name
+        append = self._settlements.append
+        for records, index in self._deferred:
+            for record in records:
+                append(record.settlement(index, name))
+        self._deferred = []
+
+    def _check_open(self) -> None:
         if self.finalized:
             raise ConfigurationError(
                 f"account {self.app_name!r} is finalized (application evicted)"
             )
+
+    def add(self, settlement: TickSettlement) -> None:
+        self._check_open()
+        if self._deferred:
+            self._build_deferred()
         self.energy_wh += settlement.served_wh
         self.solar_wh += settlement.solar_used_wh
         self.battery_wh += settlement.battery_discharge_wh
@@ -195,7 +228,21 @@ class AppAccount:
         self.cost_usd += settlement.cost_usd
         self.curtailed_wh += settlement.curtailed_wh
         self.unmet_wh += settlement.unmet_wh
-        self.settlements.append(settlement)
+        self._settlements.append(settlement)
+
+
+#: Account total -> the record column :meth:`CarbonLedger.write_back`
+#: adds to it (``AppAccount.add``'s sums, column-wise).
+_TOTAL_COLUMNS = (
+    ("energy_wh", attrgetter("served")),
+    ("solar_wh", attrgetter("solar_used")),
+    ("battery_wh", attrgetter("battery_wh")),
+    ("grid_wh", lambda record: record.grid_load + record.g2b),
+    ("carbon_g", attrgetter("carbon_g")),
+    ("cost_usd", attrgetter("cost")),
+    ("curtailed_wh", attrgetter("curtailed")),
+    ("unmet_wh", attrgetter("unmet")),
+)
 
 
 class CarbonLedger:
@@ -249,6 +296,40 @@ class CarbonLedger:
         existing = self._accounts.get(app_name)
         if existing is not None and existing.finalized:
             self._archived.append(self._accounts.pop(app_name))
+
+    def write_back(self, names: Sequence[str], records: Sequence) -> None:
+        """Add a batch of columnar tick records to the named accounts.
+
+        ``records`` are consecutive ticks of one fleet layout: tenant
+        ``names[i]`` is index ``i`` of every per-tenant column (``served``,
+        ``solar_used``, ``battery_wh``, ``grid_load``, ``g2b``,
+        ``carbon_g``, ``cost``, ``curtailed``, ``unmet``), and
+        ``record.settlement(i, name)`` builds that tick's
+        :class:`TickSettlement`.  Each total gains one column per record
+        in tick order — elementwise float adds, the exact sequence of
+        per-tick :meth:`AppAccount.add` calls — and the settlements are
+        deferred until their account's :attr:`~AppAccount.settlements`
+        is read.  Raises like :meth:`AppAccount.add` (before writing
+        anything) if an account is finalized.
+        """
+        accounts = self._accounts
+        batch: List[AppAccount] = []
+        for name in names:
+            account = accounts.get(name)
+            if account is None:
+                account = accounts[name] = AppAccount(name)
+            account._check_open()
+            batch.append(account)
+        n = len(batch)
+        for total, column in _TOTAL_COLUMNS:
+            sums = np.fromiter(map(attrgetter(total), batch), dtype=float, count=n)
+            for record in records:
+                sums += column(record)
+            for account, value in zip(batch, sums.tolist()):
+                setattr(account, total, value)
+        records = tuple(records)
+        for index, account in enumerate(batch):
+            account._deferred.append((records, index))
 
     def record(self, settlement: TickSettlement, validate: bool = True) -> None:
         """Validate and accumulate one tick settlement.

@@ -41,8 +41,11 @@ instead of re-polling live getters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.carbon.service import CarbonIntensityService
 from repro.cluster.container import Container
@@ -82,6 +85,21 @@ from repro.telemetry.monitor import PowerMonitor
 from repro.telemetry.timeseries import Series, TimeSeriesDatabase
 
 TickCallback = Callable[[TickInfo, EnergyState], None]
+
+#: The ``app.<name>.*`` series the write-back fills for every tenant
+#: (in ``Ecovisor._write_series`` order; ``cost_usd`` only with a price
+#: signal attached) and for every battery holder.
+_TENANT_SERIES = (
+    "power_w",
+    "containers",
+    "carbon_g",
+    "grid_power_w",
+    "solar_used_wh",
+    "unmet_wh",
+    "carbon_rate_mg_s",
+)
+_MARKET_TENANT_SERIES = _TENANT_SERIES + ("cost_usd",)
+_BATTERY_SERIES = ("battery_soc", "battery_level_wh", "battery_power_w")
 
 
 @dataclass(slots=True)
@@ -166,8 +184,15 @@ class Ecovisor:
         self._phase_stamp = 0
         self._flushing = False
         self._flush_hooks_installed = False
-        self._flush_series: Dict[str, Series] = {}
         self._container_carbon_series: Dict[str, Series] = {}
+        # Telemetry write-back (_flush_pending): series handles per
+        # tenant or container name and the columns built from them (see
+        # _columns), and the counters behind the telemetry_flush_*
+        # metrics.
+        self._series_handles: Dict[tuple, Dict[str, Tuple[Series, ...]]] = {}
+        self._series_columns: Dict[tuple, tuple] = {}
+        self._flush_records = 0
+        self._flush_seconds = 0.0
         # Control plane v1.1: per-app event journals backing the REST
         # cursor feed, share rebalances staged until the next tick
         # boundary, and a flag marking the begin_tick..settle window so
@@ -314,6 +339,21 @@ class Ecovisor:
             "fleet_capacity_rows",
             "Columnar fleet allocated row capacity.",
             lambda: self._fleet.capacity if self._fleet else 0,
+        )
+        registry.counter_fn(
+            "telemetry_flush_records_total",
+            "Columnar tick records written back to the database and ledger.",
+            lambda: self._flush_records,
+        )
+        registry.counter_fn(
+            "telemetry_flush_seconds_total",
+            "Seconds spent writing columnar tick records back.",
+            lambda: self._flush_seconds,
+        )
+        registry.gauge_fn(
+            "telemetry_pending_records",
+            "Columnar tick records buffered, not yet written back.",
+            lambda: len(self._fleet.pending) if self._fleet else 0,
         )
 
     def signal_bus_for(self, name: str) -> SignalBus:
@@ -841,11 +881,15 @@ class Ecovisor:
         fleet.current_snap = None
 
     def _flush_pending(self) -> None:
-        """Replay buffered tick records into the database and ledger.
+        """Write buffered tick records back into the database and ledger.
 
         Installed as both stores' flush hook while columnar mode is (or
-        has been) on; re-entrant calls (the replay itself touches both
-        stores) are cut off by the ``_flushing`` guard.
+        has been) on, so it runs inside whichever call first reads
+        either store; re-entrant calls (the write-back itself resolves
+        series handles) are cut off by the ``_flushing`` guard.  The
+        records go to the ledger as one batch
+        (:meth:`CarbonLedger.write_back`), and each metric of each
+        record reaches its series as one column append.
         """
         fleet = self._fleet
         if fleet is None or self._flushing or not fleet.pending:
@@ -853,87 +897,81 @@ class Ecovisor:
         records = fleet.pending
         fleet.pending = []
         self._flushing = True
+        started = perf_counter()
         try:
-            db = self._db
-            ledger = self._ledger
-            handles = self._flush_series
-
-            def series(name: str) -> Series:
-                handle = handles.get(name)
-                if handle is None:
-                    handle = handles[name] = db.series_handle(name)
-                return handle
-
-            for r in records:
-                t = r.time_s
-                duration_s = r.duration_s
-                for cid, p in zip(r.cont_ids, r.cont_powers):
-                    series(f"container.{cid}.power_w").append(t, p)
-                series("cluster.power_w").append(t, r.cluster_power)
-                demand_wh = r.demand_wh.tolist()
-                served = r.served.tolist()
-                unmet = r.unmet.tolist()
-                solar_avail = r.solar_avail.tolist()
-                solar_used = r.solar_used.tolist()
-                s2b = r.s2b.tolist()
-                curtailed = r.curtailed.tolist()
-                battery_wh = r.battery_wh.tolist()
-                grid_load = r.grid_load.tolist()
-                g2b = r.g2b.tolist()
-                carbon_g = r.carbon_g.tolist()
-                cost = r.cost.tolist()
-                last_grid = r.last_grid.tolist()
-                for i, name in enumerate(r.names):
-                    s = r.settlements[i]
-                    if s is None:
-                        # Kernel row: materialize the exact settlement
-                        # the object path would have built (conserving
-                        # by construction, so the validate skip mirrors
-                        # `ledger.record(validate=False)`).
-                        s = TickSettlement(
-                            app_name=name,
-                            time_s=t,
-                            duration_s=duration_s,
-                            carbon_intensity_g_per_kwh=r.carbon,
-                            demand_wh=demand_wh[i],
-                            served_wh=served[i],
-                            unmet_wh=unmet[i],
-                            solar_available_wh=solar_avail[i],
-                            solar_used_wh=solar_used[i],
-                            solar_to_battery_wh=s2b[i],
-                            curtailed_wh=curtailed[i],
-                            battery_discharge_wh=battery_wh[i],
-                            grid_load_wh=grid_load[i],
-                            grid_to_battery_wh=g2b[i],
-                            carbon_g=carbon_g[i],
-                            price_usd_per_kwh=r.price,
-                            cost_usd=cost[i],
-                        )
-                    ledger.account(name).add(s)
-                    app = self._apps.get(name)
-                    if app is not None:
-                        app.ves.note_settlement(s)
-                    prefix = f"app.{name}."
-                    series(prefix + "power_w").append(t, r.demand_w[i])
-                    series(prefix + "containers").append(t, float(r.counts[i]))
-                    series(prefix + "carbon_g").append(t, s.carbon_g)
-                    if r.has_market:
-                        series(prefix + "cost_usd").append(t, s.cost_usd)
-                    series(prefix + "grid_power_w").append(t, last_grid[i])
-                    series(prefix + "solar_used_wh").append(t, s.solar_used_wh)
-                    series(prefix + "unmet_wh").append(t, s.unmet_wh)
-                    series(prefix + "carbon_rate_mg_s").append(
-                        t, s.carbon_rate_mg_per_s
-                    )
-                for i, soc, level, power in r.batt_tel:
-                    prefix = f"app.{r.names[i]}."
-                    series(prefix + "battery_soc").append(t, soc)
-                    series(prefix + "battery_level_wh").append(t, level)
-                    series(prefix + "battery_power_w").append(t, power)
-                for cid, cg in r.cont_carbon:
-                    series(f"container.{cid}.carbon_g").append(t, cg)
+            # FleetArrays.refresh() writes back before it re-lays the
+            # fleet out, so every buffered record shares one names list.
+            self._ledger.write_back(records[0].names, records)
+            for record in records:
+                self._write_series(record)
         finally:
             self._flushing = False
+            self._flush_records += len(records)
+            self._flush_seconds += perf_counter() - started
+
+    def _write_series(self, r) -> None:
+        """One record's telemetry: one column append per metric."""
+        t = r.time_s
+        append = Series.append_column
+        columns = self._columns
+        (power,) = columns(r.cont_ids, r.cont_ids, "container.", ("power_w",))
+        append(power, t, r.cont_powers)
+        self._db.series_handle("cluster.power_w").append(t, r.cluster_power)
+        if r.duration_s > 0:
+            rate = r.carbon_g * 1000.0 / r.duration_s
+        else:
+            rate = np.zeros(len(r.names))
+        suffixes = _MARKET_TENANT_SERIES if r.has_market else _TENANT_SERIES
+        tenant = columns(r.names, r.names, "app.", suffixes)
+        values = (
+            r.demand_w,
+            r.counts,
+            r.carbon_g,
+            r.last_grid,
+            r.solar_used,
+            r.unmet,
+            rate,
+            r.cost,
+        )
+        for column, value in zip(tenant, values):
+            append(column, t, value)
+        holders = [r.names[i] for i in r.batt_idx.tolist()]
+        battery = columns(r.batt_idx, holders, "app.", _BATTERY_SERIES)
+        for column, value in zip(battery, (r.batt_soc, r.batt_level, r.batt_power)):
+            append(column, t, value)
+        (carbon,) = columns(r.ids_flat, r.ids_flat, "container.", ("carbon_g",))
+        append(carbon, t, r.cont_carbon)
+
+    def _columns(
+        self,
+        layout: object,
+        names: Sequence[str],
+        prefix: str,
+        suffixes: Tuple[str, ...],
+    ) -> List[List[Series]]:
+        """One list per suffix of the ``<prefix><name>.<suffix>`` series.
+
+        Handles are resolved once per name (creating the series on
+        first use, as the object path does).  The lists are cached
+        while records share ``layout``, an object settle hands every
+        record until the fleet or its containers change (``names``,
+        the container cache's ``ids``, the gather plan's ``ids_flat``,
+        ``batt_idx``), so a steady run builds them once.
+        """
+        key = (prefix, suffixes)
+        cached = self._series_columns.get(key)
+        if cached is not None and cached[0] is layout:
+            return cached[1]
+        handles = self._series_handles.setdefault(key, {})
+        for name in [name for name in names if name not in handles]:
+            handles[name] = tuple(
+                self._db.series_handle(f"{prefix}{name}.{suffix}")
+                for suffix in suffixes
+            )
+        rows = map(handles.__getitem__, names)
+        columns = [list(column) for column in zip(*rows)] or [[]] * len(suffixes)
+        self._series_columns[key] = (layout, columns)
+        return columns
 
     def _columnar_state(self, app: _RegisteredApp) -> Optional[EnergyState]:
         """The app's lazy row view for the current tick phase (cached)."""

@@ -29,8 +29,12 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
   callbacks, REST, telemetry export) as
   :class:`~repro.core.state.RowEnergyState` views over a
   :class:`FleetSnapshot`.  Telemetry and ledger writes are buffered as
-  :class:`_TickRecord` objects and flushed on first read through the
-  database/ledger flush hooks.
+  :class:`_TickRecord` objects — the settle kernel's own ndarrays, so
+  the buffer holds nothing the garbage collector has to walk — and
+  written back on first read through the database/ledger flush hooks,
+  one column append per metric per record.  Per-tick
+  ``TickSettlement`` objects are built from the retained columns only
+  when an account's settlements are read.
 """
 
 from __future__ import annotations
@@ -403,9 +407,19 @@ class _TickRecord:
 
     Everything the object path writes eagerly into the time-series
     database and carbon ledger during ``settle`` is parked here instead
-    and replayed (in tick order) by ``Ecovisor._flush_pending`` on the
-    first database/ledger read.  Per-app figures stay as the settle
-    kernel's ndarrays; ``tolist`` is deferred to flush time.
+    and written back (in tick order) by ``Ecovisor._flush_pending`` on
+    the first database/ledger read.
+
+    A record holds scalars, the settle kernel's ndarrays (per tenant,
+    per battery holder, per container) and layout objects settle
+    already shares between ticks (``names``, ``counts``, the container
+    cache's ``ids``, the gather plan's ``ids_flat``, ``batt_idx``) —
+    nothing per tick that the garbage collector tracks.  ``settlements``
+    is None except on the degenerate-duration path, which settles its
+    battery holders through the real ``VirtualEnergySystem`` and keeps
+    those settlements as a sparse ``{index: TickSettlement}``.  Every
+    other settlement is built by :meth:`settlement` when its account's
+    settlements are first read.
     """
 
     __slots__ = (
@@ -431,12 +445,52 @@ class _TickRecord:
         "cost",
         "last_grid",
         "settlements",
-        "batt_tel",
+        "batt_idx",
+        "batt_soc",
+        "batt_level",
+        "batt_power",
         "cont_ids",
         "cont_powers",
+        "ids_flat",
         "cont_carbon",
         "cluster_power",
     )
+
+    def settlement(self, index: int, app_name: str) -> TickSettlement:
+        """Tenant ``index``'s settlement of this tick.
+
+        The columns hold exactly the figures ``VirtualEnergySystem.settle``
+        produces on the object path (conserving by construction, so no
+        re-validation, as for ``ledger.record(validate=False)``).
+        """
+        if self.settlements is not None:
+            settlement = self.settlements.get(index)
+            if settlement is not None:
+                return settlement
+        return TickSettlement(
+            app_name=app_name,
+            time_s=self.time_s,
+            duration_s=self.duration_s,
+            carbon_intensity_g_per_kwh=self.carbon,
+            demand_wh=self.demand_wh.item(index),
+            served_wh=self.served.item(index),
+            unmet_wh=self.unmet.item(index),
+            solar_available_wh=self.solar_avail.item(index),
+            solar_used_wh=self.solar_used.item(index),
+            solar_to_battery_wh=self.s2b.item(index),
+            curtailed_wh=self.curtailed.item(index),
+            battery_discharge_wh=self.battery_wh.item(index),
+            grid_load_wh=self.grid_load.item(index),
+            grid_to_battery_wh=self.g2b.item(index),
+            carbon_g=self.carbon_g.item(index),
+            price_usd_per_kwh=self.price,
+            cost_usd=self.cost.item(index),
+        )
+
+
+#: Empty per-battery/per-container column of a record with no such rows.
+_NO_ROWS = np.zeros(0)
+_NO_ROWS.flags.writeable = False
 
 
 class FleetArrays:
@@ -673,11 +727,8 @@ class FleetArrays:
         Maps the dense app order onto the container cache's positions
         once per (topology, registration) generation:
 
-        - ``empty_idx``: app indices with no running containers — their
-          per-app demand stays the object path's int ``0`` (the parity
-          digest distinguishes ``0`` from ``0.0`` through ``repr``).
-        - ``counts``: per-app running-container counts (shared list —
-          read-only for consumers).
+        - ``counts``: per-app running-container counts as floats (the
+          ``app.*.containers`` telemetry values; shared read-only array).
         - ``flat_pos``/``flat_app``/``ids_flat``: the concatenated
           (app-major, launch-order) container walk the attribution loop
           follows, as index arrays for vectorized arithmetic.  The
@@ -693,7 +744,6 @@ class FleetArrays:
         if self._plan_positions is positions and self._plan_names is names:
             return self._plan
         cont_ids = cc.cont_ids
-        empty_idx: List[int] = []
         counts: List[int] = []
         flat_pos: List[int] = []
         flat_app: List[int] = []
@@ -707,14 +757,14 @@ class FleetArrays:
                 ids_flat.extend(cont_ids[name])
             else:
                 counts.append(0)
-                empty_idx.append(i)
         run = cc.running_positions
         cluster_get = (
             (itemgetter(*run), len(run) == 1) if run else None
         )
+        counts_arr = np.asarray(counts, dtype=float)
+        counts_arr.flags.writeable = False
         plan = (
-            empty_idx,
-            counts,
+            counts_arr,
             np.asarray(flat_pos, dtype=np.intp),
             np.asarray(flat_app, dtype=np.intp),
             ids_flat,
@@ -805,22 +855,17 @@ class FleetArrays:
         cc = self.container_cache(eco._platform)
         powers = cc.powers()
         powers_list = powers.tolist()
-        empty_idx, counts, flat_pos, flat_app, ids_flat, cluster_get = (
-            self._gather_plan(cc)
-        )
+        counts, flat_pos, flat_app, ids_flat, cluster_get = self._gather_plan(cc)
         # bincount accumulates each app's container powers from 0.0 in
         # launch order — the exact IEEE sequence of the object path's
-        # per-app demand sum.  Apps without containers keep the object
-        # path's int 0 (repr-visible in telemetry, hence the fix-up).
+        # per-app demand sum (an app without containers reads 0.0, as
+        # the object path's int 0 does once telemetry stores it).
         if len(flat_app):
             demand_arr = np.bincount(
                 flat_app, weights=powers[flat_pos], minlength=n
             )
         else:
             demand_arr = np.zeros(n)
-        demand_list: List[float] = demand_arr.tolist()
-        for i in empty_idx:
-            demand_list[i] = 0
 
         carbon = eco._current_carbon
         price = eco._current_price
@@ -843,8 +888,9 @@ class FleetArrays:
         cost = grid_total / 1000.0 * price
         last_grid = grid_total / hrs if duration_s > 0 else np.zeros(n)
 
-        settlements: List[Optional[TickSettlement]] = [None] * n
-        batt_tel: List[Tuple[int, float, float, float]] = []
+        settlements: Optional[Dict[int, TickSettlement]] = None
+        batt_idx = self.batt_idx
+        batt_soc = batt_level = batt_power = _NO_ROWS
         batt_apps = self.batt_apps
         m = len(batt_apps)
         if m and duration_s > 0:
@@ -991,10 +1037,10 @@ class FleetArrays:
             usable_arr = np.maximum(0.0, level - bfloor)
             full_arr = np.maximum(0.0, bcap - level) <= 1e-9
             empty_arr = usable_arr <= 1e-9
-            usable_l = usable_arr.tolist()
-            soc_l = (level / bcap).tolist()
+            batt_soc = level / bcap
+            batt_level = usable_arr
             # Signed battery power (charging positive).
-            bpow_l = (last_charge_b - delivered).tolist()
+            batt_power = last_charge_b - delivered
             # The per-app edge loop only needs apps whose full/empty
             # state changed; for the (overwhelmingly common) steady
             # rows the flag write is value-identical and no event
@@ -1014,6 +1060,7 @@ class FleetArrays:
             if edges.any():
                 full_l = full_arr.tolist()
                 empty_l = empty_arr.tolist()
+                usable_l = usable_arr.tolist()
                 for k in np.flatnonzero(edges).tolist():
                     i, app = batt_apps[k]
                     if full_l[k] and not app.battery_was_full:
@@ -1030,26 +1077,28 @@ class FleetArrays:
                             BatteryEmptyEvent(time_s=time_s, app_name=app.name)
                         )
                     app.battery_was_empty = empty_l[k]
-            batt_tel.extend(
-                zip(self.batt_idx.tolist(), soc_l, usable_l, bpow_l)
-            )
         elif m:
             # Degenerate duration: defer to the real VES so its input
             # validation raises exactly as the object path would.  The
             # VES per-tick solar is stale in columnar mode; restore it
-            # from the arrays first.
+            # from the arrays first.  The columns take the settlements'
+            # figures, so the write-back reads columns only.
+            settlements = {}
             for i, app in batt_apps:
                 app.ves.restore_tick_state(
                     float(self.solar_w[app.row]), float(self.grid_w[app.row])
                 )
                 s = app.ves.settle(
-                    demand_list[i],
+                    demand_arr.item(i),
                     carbon,
                     time_s,
                     duration_s,
                     price_usd_per_kwh=price,
                 )
                 settlements[i] = s
+                demand_wh[i] = s.demand_wh
+                solar_wh[i] = s.solar_available_wh
+                solar_used[i] = s.solar_used_wh
                 served[i] = s.served_wh
                 unmet[i] = s.unmet_wh
                 s2b[i] = s.solar_to_battery_wh
@@ -1061,6 +1110,7 @@ class FleetArrays:
                 carbon_g[i] = s.carbon_g
                 cost[i] = s.cost_usd
                 last_grid[i] = app.ves.grid_power_w
+            tel: List[Tuple[int, float, float, float]] = []
             for i, app in batt_apps:
                 vb = app.ves.battery
                 if vb is None:
@@ -1079,7 +1129,7 @@ class FleetArrays:
                         BatteryEmptyEvent(time_s=time_s, app_name=app.name)
                     )
                 app.battery_was_empty = vb.is_empty
-                batt_tel.append(
+                tel.append(
                     (
                         i,
                         vb.soc_fraction,
@@ -1087,10 +1137,15 @@ class FleetArrays:
                         vb.last_charge_w - vb.last_discharge_w,
                     )
                 )
+            idx_l, soc_l, level_l, power_l = zip(*tel) if tel else ((),) * 4
+            batt_idx = np.asarray(idx_l, dtype=np.intp)
+            batt_soc = np.asarray(soc_l, dtype=float)
+            batt_level = np.asarray(level_l, dtype=float)
+            batt_power = np.asarray(power_l, dtype=float)
 
         # Scatter the settled figures back into the persistent rows.
         # Rows are unique, so fancy += accumulates exactly like the
-        # per-app sequential `account.add` the flush will replay.
+        # per-tick column adds the ledger write-back will make.
         self.grid_w[rows] = last_grid
         self.tot_e[rows] += served
         self.tot_c[rows] += carbon_g
@@ -1101,7 +1156,7 @@ class FleetArrays:
         # writes are buffered.  The per-container shares are elementwise
         # (no reductions), so the vectorized arithmetic is bit-identical
         # to the object path's `power / total`, `served * fraction`.
-        cont_carbon: List[Tuple[str, float]] = []
+        cont_carbon = _NO_ROWS
         if flat_pos.size:
             powers_flat = powers[flat_pos]
             tot_rep = demand_arr[flat_app]
@@ -1113,7 +1168,8 @@ class FleetArrays:
             )
             pw_l = powers_flat.tolist()
             energy_l = (served[flat_app] * frac).tolist()
-            carbon_l = (carbon_g[flat_app] * frac).tolist()
+            cont_carbon = carbon_g[flat_app] * frac
+            carbon_l = cont_carbon.tolist()
             clist = cc.clist
             pos_l = flat_pos.tolist()
             # Inlined Container.record_tick: three attribute writes per
@@ -1123,7 +1179,6 @@ class FleetArrays:
                 c._last_power_w = pw_l[j]
                 c._energy_wh += energy_l[j]
                 c._carbon_g += carbon_l[j]
-            cont_carbon = list(zip(ids_flat, carbon_l))
 
         if n:
             fractions_arr = np.divide(
@@ -1177,7 +1232,7 @@ class FleetArrays:
         record.price = price
         record.has_market = eco._price_signal is not None
         record.names = names
-        record.demand_w = demand_list
+        record.demand_w = demand_arr
         record.counts = counts
         record.demand_wh = demand_wh
         record.served = served
@@ -1193,9 +1248,13 @@ class FleetArrays:
         record.cost = cost
         record.last_grid = last_grid
         record.settlements = settlements
-        record.batt_tel = batt_tel
+        record.batt_idx = batt_idx
+        record.batt_soc = batt_soc
+        record.batt_level = batt_level
+        record.batt_power = batt_power
         record.cont_ids = cc.ids
-        record.cont_powers = powers_list
+        record.cont_powers = powers
+        record.ids_flat = ids_flat
         record.cont_carbon = cont_carbon
         if cluster_get is None:
             attributed = 0

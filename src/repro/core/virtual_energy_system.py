@@ -47,7 +47,6 @@ class VirtualEnergySystem:
         self._battery = virtual_battery
         self._current_solar_w = 0.0
         self._last_grid_power_w = 0.0
-        self._last_settlement: Optional[TickSettlement] = None
 
     # ------------------------------------------------------------------
     # Introspection (backs the Table 1 getters)
@@ -78,10 +77,6 @@ class VirtualEnergySystem:
         """Grid power drawn during the most recently settled tick."""
         return self._last_grid_power_w
 
-    @property
-    def last_settlement(self) -> Optional[TickSettlement]:
-        return self._last_settlement
-
     # ------------------------------------------------------------------
     # Per-tick operations (called by the ecovisor)
     # ------------------------------------------------------------------
@@ -100,15 +95,6 @@ class VirtualEnergySystem:
         """
         self._current_solar_w = float(solar_power_w)
         self._last_grid_power_w = float(grid_power_w)
-
-    def note_settlement(self, settlement: TickSettlement) -> None:
-        """Adopt a settlement computed externally (columnar kernel).
-
-        The settlement must describe this system's tick exactly as
-        :meth:`settle` would have — the columnar path guarantees that by
-        replaying the same arithmetic — so only the record is updated.
-        """
-        self._last_settlement = settlement
 
     def set_share(
         self, share: ShareConfig, virtual_battery: Optional[VirtualBattery]
@@ -224,7 +210,6 @@ class VirtualEnergySystem:
             cost_usd=cost_usd,
         )
         settlement.validate()
-        self._last_settlement = settlement
         return settlement
 
     def __repr__(self) -> str:

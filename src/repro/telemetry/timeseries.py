@@ -26,7 +26,9 @@ class Series:
     lazily and cached until the next append — per-tick telemetry writes
     never pay a list-to-array conversion, and repeated reads (exports,
     ``to_rows`` alignment) reuse one immutable array instead of
-    re-materializing it per call.
+    re-materializing it per call.  Series only grow, so a cached array
+    is current exactly when its length matches the point count; appends
+    never touch the cache.
     """
 
     __slots__ = ("_name", "_times", "_values", "_times_arr", "_values_arr")
@@ -48,14 +50,37 @@ class Series:
     def append(self, time_s: float, value: float) -> None:
         times = self._times
         if times and time_s < times[-1]:
-            raise TraceError(
-                f"series {self._name!r}: non-monotonic append "
-                f"({time_s} after {times[-1]})"
-            )
+            self._non_monotonic(time_s)
         times.append(float(time_s))
         self._values.append(float(value))
-        self._times_arr = None
-        self._values_arr = None
+
+    def _non_monotonic(self, time_s: float) -> None:
+        raise TraceError(
+            f"series {self._name!r}: non-monotonic append "
+            f"({time_s} after {self._times[-1]})"
+        )
+
+    @staticmethod
+    def append_column(
+        column: Sequence["Series"], time_s: float, values: Sequence[float]
+    ) -> None:
+        """Append the point ``(time_s, values[k])`` to ``column[k]``, for all k.
+
+        The bulk form of :meth:`append` for a writer holding one value
+        per series at one timestamp: the columnar telemetry write-back
+        appends a whole metric column of a tick (one series per tenant
+        or container) in one call.  ``values`` may be an ndarray.  Every
+        series is checked before any is written, with :meth:`append`'s
+        per-point monotonicity error.
+        """
+        t = float(time_s)
+        for series in column:
+            times = series._times
+            if times and t < times[-1]:
+                series._non_monotonic(t)
+        for series, value in zip(column, np.asarray(values, dtype=float).tolist()):
+            series._times.append(t)
+            series._values.append(value)
 
     def latest(self) -> Tuple[float, float]:
         if not self._times:
@@ -70,19 +95,23 @@ class Series:
 
     def times(self) -> np.ndarray:
         """All timestamps as a read-only array (cached between appends)."""
-        if self._times_arr is None:
-            arr = np.asarray(self._times)
-            arr.flags.writeable = False
-            self._times_arr = arr
-        return self._times_arr
+        arr = self._times_arr
+        if arr is None or len(arr) != len(self._times):
+            arr = self._times_arr = _frozen(self._times)
+        return arr
 
     def values(self) -> np.ndarray:
         """All values as a read-only array (cached between appends)."""
-        if self._values_arr is None:
-            arr = np.asarray(self._values)
-            arr.flags.writeable = False
-            self._values_arr = arr
-        return self._values_arr
+        arr = self._values_arr
+        if arr is None or len(arr) != len(self._values):
+            arr = self._values_arr = _frozen(self._values)
+        return arr
+
+
+def _frozen(points: List[float]) -> np.ndarray:
+    arr = np.asarray(points, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 class TimeSeriesDatabase:

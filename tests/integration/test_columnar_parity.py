@@ -29,6 +29,13 @@ Comparison is by SHA-256 over a canonical JSON dump, so "identical"
 means identical down to the float bit patterns (``json.dumps`` emits
 shortest-round-trip reprs); on mismatch a recursive diff locates the
 first differing (surface, tick, app, field) for a readable failure.
+
+The columnar path buffers telemetry and ledger writes until a store is
+read.  A second set of cases draws *read plans*: an observer reads some
+tenants' series and accounts after drawn ticks (on both paths), so the
+write-back runs in batches from one record to most of the run, across
+dense-cache refreshes, container-cache rebuilds and battery full/empty
+edges; the reads themselves are compared too.
 """
 
 import dataclasses
@@ -42,6 +49,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.container import reset_container_id_counter
 from repro.core.errors import InsufficientResourcesError
+from repro.core.events import BatteryEmptyEvent, BatteryFullEvent
 from repro.sim.fleet import (
     POLICY_MIXES,
     build_churn_fleet,
@@ -73,6 +81,21 @@ CHURN_PARAMS = st.fixed_dictionaries(
     }
 )
 
+READ_PLANS = st.fixed_dictionaries(
+    {
+        # Ticks after which the observer reads: adjacent ticks give
+        # one-record write-back batches, one late read gives a batch
+        # spanning most of the run.
+        "at": st.lists(
+            st.integers(min_value=0, max_value=36), max_size=8, unique=True
+        ),
+        # Tenants read, as indices into the sorted live names.
+        "tenants": st.lists(
+            st.integers(min_value=0, max_value=255), min_size=1, max_size=3
+        ),
+    }
+)
+
 _SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -80,18 +103,51 @@ _SETTINGS = dict(
 )
 
 
-def _run(params, batched, churn=False):
-    """Run one fleet down one path; return its ecovisor and per-tick
-    snapshots of every app's :class:`EnergyState`."""
+def _read(ecovisor, tenants):
+    """Read some tenants' telemetry series and ledger accounts.
+
+    On the columnar path the first read forces the buffered
+    write-back; the object path wrote everything eagerly.
+    """
+    names = ecovisor.app_names()
+    if not names:
+        return {}
+    database = ecovisor.database
+    ledger = ecovisor.ledger
+    reads = {}
+    for k in tenants:
+        name = names[k % len(names)]
+        account = ledger.account(name)
+        prefix = f"app.{name}."
+        reads[name] = {
+            "settlements": [dataclasses.asdict(s) for s in account.settlements],
+            "totals": [account.energy_wh, account.grid_wh, account.cost_usd],
+            "series": {
+                series: database.series(series).values().tolist()
+                for series in database.series_names()
+                if series.startswith(prefix)
+            },
+        }
+    return reads
+
+
+def _build(params, batched, churn=False):
     # Container ids embed a process-global counter; reset it so both
     # captures name identical containers identically (ids appear in
     # snapshots, telemetry series names, and journal payloads).
     reset_container_id_counter()
     build = build_churn_fleet if churn else build_fleet
-    fleet = build({**params, "batched": batched})
-    ecovisor = fleet.ecovisor
-    engine = fleet.engine
+    return build({**params, "batched": batched})
 
+
+def _observe(fleet, reads=None):
+    """Snapshot every app's :class:`EnergyState` after each tick.
+
+    Returns the list the observer fills.  With a read plan (see
+    ``READ_PLANS``) it also appends ``{"reads": ...}`` after each
+    planned tick.
+    """
+    ecovisor = fleet.ecovisor
     states = []
 
     def observer(tick):
@@ -101,15 +157,25 @@ def _run(params, batched, churn=False):
                 for name in ecovisor.app_names()
             }
         )
+        if reads is not None and tick.index in reads["at"]:
+            states.append({"reads": _read(ecovisor, reads["tenants"])})
 
-    engine.add_observer(observer)
-    engine.run(int(params["ticks"]))
-    return ecovisor, states
+    fleet.engine.add_observer(observer)
+    return states
 
 
-def _capture(params, batched, churn=False):
+def _run(params, batched, churn=False, reads=None):
+    """Run one fleet down one path; return its ecovisor and per-tick
+    snapshots of every app's :class:`EnergyState`."""
+    fleet = _build(params, batched, churn)
+    states = _observe(fleet, reads)
+    fleet.engine.run(int(params["ticks"]))
+    return fleet.ecovisor, states
+
+
+def _capture(params, batched, churn=False, reads=None):
     """Run one fleet down one path; return every observable surface."""
-    ecovisor, states = _run(params, batched, churn)
+    ecovisor, states = _run(params, batched, churn, reads)
     # The two paths really differed: only the production path settles
     # columnar and primes its signal cache.
     assert ecovisor.columnar is batched
@@ -202,7 +268,7 @@ def _first_difference(a, b, path="capture"):
     return None
 
 
-def _record_failure(params, churn, diff, columnar, objects):
+def _record_failure(params, churn, diff, columnar, objects, reads=None):
     """Persist a reproduction blob + first-difference report to disk.
 
     CI uploads the directory (plus hypothesis's example database) as
@@ -218,10 +284,12 @@ def _record_failure(params, churn, diff, columnar, objects):
         "test_module": "tests/integration/test_columnar_parity.py",
         "churn": churn,
         "params": params,
+        "reads": reads,
         "digest_columnar": _digest(columnar),
         "digest_objects": _digest(objects),
         "reproduce": (
-            "_assert_parity(%r, churn=%r)  # or add as @example" % (params, churn)
+            "_assert_parity(%r, churn=%r, reads=%r)  # or add as @example"
+            % (params, churn, reads)
         ),
     }
     tag = hashlib.sha256(
@@ -231,19 +299,12 @@ def _record_failure(params, churn, diff, columnar, objects):
         json.dumps(blob, indent=2, sort_keys=True) + "\n"
     )
     (out / f"first-difference-{tag}.txt").write_text(
-        f"params: {params!r}\nchurn: {churn}\nfirst difference: {diff}\n"
+        f"params: {params!r}\nchurn: {churn}\nreads: {reads!r}\n"
+        f"first difference: {diff}\n"
     )
 
 
-def _assert_parity(params, churn=False):
-    try:
-        columnar = _capture(params, batched=True, churn=churn)
-        objects = _capture(params, batched=False, churn=churn)
-    except InsufficientResourcesError:
-        # The drawn churn schedule oversubscribed the little cluster —
-        # a scenario-capacity limit, not a parity property.  Discard
-        # the example (both paths would raise at the same tick).
-        assume(False)
+def _assert_identical(params, churn, columnar, objects, reads=None):
     # The digest compares JSON reprs (float bit patterns); the direct
     # comparison confirms the structures agree too, catching a
     # hypothetical repr collision.
@@ -252,8 +313,20 @@ def _assert_parity(params, churn=False):
     diff = _first_difference(columnar, objects) or (
         "digests differ but structures compare equal (repr-level difference)"
     )
-    _record_failure(params, churn, diff, columnar, objects)
+    _record_failure(params, churn, diff, columnar, objects, reads)
     raise AssertionError(diff)
+
+
+def _assert_parity(params, churn=False, reads=None):
+    try:
+        columnar = _capture(params, batched=True, churn=churn, reads=reads)
+        objects = _capture(params, batched=False, churn=churn, reads=reads)
+    except InsufficientResourcesError:
+        # The drawn churn schedule oversubscribed the little cluster —
+        # a scenario-capacity limit, not a parity property.  Discard
+        # the example (both paths would raise at the same tick).
+        assume(False)
+    _assert_identical(params, churn, columnar, objects, reads)
 
 
 class TestColumnarDifferentialParity:
@@ -282,6 +355,92 @@ class TestColumnarDifferentialParity:
         """Admit/evict/set_share churn mid-run: rows retire and respawn
         without perturbing a single byte of any surface."""
         _assert_parity(params, churn=True)
+
+
+class TestForcedFlushParity:
+    """Write-back batches of every size, forced by mid-run reads."""
+
+    # Long enough for two battery-empty edges (ticks 163 and 168) to
+    # land inside the final write-back batch.
+    STATIC = {"apps": 12, "ticks": 240, "seed": 7, "mix": "balanced"}
+    STATIC_READS = {"at": [0, 1, 2, 3, 100], "tenants": [0, 5, 9]}
+    CHURN = {
+        "apps": 8,
+        "ticks": 24,
+        "seed": 2023,
+        "mix": "balanced",
+        "admit_rate": 0.8,
+        "evict_rate": 0.25,
+    }
+    CHURN_READS = {"at": [0, 1, 5, 6, 7, 22], "tenants": [1, 4]}
+
+    @settings(max_examples=5, **_SETTINGS)
+    @given(params=FLEET_PARAMS, reads=READ_PLANS)
+    @example(params=STATIC, reads=STATIC_READS)
+    def test_static_fleet_surfaces_byte_identical(self, params, reads):
+        _assert_parity(params, reads=reads)
+
+    @settings(max_examples=5, **_SETTINGS)
+    @given(params=CHURN_PARAMS, reads=READ_PLANS)
+    @example(params=CHURN, reads=CHURN_READS)
+    def test_churn_fleet_surfaces_byte_identical(self, params, reads):
+        _assert_parity(params, churn=True, reads=reads)
+
+    def test_batches_span_layout_changes_and_battery_edges(self):
+        """The committed read plans really exercise the write-back:
+        one-record and most-of-the-run batches with container-cache
+        rebuilds and battery full/empty edges inside them (static
+        fleet), and dense-cache refreshes between batches (churn)."""
+        batches, edges = self._batches(self.STATIC, self.STATIC_READS)
+        sizes = [len(batch) for batch in batches]
+        assert sizes == [1, 1, 1, 1, 97, 139], sizes
+        assert any(len({id(r.cont_ids) for r in b}) > 1 for b in batches)
+        assert edges and all(
+            any(b[0].time_s < e.time_s <= b[-1].time_s for b in batches)
+            for e in edges
+        )
+        batches, _ = self._batches(self.CHURN, self.CHURN_READS, churn=True)
+        assert len({id(b[0].names) for b in batches}) > 1
+
+    @staticmethod
+    def _batches(params, reads, churn=False):
+        """(write-back batches, battery full/empty events) of a columnar
+        run under ``reads``, with a final read."""
+        fleet = _build(params, batched=True, churn=churn)
+        ecovisor = fleet.ecovisor
+        batches = []
+        write_back = ecovisor.ledger.write_back
+
+        def spy(names, records):
+            batches.append(list(records))
+            write_back(names, records)
+
+        ecovisor.ledger.write_back = spy
+        edges = []
+        ecovisor.events.subscribe(BatteryFullEvent, edges.append)
+        ecovisor.events.subscribe(BatteryEmptyEvent, edges.append)
+        _observe(fleet, reads)
+        fleet.engine.run(params["ticks"])
+        ecovisor.ledger.app_names()
+        return batches, edges
+
+    def test_batched_toggle_matches_object_run(self):
+        """batched True -> False -> True, reading in between, is
+        byte-identical to the same run on the object path throughout."""
+        params = {**self.CHURN, "ticks": 30}
+        reads = {"at": [3, 9, 10, 17, 25], "tenants": [0, 2, 5]}
+        chunks = [(True, 8), (False, 10), (True, 12)]
+
+        def toggled(all_objects):
+            fleet = _build(params, batched=not all_objects, churn=True)
+            states = _observe(fleet, reads)
+            for batched, ticks in chunks:
+                fleet.engine.batched = batched and not all_objects
+                fleet.engine.run(ticks)
+                assert fleet.ecovisor.columnar is fleet.engine.batched
+            return collect_surfaces(fleet.ecovisor, states)
+
+        _assert_identical(params, True, toggled(False), toggled(True), reads)
 
 
 class TestFleetDeterminism:

@@ -12,8 +12,12 @@ structural invariants of the struct-of-arrays store itself:
   the next tick boundary, and
 - ticks past the primed signal-cache horizon fall back to live
   sampling with identical results (mirroring
-  :mod:`tests.unit.test_tracecache`'s offset-miss rule at fleet level).
+  :mod:`tests.unit.test_tracecache`'s offset-miss rule at fleet level),
+- a buffered tick record holds only ndarrays and the layout objects
+  settle shares between ticks, nothing the garbage collector tracks.
 """
+
+import gc
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from repro.core.fleetarrays import (
     INITIAL_CAPACITY,
     FleetArrays,
     _ContainerCache,
+    _TickRecord,
 )
 from repro.sim.fleet import build_fleet
 
@@ -342,3 +347,52 @@ class TestPastHorizonFallback:
                 db_a.series(series).values().tolist()
                 == db_b.series(series).values().tolist()
             ), series
+
+
+class TestGcFreeRecords:
+    #: Record slots holding layout objects settle shares between ticks.
+    SHARED = {"names", "counts", "cont_ids", "ids_flat", "batt_idx"}
+    PER_TENANT = (
+        "demand_w",
+        "demand_wh",
+        "served",
+        "unmet",
+        "solar_avail",
+        "solar_used",
+        "s2b",
+        "curtailed",
+        "battery_wh",
+        "grid_load",
+        "g2b",
+        "carbon_g",
+        "cost",
+        "last_grid",
+    )
+
+    def test_settled_record_is_ndarrays_and_shared_layout(self):
+        fleet = _small_fleet(apps=8)
+        fleet.engine.run(6)
+        store = fleet.ecovisor._fleet
+        records = store.pending
+        assert len(records) == 6
+        record = records[-1]
+        n = len(store.names)
+        assert store.batt_apps and len(record.cont_ids)
+        for slot in self.PER_TENANT:
+            value = getattr(record, slot)
+            assert isinstance(value, np.ndarray) and value.shape == (n,), slot
+        m = len(store.batt_idx)
+        for slot in ("batt_soc", "batt_level", "batt_power"):
+            assert getattr(record, slot).shape == (m,), slot
+        assert record.cont_powers.shape == (len(record.cont_ids),)
+        assert record.cont_carbon.shape == (len(record.ids_flat),)
+        assert record.settlements is None
+        # Shared, not copied: the same objects settle reuses.
+        assert record.names is store.names
+        assert record.batt_idx is store.batt_idx
+        assert record.cont_ids is store._cc.ids
+        counts, _, _, ids_flat, _ = store._plan
+        assert record.counts is counts and record.ids_flat is ids_flat
+        for slot in _TickRecord.__slots__:
+            if slot not in self.SHARED:
+                assert not gc.is_tracked(getattr(record, slot)), slot

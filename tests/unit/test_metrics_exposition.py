@@ -16,6 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.rest.router import UNMATCHED_ROUTE_LABEL, Router
 from repro.rest.server import EcovisorRestServer
 from repro.sim.engine import SimulationEngine
+from repro.sim.fleet import build_churn_fleet
 from repro.workloads.mltrain import MLTrainingJob
 from tests.conftest import make_ecovisor
 
@@ -171,6 +172,50 @@ class TestExpositionLint:
         for phase in ("begin_tick", "settle", "workload_step"):
             key = ("tick_phase_seconds_count", (("phase", phase),))
             assert series[key] == 20
+
+
+class TestTelemetryFlushMetrics:
+    """The columnar write-back runs inside other calls; these three
+    metrics make it visible without forcing it."""
+
+    def test_write_back_counted_and_scrape_does_not_flush(self):
+        fleet = build_churn_fleet(
+            {
+                "apps": 8,
+                "ticks": 24,
+                "seed": 2023,
+                "mix": "balanced",
+                "admit_rate": 0.8,
+                "evict_rate": 0.25,
+            }
+        )
+        ecovisor = fleet.ecovisor
+        registry = ecovisor.metrics
+        assert fleet.engine.run(24) == 24
+
+        def value(name):
+            return sum(sample[2] for sample in registry.get(name).samples())
+
+        # Lifecycle calls wrote back some records mid-run; the ticks
+        # since the last one are still buffered.
+        pending = value("telemetry_pending_records")
+        assert 0 < pending < 24
+        assert value("telemetry_flush_records_total") + pending == 24
+        types, series = lint_exposition(registry.render())
+        assert types["telemetry_flush_records_total"] == "counter"
+        assert types["telemetry_flush_seconds_total"] == "counter"
+        assert types["telemetry_pending_records"] == "gauge"
+        assert series[("telemetry_pending_records", ())] == pending
+        assert value("telemetry_pending_records") == pending  # no flush
+
+        database, ledger = ecovisor.database, ecovisor.ledger
+        for name in database.series_names():
+            database.series(name).values()
+        for name in ledger.app_names():
+            assert ledger.account(name).settlements
+        assert value("telemetry_flush_records_total") == 24
+        assert value("telemetry_pending_records") == 0
+        assert value("telemetry_flush_seconds_total") > 0
 
 
 class TestRouterInstrumentation:

@@ -1,5 +1,6 @@
 """Time-series database: recording, windows, aggregation, integration."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import TraceError
@@ -154,3 +155,50 @@ class TestCachedArrays:
         assert db.series_handle("x") is handle
         handle.append(0.0, 5.0)
         assert db.latest("x") == 5.0
+
+
+class TestColumnAppend:
+    """Series.append_column: one point into each series of a column."""
+
+    def test_appends_one_point_per_series(self):
+        column = [Series("a"), Series("b"), Series("c")]
+        Series.append_column(column, 60.0, np.array([1.0, 2.5, -0.0]))
+        Series.append_column(column, 120.0, [3, 4, 5])
+        assert [s.times().tolist() for s in column] == [[60.0, 120.0]] * 3
+        assert [s.values().tolist() for s in column] == [
+            [1.0, 3.0],
+            [2.5, 4.0],
+            [-0.0, 5.0],
+        ]
+        assert all(type(v) is float for s in column for v in s._values)
+
+    @pytest.mark.parametrize("late", [0, 1, 2])
+    def test_backwards_point_anywhere_in_the_column_raises(self, late):
+        column = [Series("app.a.power_w"), Series("app.b.power_w"), Series("c")]
+        Series.append_column(column, 60.0, [1.0, 2.0, 3.0])
+        column[late].append(180.0, 9.0)
+        with pytest.raises(TraceError) as info:
+            Series.append_column(column, 120.0, [4.0, 5.0, 6.0])
+        assert f"series {column[late].name!r}" in str(info.value)
+        assert "non-monotonic append (120.0 after 180.0)" in str(info.value)
+        # Checked before written: no series of the column took the point.
+        assert [len(s) for s in column] == [2 if i == late else 1 for i in range(3)]
+
+    def test_equal_times_allowed(self):
+        column = [Series("a")]
+        Series.append_column(column, 60.0, [1.0])
+        Series.append_column(column, 60.0, [2.0])
+        assert column[0].values().tolist() == [1.0, 2.0]
+
+    def test_cached_arrays_refresh_after_column_append(self):
+        series = Series("s")
+        Series.append_column([series], 0.0, [1.0])
+        times, values = series.times(), series.values()
+        assert series.times() is times and series.values() is values
+        Series.append_column([series], 60.0, [2.0])
+        assert series.times().tolist() == [0.0, 60.0]
+        assert series.values().tolist() == [1.0, 2.0]
+        assert times.tolist() == [0.0] and values.tolist() == [1.0]
+        series.append(120.0, 3.0)
+        assert series.values().tolist() == [1.0, 2.0, 3.0]
+        assert not series.values().flags.writeable

@@ -174,9 +174,3 @@ class TestBookkeeping:
         ves = make_ves()
         with pytest.raises(ValueError):
             ves.settle(-1.0, 200.0, 0.0, HOUR)
-
-    def test_last_settlement_stored(self):
-        ves = make_ves()
-        ves.update_solar(5.0)
-        s = ves.settle(1.0, 200.0, 0.0, HOUR)
-        assert ves.last_settlement is s
