@@ -845,6 +845,10 @@ class Ecovisor:
     @columnar.setter
     def columnar(self, enabled: bool) -> None:
         if enabled:
+            # No dirty mark here: a new FleetArrays starts dirty and the
+            # off branch below marks it, so enabling an already columnar
+            # ecovisor (every engine.run call does) keeps its layout and
+            # its buffered telemetry until a membership or share change.
             if self._fleet is None:
                 self._fleet = FleetArrays()
             if not self._flush_hooks_installed:
@@ -855,7 +859,6 @@ class Ecovisor:
                 self._ledger.set_flush_hook(self._flush_pending)
                 self._flush_hooks_installed = True
             self._columnar = True
-            self._fleet.dirty = True
             return
         if not self._columnar:
             return

@@ -14,9 +14,10 @@ Three design rules keep the gateway from perturbing the simulation:
   clients interleave exactly like a thousand sequential ones and tick
   determinism is preserved (pinned by the gateway parity tests).
 - **Shared snapshots.**  ``GET /v1/apps/{app}/state`` is served from a
-  per-tick response cache: the first poller after a tick pays one
-  dispatch + one serialization; everyone else gets the same bytes, and
-  ``If-None-Match`` hits never leave the event loop.
+  per-tick response cache: the first poller after a tick (or after a
+  write to that tenant) pays one dispatch + one serialization; everyone
+  else gets the same bytes, and ``If-None-Match`` hits never leave the
+  event loop.
 - **Push, not poll.**  ``GET /v1/apps/{app}/events/stream`` streams the
   event journal over Server-Sent Events with heartbeats,
   ``Last-Event-ID`` resume mapped to journal cursors, and bounded

@@ -7,11 +7,25 @@ the sync layer's own strong ETag, so repeat polls — and especially
 ``If-None-Match`` revalidations — are served straight from the event
 loop without ever touching the writer thread.
 
-Coherence comes from the tick driver: :meth:`invalidate` is called on
-the event loop after every completed tick step (and after any mutating
-dispatch), dropping all entries.  A miss populates the cache through a
-single-flight future, so N simultaneous cold pollers still cost one
-dispatch.
+Coherence comes from two drops, both called on the event loop once the
+change they follow has run on the writer:
+
+- :meth:`invalidate` drops every entry.  The tick driver calls it after
+  every completed tick step, and the gateway after every admin write or
+  other non-GET outside ``/v1/apps/{app}/``.
+- :meth:`invalidate_app` drops one tenant's entry.  The gateway calls it
+  after a non-GET to ``/v1/apps/{app}/…``: every such write is
+  ownership-checked to its own tenant, so it cannot change what another
+  tenant's state route answers.
+
+A miss populates the cache through a single-flight future, so N
+simultaneous cold pollers still cost one dispatch.  A drop also
+discards the builds of what it drops that are still in flight: their
+result reaches the callers already waiting on them but is not stored,
+and the next reader starts a fresh build.
+
+The cache keeps plain integer counts of hits, populates and both kinds
+of drop; the gateway exports them as collect-time counters.
 """
 
 from __future__ import annotations
@@ -34,16 +48,24 @@ class SnapshotCache:
     """App-keyed response cache with single-flight population.
 
     All methods run on the event loop; the cache holds no locks and
-    never touches the simulation.
+    never touches the simulation.  Entries are keyed on the raw
+    ``{app}`` path segment (the router does not percent-decode either).
     """
 
     def __init__(self):
         self._entries: Dict[str, CacheEntry] = {}
         self._inflight: Dict[str, "asyncio.Future[Optional[CacheEntry]]"] = {}
-        #: Lifetime counters, exposed through the gateway's metrics.
+        #: Lifetime counters, exposed through the gateway's metrics:
+        #: requests served from an entry, builds run, full drops, and
+        #: single-tenant drops.
+        self.hits = 0
+        self.populates = 0
         self.invalidations = 0
+        self.tenant_invalidations = 0
 
     def get(self, app_name: str) -> Optional[CacheEntry]:
+        """The cached entry for ``app_name`` (a pure lookup: the caller
+        that serves the entry counts the hit)."""
         return self._entries.get(app_name)
 
     async def populate(
@@ -56,9 +78,11 @@ class SnapshotCache:
         ``build`` dispatches through the writer thread and returns the
         new entry, or ``None`` for responses that must not be cached
         (errors); concurrent callers await the same in-flight build.
-        The built entry is only stored if no :meth:`invalidate` landed
-        while the build was in flight, so a response computed against
-        tick N can never be served after tick N+1 completes.
+        The built entry is only stored if neither :meth:`invalidate` nor
+        this app's :meth:`invalidate_app` landed while the build was in
+        flight, so a response computed against tick N can never be
+        stored after tick N+1 completes, nor one computed before a write
+        after that write.
         """
         entry = self._entries.get(app_name)
         if entry is not None:
@@ -69,7 +93,7 @@ class SnapshotCache:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Optional[CacheEntry]]" = loop.create_future()
         self._inflight[app_name] = future
-        generation = self.invalidations
+        self.populates += 1
         try:
             entry = await build()
         except BaseException as exc:
@@ -79,14 +103,24 @@ class SnapshotCache:
             future.exception()
             raise
         finally:
-            if self._inflight.get(app_name) is future:
+            # A drop unregisters the in-flight future, so still finding
+            # it here means no drop of this app landed during the build.
+            current = self._inflight.get(app_name) is future
+            if current:
                 del self._inflight[app_name]
         future.set_result(entry)
-        if entry is not None and generation == self.invalidations:
+        if entry is not None and current:
             self._entries[app_name] = entry
         return entry
 
     def invalidate(self) -> None:
-        """Drop every entry (a tick completed or state was mutated)."""
+        """Drop every entry (a tick completed or shared state changed)."""
         self.invalidations += 1
         self._entries.clear()
+        self._inflight.clear()
+
+    def invalidate_app(self, app_name: str) -> None:
+        """Drop one tenant's entry (a write scoped to that tenant ran)."""
+        self.tenant_invalidations += 1
+        self._entries.pop(app_name, None)
+        self._inflight.pop(app_name, None)

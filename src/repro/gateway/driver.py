@@ -11,10 +11,18 @@ so a run under load interleaves as
 exactly like a single-threaded program.  Stepwise ``run(1)`` is
 byte-identical to one ``run(N)``: the engine primes its signal cache
 per call from ``(clock.tick_index + arange(n)) * dt``, the same
-arithmetic either way (pinned by the gateway determinism test).
+arithmetic either way (pinned by the gateway determinism test and the
+stepwise parity suite).
+
+A step also costs what a tick inside ``run(N)`` costs.  The columnar
+fleet keeps its layout across calls and re-derives it only after an
+admission, eviction or share change.  The buffered telemetry is
+written back at the first ledger or database read (an admin admission
+or eviction, a Table 2 library query), not once per step; the
+``telemetry_pending_records`` gauge shows the backlog.
 
 After each tick the driver pumps the stream broker (on the writer
-thread) and invalidates the snapshot cache (back on the event loop, so
+thread) and drops the whole snapshot cache (back on the event loop, so
 ``await driver.step()`` guarantees the next poll sees the new tick).
 """
 

@@ -13,10 +13,12 @@ Request flow:
   handler execution interleaves with tick steps in a deterministic
   serial order.
 
-Mutating dispatches (any non-GET) invalidate the snapshot cache, and
-every writer-thread task ends with a broker pump, so SSE subscribers
-see admin-driven events (eviction, share changes) without waiting for
-the next tick.
+Mutating dispatches (any non-GET) invalidate the snapshot cache: a
+write to ``/v1/apps/{app}/...`` drops only that tenant's entry, and
+any other (admin writes included) drops every entry.  Every
+writer-thread task ends with a broker pump, so SSE subscribers see
+admin-driven events (eviction, share changes) without waiting for the
+next tick.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.core.ecovisor import Ecovisor
 from repro.core.errors import UnknownApplicationError
@@ -55,9 +57,7 @@ from repro.rest.server import (
 
 T = TypeVar("T")
 
-_STATE_PREFIX = "/v1/apps/"
-_STATE_SUFFIX = "/state"
-_STREAM_SUFFIX = "/events/stream"
+_APPS_PREFIX = "/v1/apps/"
 
 #: Response headers of an SSE stream (no Content-Length: the stream
 #: ends with the connection).
@@ -69,14 +69,17 @@ _SSE_HEAD = (
 )
 
 
-def _route_app(path: str, prefix: str, suffix: str) -> Optional[str]:
-    """The ``{app}`` segment if ``path`` is ``prefix{app}suffix``."""
-    if not (path.startswith(prefix) and path.endswith(suffix)):
-        return None
-    app = path[len(prefix) : len(path) - len(suffix)]
-    if not app or "/" in app:
-        return None
-    return app
+def _route_tenant(path: str) -> Tuple[Optional[str], str]:
+    """``(app, rest)`` if ``path`` is ``/v1/apps/{app}/{rest}``.
+
+    ``app`` is the raw segment, as the router matches it (neither
+    percent-decodes); any other path gives ``(None, "")``.
+    """
+    if path.startswith(_APPS_PREFIX):
+        app, slash, rest = path[len(_APPS_PREFIX) :].partition("/")
+        if app and slash:
+            return app, rest
+    return None, ""
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,27 @@ class GatewayServer:
             "gateway_sse_queue_dropped_total",
             "Events dropped on full per-connection SSE queues.",
         )
+        cache = self._cache
+        metrics.counter_fn(
+            "gateway_snapshot_cache_hits_total",
+            "State GETs answered from a cached snapshot, with no build.",
+            lambda: cache.hits,
+        )
+        metrics.counter_fn(
+            "gateway_snapshot_cache_populates_total",
+            "Snapshot builds the cache dispatched to the writer thread.",
+            lambda: cache.populates,
+        )
+        metrics.counter_fn(
+            "gateway_snapshot_cache_invalidations_total",
+            "Drops of every cached snapshot (tick steps, admin writes).",
+            lambda: cache.invalidations,
+        )
+        metrics.counter_fn(
+            "gateway_snapshot_cache_tenant_invalidations_total",
+            "Drops of one tenant's cached snapshot (tenant-scoped writes).",
+            lambda: cache.tenant_invalidations,
+        )
         self._broker = StreamBroker(
             ecovisor,
             queue_size=self._config.queue_size,
@@ -203,7 +227,8 @@ class GatewayServer:
 
     async def run_on_writer(self, fn: Callable[..., T], *args: Any) -> T:
         """Run ``fn`` on the single writer thread and await its result."""
-        assert self._loop is not None, "gateway not started"
+        if self._loop is None:
+            raise RuntimeError("gateway not started")
         return await self._loop.run_in_executor(
             self._executor, functools.partial(fn, *args)
         )
@@ -253,21 +278,26 @@ class GatewayServer:
             if request is None:
                 return
             path, _query = split_target(request.target)
-            stream_app = _route_app(path, _STATE_PREFIX, _STREAM_SUFFIX)
-            if stream_app is not None and request.method == "GET":
-                await self._serve_stream(stream_app, request, writer)
+            app, rest = _route_tenant(path)
+            if rest == "events/stream" and request.method == "GET":
+                await self._serve_stream(app, request, writer)
                 return  # the stream consumes the rest of the connection
-            payload = await self._respond(request, path)
+            payload = await self._respond(request, app, rest)
             writer.write(payload)
             await writer.drain()
             if not request.keep_alive:
                 return
 
-    async def _respond(self, request: HttpRequest, path: str) -> bytes:
-        """Rendered response bytes for one non-stream request."""
-        state_app = _route_app(path, _STATE_PREFIX, _STATE_SUFFIX)
-        if state_app is not None and request.method == "GET":
-            cached = await self._serve_state(state_app, request)
+    async def _respond(
+        self, request: HttpRequest, app: Optional[str], rest: str
+    ) -> bytes:
+        """Rendered response bytes for one non-stream request.
+
+        ``app`` and ``rest`` split a ``/v1/apps/{app}/{rest}`` path
+        (``app`` is None for any other path).
+        """
+        if rest == "state" and request.method == "GET":
+            cached = await self._serve_state(app, request)
             if cached is not None:
                 return cached
         try:
@@ -279,9 +309,14 @@ class GatewayServer:
             dict(request.headers),
         )
         if request.method != "GET":
-            # Mutations (powercaps, admissions, evictions) can change
-            # what the state route answers; drop cached snapshots.
-            self._cache.invalidate()
+            # Mutations can change what the state route answers.  A
+            # tenant route's handlers act only on the tenant it names,
+            # so its write drops that tenant's snapshot; admin writes
+            # (admissions, evictions, shares) drop every snapshot.
+            if app is None:
+                self._cache.invalidate()
+            else:
+                self._cache.invalidate_app(app)
         return self._render(response)
 
     def _dispatch_on_writer(
@@ -322,9 +357,12 @@ class GatewayServer:
         handler error) — the caller falls back to a generic dispatch so
         the error response carries the sync layer's exact body.
         """
-        entry = self._cache.get(app_name)
-        if entry is None:
-            entry = await self._cache.populate(
+        cache = self._cache
+        entry = cache.get(app_name)
+        if entry is not None:
+            cache.hits += 1
+        else:
+            entry = await cache.populate(
                 app_name, functools.partial(self._build_state_entry, app_name)
             )
             if entry is None:
@@ -338,7 +376,7 @@ class GatewayServer:
     async def _build_state_entry(self, app_name: str) -> Optional[CacheEntry]:
         response = await self.run_on_writer(
             self._dispatch_on_writer,
-            "GET", f"{_STATE_PREFIX}{app_name}{_STATE_SUFFIX}", None, {},
+            "GET", f"{_APPS_PREFIX}{app_name}/state", None, {},
         )
         if response.status != 200 or response.etag is None:
             return None

@@ -36,11 +36,19 @@ tenants' series and accounts after drawn ticks (on both paths), so the
 write-back runs in batches from one record to most of the run, across
 dense-cache refreshes, container-cache rebuilds and battery full/empty
 edges; the reads themselves are compared too.
+
+A third set steps the production path one ``run(1)`` at a time, as
+``repro serve`` does, with drawn API and lifecycle writes between the
+steps, and compares it with one ``run(N)`` making the same writes from
+an observer and with the object path.  Its last cases pin what a step
+costs: a step re-lays the fleet out only after a membership or share
+change, and writes nothing back until a store is read.
 """
 
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -48,8 +56,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.container import reset_container_id_counter
-from repro.core.errors import InsufficientResourcesError
+from repro.core.api import connect
+from repro.core.config import ShareConfig
+from repro.core.errors import EcovisorError, InsufficientResourcesError
 from repro.core.events import BatteryEmptyEvent, BatteryFullEvent
+from repro.policies import CarbonAgnosticPolicy
 from repro.sim.fleet import (
     POLICY_MIXES,
     build_churn_fleet,
@@ -57,6 +68,7 @@ from repro.sim.fleet import (
     fleet_root_seed,
     run_fleet,
 )
+from repro.workloads.mltrain import MLTrainingJob
 
 # Small-but-varied fleets: large enough to mix all policy kinds, both
 # workload classes, and battery holders vs grid-only tenants; small
@@ -441,6 +453,265 @@ class TestForcedFlushParity:
             return collect_surfaces(fleet.ecovisor, states)
 
         _assert_identical(params, True, toggled(False), toggled(True), reads)
+
+
+#: Writes a client can make between ticks.  ``FleetArrays.refresh()``
+#: derives rows, solar fractions, solar-change thresholds, grid shares
+#: and the battery sub-fleet (capacity, floor, efficiencies, max
+#: rates); only admissions and evictions (``admit``, ``evict``) and
+#: staged share changes (``add_battery``, ``drop_battery``, which also
+#: move the solar fraction, threshold and grid share) change any of
+#: them.  The battery knobs, power caps and scaling are read afresh at
+#: every settle, so a step must not depend on a re-layout for those.
+WRITE_KINDS = (
+    "charge_rate",
+    "max_discharge",
+    "powercap",
+    "scale",
+    "add_battery",
+    "drop_battery",
+    "admit",
+    "evict",
+)
+
+WRITE_PLANS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=35),  # after this tick
+        st.sampled_from(WRITE_KINDS),
+        st.integers(min_value=0, max_value=255),  # target tenant
+        st.floats(min_value=0.0, max_value=60.0),  # watts, or a count
+    ),
+    max_size=12,
+)
+
+
+def _apply_write(fleet, tick_index, kind, target, value, serial):
+    """Make one drawn write after tick ``tick_index``; returns its outcome.
+
+    Targets are picked from the live tenants by index, so all three
+    runs of a plan pick the same tenant as long as they agree.  A
+    rejected write (an oversubscribed share, a full cluster) is part of
+    the outcome and must be rejected alike.
+    """
+    engine, ecovisor = fleet.engine, fleet.ecovisor
+    names = ecovisor.app_names()
+    holders = [n for n in names if ecovisor.ves_for(n).battery is not None]
+    settled = [n for n in names if ecovisor.pending_share(n) is None]
+    pools = {
+        "charge_rate": holders,
+        "max_discharge": holders,
+        "add_battery": [n for n in settled if n not in holders],
+        "drop_battery": [n for n in settled if n in holders],
+    }
+    pool = pools.get(kind, names)
+    if kind == "admit":
+        name = f"step-{serial:03d}"
+    elif pool:
+        name = pool[target % len(pool)]
+    else:
+        return [kind, None, "skipped"]
+    api = connect(ecovisor, name) if ecovisor.has_app(name) else None
+    try:
+        if kind == "charge_rate":
+            api.set_battery_charge_rate(value)
+        elif kind == "max_discharge":
+            api.set_battery_max_discharge(value)
+        elif kind == "powercap":
+            containers = ecovisor.containers_for(name)
+            if not containers:
+                return [kind, name, "skipped"]
+            cid = containers[target % len(containers)].id
+            api.set_container_powercap(cid, value if value >= 1.0 else None)
+        elif kind == "scale":
+            api.scale_to(int(value) % 3, 1.0)
+        elif kind == "add_battery":
+            ecovisor.set_share(
+                name,
+                ShareConfig(
+                    solar_fraction=0.01, battery_fraction=0.01, grid_power_w=math.inf
+                ),
+            )
+        elif kind == "drop_battery":
+            ecovisor.set_share(name, ShareConfig(grid_power_w=value + 20.0))
+        elif kind == "admit":
+            engine.schedule_admission(
+                tick_index + 1,
+                MLTrainingJob(name=name, total_work_units=600.0 + 60.0 * value),
+                ShareConfig(grid_power_w=math.inf),
+                CarbonAgnosticPolicy(workers=1),
+            )
+        else:
+            engine.schedule_eviction(tick_index + 1, name)
+    except EcovisorError as exc:
+        return [kind, name, f"{type(exc).__name__}: {exc}"]
+    return [kind, name, "ok"]
+
+
+def _capture_with_writes(params, mode, plan, churn=False):
+    """Every surface of one run making ``plan``'s writes between ticks.
+
+    ``mode`` is ``"stepwise"`` (production path, one ``run(1)`` per
+    tick, writes between the calls), ``"run"`` (production path, one
+    ``run(N)``, writes from an observer) or ``"objects"`` (the same on
+    the reference path).  The ledger is read once mid-run.
+    """
+    ticks = int(params["ticks"])
+    fleet = _build(params, batched=mode != "objects", churn=churn)
+    states = _observe(fleet, {"at": [ticks // 2], "tenants": [0, 3]})
+    due = {}
+    for write in plan:
+        due.setdefault(write[0], []).append(write)
+    outcomes = []
+
+    def write_after(tick_index):
+        for _, kind, target, value in due.get(tick_index, ()):
+            outcomes.append(
+                _apply_write(fleet, tick_index, kind, target, value, len(outcomes))
+            )
+
+    try:
+        if mode == "stepwise":
+            for tick_index in range(ticks):
+                assert fleet.engine.run(1) == 1
+                write_after(tick_index)
+        else:
+            fleet.engine.add_observer(lambda tick: write_after(tick.index))
+            fleet.engine.run(ticks)
+    except InsufficientResourcesError:
+        # A policy's scale-up found the little cluster full: a capacity
+        # limit of the drawn plan, not a parity property.
+        assume(False)
+    capture = collect_surfaces(fleet.ecovisor, states)
+    capture["writes"] = outcomes
+    return capture
+
+
+def _assert_stepwise_parity(params, plan, churn=False):
+    stepwise = _capture_with_writes(params, "stepwise", plan, churn)
+    for mode in ("run", "objects"):
+        other = _capture_with_writes(params, mode, plan, churn)
+        _assert_identical(params, churn, stepwise, other, {"writes": plan})
+    return stepwise
+
+
+#: Committed plans that make every kind of write at least once.
+STEPWISE_STATIC = {"apps": 12, "ticks": 30, "seed": 2023, "mix": "balanced"}
+STEPWISE_CHURN = {
+    "apps": 8,
+    "ticks": 24,
+    "seed": 2023,
+    "mix": "balanced",
+    "admit_rate": 0.8,
+    "evict_rate": 0.25,
+}
+STEPWISE_PLAN = [
+    (1, "charge_rate", 0, 25.0),
+    (2, "max_discharge", 1, 3.5),
+    (3, "powercap", 2, 9.0),
+    (3, "scale", 4, 2.0),
+    (5, "add_battery", 1, 0.0),
+    (5, "drop_battery", 0, 10.0),
+    (6, "admit", 0, 4.0),
+    (6, "evict", 5, 0.0),
+    (8, "charge_rate", 1, 40.0),
+    (9, "scale", 3, 0.0),
+    (12, "add_battery", 2, 0.0),
+    (12, "admit", 0, 1.0),
+    (13, "drop_battery", 3, 5.0),
+    (16, "evict", 0, 0.0),
+]
+
+
+class TestStepwiseParity:
+    """``run(1)`` per tick with writes between steps == ``run(N)``."""
+
+    @settings(max_examples=5, **_SETTINGS)
+    @given(params=FLEET_PARAMS, plan=WRITE_PLANS)
+    @example(params=STEPWISE_STATIC, plan=STEPWISE_PLAN)
+    def test_static_fleet_surfaces_byte_identical(self, params, plan):
+        _assert_stepwise_parity(params, plan)
+
+    @settings(max_examples=5, **_SETTINGS)
+    @given(params=CHURN_PARAMS, plan=WRITE_PLANS)
+    @example(params=STEPWISE_CHURN, plan=STEPWISE_PLAN)
+    def test_churn_fleet_surfaces_byte_identical(self, params, plan):
+        _assert_stepwise_parity(params, plan, churn=True)
+
+    def test_committed_plan_makes_every_write(self):
+        """The committed examples drive every path that changes what
+        ``refresh()`` derives, and every per-settle knob."""
+        for params, churn in ((STEPWISE_STATIC, False), (STEPWISE_CHURN, True)):
+            outcomes = _capture_with_writes(params, "stepwise", STEPWISE_PLAN, churn)
+            made = {kind for kind, _, result in outcomes["writes"] if result == "ok"}
+            assert made == set(WRITE_KINDS), (churn, outcomes["writes"])
+
+
+class TestStepwiseLayout:
+    """A step re-lays the fleet out only when the fleet changed."""
+
+    @staticmethod
+    def _scraped(ecovisor, name):
+        return sum(sample[2] for sample in ecovisor.metrics.get(name).samples())
+
+    def test_static_steps_keep_layout_and_buffer(self):
+        fleet = _build({"apps": 50, "ticks": 301, "seed": 2023, "mix": "balanced"}, True)
+        engine, ecovisor = fleet.engine, fleet.ecovisor
+        engine.run(1)
+        epoch = ecovisor._fleet.epoch
+        flushed = self._scraped(ecovisor, "telemetry_flush_records_total")
+        for _ in range(300):
+            engine.run(1)
+        assert ecovisor._fleet.epoch == epoch
+        assert self._scraped(ecovisor, "telemetry_flush_records_total") == flushed
+        assert self._scraped(ecovisor, "telemetry_pending_records") == 301
+        # The first read writes every stepwise record back in one batch.
+        batches = []
+        write_back = ecovisor.ledger.write_back
+
+        def spy(names, records):
+            batches.append(len(records))
+            write_back(names, records)
+
+        ecovisor.ledger.write_back = spy
+        assert ecovisor.ledger.account("fleet-0000").settlements
+        assert batches == [301]
+        assert self._scraped(ecovisor, "telemetry_flush_records_total") == 301
+
+    def test_changes_between_steps_cost_one_refresh(self):
+        fleet = _build(STEPWISE_STATIC, batched=True)
+        engine, ecovisor = fleet.engine, fleet.ecovisor
+
+        def refreshes():
+            before = ecovisor._fleet.epoch
+            assert engine.run(1) == 1
+            return ecovisor._fleet.epoch - before
+
+        engine.run(1)
+        assert ecovisor._fleet.epoch == 1  # a new fleet starts dirty
+        assert refreshes() == 0
+        holder, other, evicted = "fleet-0000", "fleet-0001", "fleet-0002"
+        ecovisor.set_share(holder, ShareConfig(grid_power_w=50.0))
+        assert refreshes() == 1
+        assert refreshes() == 0
+        tick = engine.clock.tick_index
+        engine.schedule_admission(
+            tick,
+            MLTrainingJob(name="step-new", total_work_units=600.0),
+            ShareConfig(grid_power_w=math.inf),
+            CarbonAgnosticPolicy(workers=1),
+        )
+        engine.schedule_eviction(tick, evicted)
+        ecovisor.set_share(
+            other,
+            ShareConfig(
+                solar_fraction=0.01, battery_fraction=0.01, grid_power_w=math.inf
+            ),
+        )
+        assert refreshes() == 1
+        assert refreshes() == 0
+        ecovisor.evict_app("step-new")
+        assert refreshes() == 1
+        assert refreshes() == 0
 
 
 class TestFleetDeterminism:

@@ -12,6 +12,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.client import EcovisorAdminClient, EcovisorClient, HttpTransport
 from repro.core.errors import UnknownApplicationError
@@ -40,6 +42,34 @@ async def start_gateway(queue_size: int = 256):
 
 def counter_value(ecovisor, name: str) -> float:
     return ecovisor.metrics.get(name).value
+
+
+async def exchange(reader, writer, method, path, body=None, headers=None):
+    """One request on a kept-alive connection; the raw response bytes."""
+    payload = b"" if body is None else json.dumps(body).encode()
+    head = f"{method} {path} HTTP/1.1\r\nHost: gw\r\n"
+    for name, value in (headers or {}).items():
+        head += f"{name}: {value}\r\n"
+    if payload:
+        head += f"Content-Length: {len(payload)}\r\n"
+    writer.write(head.encode() + b"\r\n" + payload)
+    await writer.drain()
+    raw = await reader.readuntil(b"\r\n\r\n")
+    length = 0
+    for line in raw.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return raw + await reader.readexactly(length)
+
+
+def response_etag(raw: bytes):
+    """The ``ETag`` header of a raw response, or None."""
+    for line in raw.split(b"\r\n\r\n")[0].split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"etag":
+            return value.strip().decode()
+    return None
 
 
 class TestSnapshotCaching:
@@ -146,6 +176,191 @@ class TestSnapshotCaching:
                 await gateway.stop()
 
         run(scenario())
+
+
+#: Tenant-scoped writes: (method, path suffix, body from a drawn value).
+TENANT_WRITES = {
+    "charge_rate": ("POST", "battery/charge_rate", lambda v: {"watts": v}),
+    "max_discharge": ("POST", "battery/max_discharge", lambda v: {"watts": v}),
+    "scale": ("POST", "scale", lambda v: {"count": int(v) % 3}),
+    "launch": ("POST", "containers", lambda v: {"cores": 1.0}),
+}
+
+#: Tenants an operation may name, by index: the fleet's four and three
+#: unregistered names, which a drawn admission may register.
+TENANTS = (
+    "fleet-0000",
+    "fleet-0001",
+    "fleet-0002",
+    "fleet-0003",
+    "ghost",
+    "extra-0",
+    "extra-1",
+)
+
+TENANT = st.integers(min_value=0, max_value=len(TENANTS) - 1)
+CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("tick")),
+        st.tuples(
+            st.just("write"),
+            TENANT,
+            st.sampled_from(sorted(TENANT_WRITES)),
+            st.floats(min_value=0.0, max_value=40.0),
+        ),
+        st.tuples(
+            st.just("admin"), TENANT, st.sampled_from(("share", "admit", "evict"))
+        ),
+        st.tuples(st.just("get"), TENANT, st.booleans()),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+async def coherence_run(ops):
+    """Apply ``ops`` to a live gateway; returns (op, served, fresh) triples.
+
+    Each state GET's bytes, as served (from the cache or not), are
+    paired with the bytes of the same GET dispatched fresh through the
+    sync REST server on the writer right after it.
+    """
+    env, gateway, driver, _ = await start_gateway()
+    reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+    etags = {}
+    pairs = []
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == "tick":
+                await driver.step()
+                continue
+            app = TENANTS[op[1]]
+            if kind == "get":
+                path = f"/v1/apps/{app}/state"
+                headers = {}
+                if op[2] and app in etags:
+                    headers["If-None-Match"] = etags[app]
+                served = await exchange(reader, writer, "GET", path, None, headers)
+                fresh = await gateway.run_on_writer(
+                    gateway.rest.request, "GET", path, None, headers
+                )
+                pairs.append((op, served, gateway._render(fresh)))
+                etag = response_etag(served)
+                if etag is not None:
+                    etags[app] = etag
+                continue
+            if kind == "write":
+                method, suffix, body = TENANT_WRITES[op[2]]
+                path, payload = f"/v1/apps/{app}/{suffix}", body(op[3])
+            elif op[2] == "admit":
+                method, path = "POST", "/v1/admin/apps"
+                payload = {"name": app, "grid_power_w": 100.0}
+            elif op[2] == "evict":
+                method, path, payload = "DELETE", f"/v1/admin/apps/{app}", None
+            else:
+                method, path = "PATCH", f"/v1/admin/apps/{app}"
+                payload = {"grid_power_w": 10.0 + op[1]}
+            await exchange(reader, writer, method, path, payload)
+        return pairs
+    finally:
+        writer.close()
+        await gateway.stop()
+
+
+class TestCacheCoherence:
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=CACHE_OPS)
+    @example(
+        ops=[
+            # Before the first tick a snapshot is built on demand, so a
+            # tenant's own writes change what its state route answers.
+            ("get", 0, False),
+            ("get", 1, False),
+            ("write", 0, "scale", 2.0),
+            ("get", 0, False),
+            ("get", 1, False),  # another tenant's write keeps this entry
+            ("write", 4, "max_discharge", 3.0),  # an unknown tenant
+            ("get", 4, False),
+            ("get", 0, True),
+            ("tick",),
+            ("get", 0, False),
+            ("write", 0, "charge_rate", 12.0),
+            ("get", 0, True),
+            ("get", 2, False),
+            ("admin", 1, "share"),
+            ("get", 1, True),
+            ("admin", 2, "evict"),  # an admin write drops every entry
+            ("get", 2, False),
+            # An admitted tenant has no snapshot until the next tick.
+            ("admin", 5, "admit"),
+            ("get", 5, False),
+            ("write", 5, "launch", 0.0),
+            ("get", 5, False),
+            ("tick",),
+            ("get", 5, True),
+            ("get", 3, True),
+        ]
+    )
+    def test_cached_bytes_equal_a_fresh_dispatch(self, ops):
+        for op, served, fresh in run(coherence_run(ops)):
+            assert served == fresh, op
+
+
+class TestCacheCounters:
+    def test_scrape_exports_hits_populates_and_drops(self):
+        async def scenario():
+            env, gateway, driver, app = await start_gateway()
+            other = sorted(env.ecovisor.app_shares())[1]
+            transport = HttpTransport("127.0.0.1", gateway.port)
+
+            def get(name, etag=None):
+                headers = {"If-None-Match": etag} if etag else None
+                return asyncio.to_thread(
+                    transport.request, "GET", f"/v1/apps/{name}/state", None, headers
+                )
+
+            try:
+                await driver.step()
+                first = await get(app)  # populate
+                assert (await get(app, first.etag)).status == 304  # hit
+                await get(other)  # populate
+                for tenant, status in ((app, 200), ("ghost", 404)):
+                    written = await asyncio.to_thread(
+                        transport.request,
+                        "POST",
+                        f"/v1/apps/{tenant}/battery/charge_rate",
+                        {"watts": 5.0},
+                    )
+                    assert written.status == status
+                    await get(other)  # hit: another tenant's write
+                await get(app)  # populate: its own write dropped it
+                await driver.step()
+                await get(app)  # populate
+                scrape = await asyncio.to_thread(
+                    transport.request, "GET", "/v1/metrics"
+                )
+            finally:
+                transport.close()
+                await gateway.stop()
+            return scrape.body
+
+        text = run(scenario())
+        values = {}
+        for line in text.splitlines():
+            name, _, value = line.partition(" ")
+            if name.startswith("gateway_snapshot_cache_"):
+                values[name] = float(value)
+        assert values == {
+            "gateway_snapshot_cache_hits_total": 3.0,
+            "gateway_snapshot_cache_populates_total": 4.0,
+            "gateway_snapshot_cache_invalidations_total": 2.0,
+            "gateway_snapshot_cache_tenant_invalidations_total": 2.0,
+        }
 
 
 class TestHttpSurface:

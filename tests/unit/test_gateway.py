@@ -16,7 +16,7 @@ from repro.gateway.http import (
     render_response,
     split_target,
 )
-from repro.gateway.server import _route_app
+from repro.gateway.server import GatewayServer, _route_tenant
 from repro.gateway.sse import (
     HEARTBEAT_FRAME,
     StreamBroker,
@@ -24,6 +24,7 @@ from repro.gateway.sse import (
     Subscriber,
     format_sse_event,
 )
+from repro.sim.fleet import build_fleet
 
 
 def run(coro):
@@ -125,14 +126,19 @@ class TestHttpParsing:
 
 class TestRoutePatterns:
     def test_state_route_app_extraction(self):
-        assert _route_app("/v1/apps/web/state", "/v1/apps/", "/state") == "web"
-        assert _route_app("/v1/apps/web/solar", "/v1/apps/", "/state") is None
-        assert _route_app("/v1/apps/a/b/state", "/v1/apps/", "/state") is None
-        assert _route_app("/v1/apps//state", "/v1/apps/", "/state") is None
+        assert _route_tenant("/v1/apps/web/state") == ("web", "state")
+        assert _route_tenant("/v1/apps/web/solar") == ("web", "solar")
+        assert _route_tenant("/v1/apps/a/b/state") == ("a", "b/state")
+        assert _route_tenant("/v1/apps//state") == (None, "")
+        # Writes are scoped by the same split; the segment stays raw.
+        path = "/v1/apps/we%2Fb/battery/charge_rate"
+        assert _route_tenant(path) == ("we%2Fb", "battery/charge_rate")
+        assert _route_tenant("/v1/apps/web") == (None, "")
+        assert _route_tenant("/v1/admin/apps/web") == (None, "")
 
     def test_stream_route_app_extraction(self):
         path = "/v1/apps/web/events/stream"
-        assert _route_app(path, "/v1/apps/", "/events/stream") == "web"
+        assert _route_tenant(path) == ("web", "events/stream")
 
 
 class TestSseFraming:
@@ -422,3 +428,89 @@ class TestSnapshotCache:
             return cache.get("a")
 
         assert run(scenario()) is None
+
+    def test_invalidate_app_drops_only_its_tenant(self):
+        async def scenario():
+            cache = SnapshotCache()
+
+            async def build():
+                return CacheEntry("e", b"fresh", b"304")
+
+            for app in ("a", "b"):
+                await cache.populate(app, build)
+            cache.invalidate_app("a")
+            cache.invalidate_app("ghost")  # unknown tenants are a no-op
+            return cache
+
+        cache = run(scenario())
+        assert cache.get("a") is None
+        assert cache.get("b") is not None
+        assert cache.tenant_invalidations == 2
+        assert cache.invalidations == 0
+
+    def test_own_tenant_drop_during_build_discards_entry(self):
+        async def scenario():
+            cache = SnapshotCache()
+
+            async def build():
+                cache.invalidate_app("a")  # a write to "a" lands mid-build
+                return CacheEntry("e", b"fresh", b"304")
+
+            entry = await cache.populate("a", build)
+            return entry, cache.get("a")
+
+        entry, cached = run(scenario())
+        assert entry is not None  # the waiting caller still gets it
+        assert cached is None
+
+    def test_other_tenant_drop_during_build_keeps_entry(self):
+        async def scenario():
+            cache = SnapshotCache()
+
+            async def build():
+                cache.invalidate_app("b")
+                return CacheEntry("e", b"fresh", b"304")
+
+            entry = await cache.populate("a", build)
+            return entry, cache.get("a")
+
+        entry, cached = run(scenario())
+        assert cached is entry
+
+    def test_reader_after_a_drop_starts_a_fresh_build(self):
+        async def scenario():
+            cache = SnapshotCache()
+            release = asyncio.Event()
+            built = []
+
+            async def build():
+                n = len(built) + 1
+                built.append(n)
+                if n == 1:
+                    await release.wait()
+                return CacheEntry(f"e{n}", b"fresh", b"304")
+
+            first = asyncio.ensure_future(cache.populate("a", build))
+            await asyncio.sleep(0)
+            cache.invalidate_app("a")
+            try:
+                # Joining the first build would wait for ever.
+                second = await asyncio.wait_for(cache.populate("a", build), 5)
+            finally:
+                release.set()
+            return await first, second, cache.get("a"), cache.populates
+
+        first, second, cached, populates = run(scenario())
+        assert (first.etag, second.etag) == ("e1", "e2")
+        assert cached is second  # the stale first build was not stored
+        assert populates == 2
+
+
+class TestGatewayLifecycle:
+    def test_run_on_writer_before_start_raises(self):
+        env = build_fleet({"apps": 2, "mix": "balanced", "seed": 1, "ticks": 4})
+        gateway = GatewayServer(env.ecovisor)
+        with pytest.raises(RuntimeError, match="gateway not started"):
+            run(gateway.run_on_writer(env.engine.run, 1))
+        assert env.engine.clock.tick_index == 0  # nothing ran
+        run(gateway.stop())
