@@ -43,9 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.carbon.service import CarbonIntensityService
 from repro.cluster.container import Container
@@ -71,7 +69,7 @@ from repro.core.events import (
     SolarChangeEvent,
     TickEvent,
 )
-from repro.core.fleetarrays import FleetArrays
+from repro.core.fleetarrays import FleetArrays, telemetry_frames
 from repro.core.journal import EventJournal, JournalPage
 from repro.core.signals import SignalBus
 from repro.core.state import BatteryState, EnergyState, RowEnergyState
@@ -85,22 +83,6 @@ from repro.telemetry.monitor import PowerMonitor
 from repro.telemetry.timeseries import Series, TimeSeriesDatabase
 
 TickCallback = Callable[[TickInfo, EnergyState], None]
-
-#: The ``app.<name>.*`` series the write-back fills for every tenant
-#: (in ``Ecovisor._write_series`` order; ``cost_usd`` only with a price
-#: signal attached) and for every battery holder.
-_TENANT_SERIES = (
-    "power_w",
-    "containers",
-    "carbon_g",
-    "grid_power_w",
-    "solar_used_wh",
-    "unmet_wh",
-    "carbon_rate_mg_s",
-)
-_MARKET_TENANT_SERIES = _TENANT_SERIES + ("cost_usd",)
-_BATTERY_SERIES = ("battery_soc", "battery_level_wh", "battery_power_w")
-
 
 @dataclass(slots=True)
 class _RegisteredApp:
@@ -182,15 +164,15 @@ class Ecovisor:
         self._columnar = False
         self._fleet: Optional[FleetArrays] = None
         self._phase_stamp = 0
-        self._flushing = False
         self._flush_hooks_installed = False
         self._container_carbon_series: Dict[str, Series] = {}
-        # Telemetry write-back (_flush_pending): series handles per
-        # tenant or container name and the columns built from them (see
-        # _columns), and the counters behind the telemetry_flush_*
-        # metrics.
-        self._series_handles: Dict[tuple, Dict[str, Tuple[Series, ...]]] = {}
-        self._series_columns: Dict[tuple, tuple] = {}
+        # Columnar write-back, split by store: tick records the ledger
+        # has taken (_flush_ledger) wait here for the first database
+        # read (_flush_database).  The counters back the
+        # ledger_write_back_* and telemetry_flush_* metrics.
+        self._telemetry_backlog: list = []
+        self._ledger_records = 0
+        self._ledger_seconds = 0.0
         self._flush_records = 0
         self._flush_seconds = 0.0
         # Control plane v1.1: per-app event journals backing the REST
@@ -341,19 +323,29 @@ class Ecovisor:
             lambda: self._fleet.capacity if self._fleet else 0,
         )
         registry.counter_fn(
+            "ledger_write_back_records_total",
+            "Columnar tick records written back to the carbon ledger.",
+            lambda: self._ledger_records,
+        )
+        registry.counter_fn(
+            "ledger_write_back_seconds_total",
+            "Seconds spent writing columnar tick records back to the ledger.",
+            lambda: self._ledger_seconds,
+        )
+        registry.counter_fn(
             "telemetry_flush_records_total",
-            "Columnar tick records written back to the database and ledger.",
+            "Columnar tick records written back to the time-series database.",
             lambda: self._flush_records,
         )
         registry.counter_fn(
             "telemetry_flush_seconds_total",
-            "Seconds spent writing columnar tick records back.",
+            "Seconds spent stacking columnar tick records into database frames.",
             lambda: self._flush_seconds,
         )
         registry.gauge_fn(
             "telemetry_pending_records",
-            "Columnar tick records buffered, not yet written back.",
-            lambda: len(self._fleet.pending) if self._fleet else 0,
+            "Columnar tick records not yet written back to the database.",
+            lambda: len(self._telemetry_backlog) + (len(self._fleet.pending) if self._fleet else 0),
         )
 
     def signal_bus_for(self, name: str) -> SignalBus:
@@ -853,10 +845,10 @@ class Ecovisor:
                 self._fleet = FleetArrays()
             if not self._flush_hooks_installed:
                 # Installed once and left in place: with no pending
-                # records the hook is one attribute check per read, so
-                # toggling the mode off does not need to tear it down.
-                self._db.set_flush_hook(self._flush_pending)
-                self._ledger.set_flush_hook(self._flush_pending)
+                # records a hook is two attribute checks per read, so
+                # toggling the mode off does not need to tear them down.
+                self._db.set_flush_hook(self._flush_database)
+                self._ledger.set_flush_hook(self._flush_ledger)
                 self._flush_hooks_installed = True
             self._columnar = True
             return
@@ -866,10 +858,11 @@ class Ecovisor:
         fleet = self._fleet
         if fleet is None:
             return
-        # Drain buffers and write the array-held per-tick readings back
+        # Drain both stores (the object path appends straight to cached
+        # series handles) and write the array-held per-tick readings back
         # into each app's VirtualEnergySystem so the object path resumes
         # from identical state.
-        self._flush_pending()
+        self._flush_database()
         for app in self._apps.values():
             if app.row >= 0:
                 app.ves.restore_tick_state(
@@ -883,98 +876,48 @@ class Ecovisor:
         fleet.dirty = True
         fleet.current_snap = None
 
-    def _flush_pending(self) -> None:
-        """Write buffered tick records back into the database and ledger.
+    def _flush_ledger(self) -> None:
+        """Write buffered tick records back into the carbon ledger only.
 
-        Installed as both stores' flush hook while columnar mode is (or
-        has been) on, so it runs inside whichever call first reads
-        either store; re-entrant calls (the write-back itself resolves
-        series handles) are cut off by the ``_flushing`` guard.  The
-        records go to the ledger as one batch
-        (:meth:`CarbonLedger.write_back`), and each metric of each
-        record reaches its series as one column append.
+        The ledger's flush hook, so it runs inside whichever call first
+        reads the ledger (``admit_app``/``evict_app`` reopen or finalize
+        an account, and ``FleetArrays.refresh`` writes back before it
+        re-lays the fleet out, so every buffered record shares one names
+        list).  The records go to the ledger as one batch
+        (:meth:`CarbonLedger.write_back`) and then wait for the database.
         """
         fleet = self._fleet
-        if fleet is None or self._flushing or not fleet.pending:
+        if fleet is None or not fleet.pending:
             return
         records = fleet.pending
         fleet.pending = []
-        self._flushing = True
         started = perf_counter()
         try:
-            # FleetArrays.refresh() writes back before it re-lays the
-            # fleet out, so every buffered record shares one names list.
             self._ledger.write_back(records[0].names, records)
-            for record in records:
-                self._write_series(record)
+            self._telemetry_backlog.extend(records)
         finally:
-            self._flushing = False
+            self._ledger_records += len(records)
+            self._ledger_seconds += perf_counter() - started
+
+    def _flush_database(self) -> None:
+        """Write every buffered tick record back into both stores.
+
+        The database's flush hook: the ledger write-back first, then the
+        backlog stacks into frames (:func:`telemetry_frames`), one per
+        metric, whose columns each series adopts as one read-only chunk.
+        """
+        self._flush_ledger()
+        records = self._telemetry_backlog
+        if not records:
+            return
+        self._telemetry_backlog = []
+        started = perf_counter()
+        try:
+            for frame in telemetry_frames(records):
+                self._db.append_frame(*frame)
+        finally:
             self._flush_records += len(records)
             self._flush_seconds += perf_counter() - started
-
-    def _write_series(self, r) -> None:
-        """One record's telemetry: one column append per metric."""
-        t = r.time_s
-        append = Series.append_column
-        columns = self._columns
-        (power,) = columns(r.cont_ids, r.cont_ids, "container.", ("power_w",))
-        append(power, t, r.cont_powers)
-        self._db.series_handle("cluster.power_w").append(t, r.cluster_power)
-        if r.duration_s > 0:
-            rate = r.carbon_g * 1000.0 / r.duration_s
-        else:
-            rate = np.zeros(len(r.names))
-        suffixes = _MARKET_TENANT_SERIES if r.has_market else _TENANT_SERIES
-        tenant = columns(r.names, r.names, "app.", suffixes)
-        values = (
-            r.demand_w,
-            r.counts,
-            r.carbon_g,
-            r.last_grid,
-            r.solar_used,
-            r.unmet,
-            rate,
-            r.cost,
-        )
-        for column, value in zip(tenant, values):
-            append(column, t, value)
-        holders = [r.names[i] for i in r.batt_idx.tolist()]
-        battery = columns(r.batt_idx, holders, "app.", _BATTERY_SERIES)
-        for column, value in zip(battery, (r.batt_soc, r.batt_level, r.batt_power)):
-            append(column, t, value)
-        (carbon,) = columns(r.ids_flat, r.ids_flat, "container.", ("carbon_g",))
-        append(carbon, t, r.cont_carbon)
-
-    def _columns(
-        self,
-        layout: object,
-        names: Sequence[str],
-        prefix: str,
-        suffixes: Tuple[str, ...],
-    ) -> List[List[Series]]:
-        """One list per suffix of the ``<prefix><name>.<suffix>`` series.
-
-        Handles are resolved once per name (creating the series on
-        first use, as the object path does).  The lists are cached
-        while records share ``layout``, an object settle hands every
-        record until the fleet or its containers change (``names``,
-        the container cache's ``ids``, the gather plan's ``ids_flat``,
-        ``batt_idx``), so a steady run builds them once.
-        """
-        key = (prefix, suffixes)
-        cached = self._series_columns.get(key)
-        if cached is not None and cached[0] is layout:
-            return cached[1]
-        handles = self._series_handles.setdefault(key, {})
-        for name in [name for name in names if name not in handles]:
-            handles[name] = tuple(
-                self._db.series_handle(f"{prefix}{name}.{suffix}")
-                for suffix in suffixes
-            )
-        rows = map(handles.__getitem__, names)
-        columns = [list(column) for column in zip(*rows)] or [[]] * len(suffixes)
-        self._series_columns[key] = (layout, columns)
-        return columns
 
     def _columnar_state(self, app: _RegisteredApp) -> Optional[EnergyState]:
         """The app's lazy row view for the current tick phase (cached)."""

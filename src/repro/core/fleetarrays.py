@@ -31,8 +31,11 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
   :class:`FleetSnapshot`.  Telemetry and ledger writes are buffered as
   :class:`_TickRecord` objects — the settle kernel's own ndarrays, so
   the buffer holds nothing the garbage collector has to walk — and
-  written back on first read through the database/ledger flush hooks,
-  one column append per metric per record.  Per-tick
+  written back per store on first read.  A ledger read (admissions,
+  evictions and :meth:`FleetArrays.refresh` make one) adds the records'
+  columns to the account totals and leaves them waiting for the
+  database; the first database read stacks everything waiting into
+  frames (:func:`telemetry_frames`), one block per metric.  Per-tick
   ``TickSettlement`` objects are built from the retained columns only
   when an account's settlements are read.
 """
@@ -407,8 +410,9 @@ class _TickRecord:
 
     Everything the object path writes eagerly into the time-series
     database and carbon ledger during ``settle`` is parked here instead
-    and written back (in tick order) by ``Ecovisor._flush_pending`` on
-    the first database/ledger read.
+    and written back (in tick order) by ``Ecovisor._flush_ledger`` on
+    the first ledger read and ``Ecovisor._flush_database`` on the first
+    database read.
 
     A record holds scalars, the settle kernel's ndarrays (per tenant,
     per battery holder, per container) and layout objects settle
@@ -491,6 +495,159 @@ class _TickRecord:
 #: Empty per-battery/per-container column of a record with no such rows.
 _NO_ROWS = np.zeros(0)
 _NO_ROWS.flags.writeable = False
+
+#: The ``app.<name>.*`` series every tenant's records fill (``cost_usd``
+#: only with a price signal attached) and every battery holder's.
+_TENANT_SERIES = (
+    "power_w",
+    "containers",
+    "carbon_g",
+    "grid_power_w",
+    "solar_used_wh",
+    "unmet_wh",
+    "carbon_rate_mg_s",
+)
+_MARKET_TENANT_SERIES = _TENANT_SERIES + ("cost_usd",)
+_BATTERY_SERIES = ("battery_soc", "battery_level_wh", "battery_power_w")
+
+
+def _runs(records: List[_TickRecord], layout: str):
+    """(start, stop) of each maximal run of consecutive records that
+    share one ``layout`` object."""
+    start = 0
+    shared = getattr(records[0], layout)
+    for k, record in enumerate(records):
+        if getattr(record, layout) is not shared:
+            yield start, k
+            start = k
+            shared = getattr(record, layout)
+    yield start, len(records)
+
+
+def _layout(records: List[_TickRecord], layout: str, entities):
+    """One family's entity-major layout over ``records``.
+
+    Records of one run share ``layout`` and list their entities (tenant,
+    battery holder or container names, each once) as
+    ``entities(record)``, in the order of the record's per-entity
+    columns.  Returns ``(names, bounds, times, arrange)``: entity
+    ``names[k]`` owns positions ``bounds[k]:bounds[k + 1]``, ``times``
+    holds each position's tick time, and ``arrange(columns)`` lays one
+    per-record list of columns out in that order — each entity's points
+    in tick order, even when it spans several layouts (a readmitted
+    name, a container under every fleet layout it lived through).  None
+    when no record has an entity.
+    """
+    code_of: Dict[str, int] = {}
+    runs = []
+    for start, stop in _runs(records, layout):
+        keys = entities(records[start])
+        n = len(keys)
+        if not n:
+            continue
+        new = [key for key in keys if key not in code_of]
+        if new:
+            code_of.update(zip(new, range(len(code_of), len(code_of) + len(new))))
+        index = np.fromiter(map(code_of.__getitem__, keys), dtype=np.intp, count=n)
+        runs.append((start, stop, index))
+    if not runs:
+        return None
+    counts = np.zeros(len(code_of), dtype=np.intp)
+    for start, stop, index in runs:
+        counts[index] += stop - start
+    bounds = np.zeros(len(code_of) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    # Each point of a run goes to the next free position of its
+    # entity's stretch, so the stretch keeps tick order across runs.
+    free = bounds[:-1].copy()
+    dest = []
+    ticks = []
+    for start, stop, index in runs:
+        dest.append((free[index] + np.arange(stop - start)[:, None]).ravel())
+        free[index] += stop - start
+        ticks.append(np.array([record.time_s for record in records[start:stop]]).repeat(len(index)))
+    dest = np.concatenate(dest)
+
+    def arrange(columns):
+        frame = np.empty(len(dest))
+        frame[dest] = np.concatenate(columns)
+        return frame
+
+    return list(code_of), bounds.tolist(), arrange(ticks), arrange
+
+
+def telemetry_frames(records: List[_TickRecord]):
+    """The database side of buffered tick records, as frames.
+
+    Yields ``(series names, bounds, times, values)`` for
+    :meth:`~repro.telemetry.timeseries.TimeSeriesDatabase.append_frame`,
+    one frame per metric.  A frame is the metric's ticks x entities
+    block stored column-major, one column per series: entity-major, so
+    each series reads one contiguous stretch, and ragged where the
+    fleet's layout changed inside the backlog (see :func:`_layout`).
+    It holds exactly the floats the per-tick, per-point write of the
+    object path makes, and the metrics of a family share ``bounds`` and
+    ``times``.
+    """
+    yield (
+        ["cluster.power_w"],
+        [0, len(records)],
+        np.array([record.time_s for record in records]),
+        np.array([record.cluster_power for record in records]),
+    )
+    for layout, entities, prefix, metrics in _FAMILIES:
+        found = _layout(records, layout, entities)
+        if found is None:
+            continue
+        names, bounds, times, arrange = found
+        if metrics is None:
+            metrics = _tenant_metrics(records)
+        for suffix, column in metrics:
+            if isinstance(column, str):
+                column = [getattr(record, column) for record in records]
+            yield (
+                [f"{prefix}{name}.{suffix}" for name in names],
+                bounds,
+                times,
+                arrange(column),
+            )
+
+
+def _battery_holders(record: _TickRecord) -> List[str]:
+    return [record.names[i] for i in record.batt_idx.tolist()]
+
+
+#: The per-entity series families of a record: the layout object its
+#: runs share, its entity names, the series prefix, and each metric's
+#: (suffix, record column); the tenant metrics come from
+#: :func:`_tenant_metrics`.
+_FAMILIES = (
+    ("cont_ids", attrgetter("cont_ids"), "container.", (("power_w", "cont_powers"),)),
+    ("names", attrgetter("names"), "app.", None),
+    (
+        "batt_idx",
+        _battery_holders,
+        "app.",
+        tuple(zip(_BATTERY_SERIES, ("batt_soc", "batt_level", "batt_power"))),
+    ),
+    ("ids_flat", attrgetter("ids_flat"), "container.", (("carbon_g", "cont_carbon"),)),
+)
+
+
+def _tenant_metrics(records: List[_TickRecord]):
+    """(suffix, record column or per-record arrays) of every tenant series."""
+    rate = [
+        record.carbon_g * 1000.0 / record.duration_s
+        if record.duration_s > 0
+        else np.zeros(len(record.names))
+        for record in records
+    ]
+    columns = ("demand_w", "counts", "carbon_g", "last_grid", "solar_used", "unmet", rate)
+    # The price signal is fixed for an ecovisor's lifetime, so every
+    # record agrees on has_market.
+    if records[0].has_market:
+        return tuple(zip(_MARKET_TENANT_SERIES, columns + ("cost",)))
+    return tuple(zip(_TENANT_SERIES, columns))
 
 
 class FleetArrays:
@@ -609,8 +766,9 @@ class FleetArrays:
         virtual energy system and (flushed) ledger account; surviving
         rows keep their accumulated figures untouched.
         """
-        # The ledger must be current before seeding cumulative columns.
-        eco._flush_pending()
+        # The ledger must be current before seeding cumulative columns
+        # (and every record it takes shares this layout's names).
+        eco._flush_ledger()
         apps = list(eco._apps.values())
         ledger = eco._ledger
         for app in apps:

@@ -38,7 +38,10 @@ Byte-parity contract (pinned by ``test_columnar_parity.py``):
 
 ``invoke_policies`` times the fallback barriers and returns their
 seconds, which let the engine's profiler split the upcall phase into
-``policy_batch``/``policy_fallback`` without double counting.
+``policy_batch``/``policy_fallback`` without double counting.  Each
+regroup also sets the ``upcall_routing_apps{path,reason}`` gauge on the
+ecovisor's registry, so a tenant that quietly drops to the fallback
+path shows at scrape time under the rule that sent it there.
 """
 
 from __future__ import annotations
@@ -360,30 +363,38 @@ class _Segment:
         self.start = start
 
 
-def _batchable_policy(reg):
-    """The policy to batch ``reg`` under, or None for the fallback path.
+def _policy_route(reg):
+    """``(policy, reason)``: the policy to batch ``reg`` under, or None
+    and the first rule that sends ``reg`` down the fallback path.
 
     Conservative on purpose: exactly one registered callback, bound to
     ``on_tick`` of an *attached* policy whose own class body opts in
     with ``batch_compatible = True`` and supplies ``on_tick_batch``.
+    The reasons are the ``reason`` label values of the
+    ``upcall_routing_apps`` gauge.
     """
     callbacks = reg.tick_callbacks
     if len(callbacks) != 1:
-        return None
+        return None, "callback_count"
     callback = callbacks[0]
     policy = getattr(callback, "__self__", None)
     if policy is None:
-        return None
+        return None, "unbound_callback"
     cls = type(policy)
     if not cls.__dict__.get("batch_compatible", False):
-        return None
+        return None, "not_opted_in"
     if getattr(callback, "__func__", None) is not getattr(cls, "on_tick", None):
-        return None
+        return None, "not_on_tick"
     if getattr(cls, "on_tick_batch", None) is None:
-        return None
+        return None, "no_batch_kernel"
     if getattr(policy, "_app", None) is None or getattr(policy, "_api", None) is None:
-        return None
-    return policy
+        return None, "detached"
+    return policy, "opted_in"
+
+
+def _batchable_policy(reg):
+    """The policy to batch ``reg`` under, or None for the fallback path."""
+    return _policy_route(reg)[0]
 
 
 def _batchable_workload(cls) -> bool:
@@ -410,6 +421,15 @@ class UpcallPlane:
         self._w_apps: Optional[list] = None
         self._w_items: list = []
         self._wb_memo: Dict[type, bool] = {}
+        # Tenants per (path, reason), set at each regroup; pairs seen
+        # once stay exported (at 0 once their tenants have left).
+        self._routing = ecovisor.metrics.gauge(
+            "upcall_routing_apps",
+            "Tenants with a tick callback, by upcall route (batch kernel or "
+            "per-app fallback) and the reason for it.",
+            labelnames=("path", "reason"),
+        )
+        self._routes_seen: set = set()
 
     # -- policy upcalls -------------------------------------------------
     def invoke_policies(self, tick) -> float:
@@ -480,17 +500,18 @@ class UpcallPlane:
         eco = self._eco
         regs = list(eco._apps.values())
         self._p_regs = regs
+        routes = [_policy_route(reg) if reg.tick_callbacks else None for reg in regs]
+        self._publish_routing(routes)
         items: list = []
         i = 0
         n = len(regs)
         while i < n:
-            reg = regs[i]
-            if not reg.tick_callbacks:
+            route = routes[i]
+            if route is None:
                 i += 1
                 continue
-            policy = _batchable_policy(reg)
-            if policy is None:
-                items.append(_Fallback(reg, i))
+            if route[0] is None:
+                items.append(_Fallback(regs[i], i))
                 i += 1
                 continue
             # A segment: the maximal run of batchable (or callback-less)
@@ -498,11 +519,11 @@ class UpcallPlane:
             start = i
             groups: Dict[type, list] = {}
             while i < n:
-                reg = regs[i]
-                if not reg.tick_callbacks:
+                route = routes[i]
+                if route is None:
                     i += 1
                     continue
-                policy = _batchable_policy(reg)
+                policy = route[0]
                 if policy is None:
                     break
                 groups.setdefault(type(policy), []).append((i, policy))
@@ -518,6 +539,17 @@ class UpcallPlane:
             )
         self._p_items = items
         self._p_epoch = epoch
+
+    def _publish_routing(self, routes: list) -> None:
+        """Set ``upcall_routing_apps`` from one regroup's routes."""
+        counts: Dict[tuple, int] = {}
+        for route in routes:
+            if route is not None:
+                key = ("fallback" if route[0] is None else "batch", route[1])
+                counts[key] = counts.get(key, 0) + 1
+        self._routes_seen.update(counts)
+        for path, reason in sorted(self._routes_seen):
+            self._routing.labels(path=path, reason=reason).set(counts.get((path, reason), 0))
 
     # -- workload upcalls -----------------------------------------------
     def step_workloads(self, tick, duration_s: float, apps: list) -> None:

@@ -16,10 +16,11 @@ stepwise parity suite).
 
 A step also costs what a tick inside ``run(N)`` costs.  The columnar
 fleet keeps its layout across calls and re-derives it only after an
-admission, eviction or share change.  The buffered telemetry is
-written back at the first ledger or database read (an admin admission
-or eviction, a Table 2 library query), not once per step; the
-``telemetry_pending_records`` gauge shows the backlog.
+admission, eviction or share change.  The buffered records are written
+back per store, not once per step: the ledger at its first read (an
+admin admission or eviction makes one), the database at its first read
+(a Table 2 library query), when the whole backlog stacks into frames.
+The ``telemetry_pending_records`` gauge shows the database's backlog.
 
 After each tick the driver pumps the stream broker (on the writer
 thread) and drops the whole snapshot cache (back on the event loop, so

@@ -6,12 +6,21 @@ render responses whose bodies are precomputed bytes (the snapshot cache
 stores fully rendered responses).  So this module hand-rolls exactly
 that subset — HTTP/1.1 with keep-alive, ``Content-Length`` bodies,
 no chunked uploads, no TLS.
+
+Framing is strict, because a keep-alive connection pipelines requests
+and any disagreement about where one ends lets a client smuggle the
+next (RFC 9112 §6.3): the method and every field name must be tokens
+(so no whitespace before a colon and no obsolete line folding, §5.1,
+§5.2), ``Content-Length`` must be plain digits, repeated only with the
+same value, and never beside ``Transfer-Encoding`` (§6.1, §6.3).
+Anything else answers 400.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -37,6 +46,19 @@ REASONS = {
     500: "Internal Server Error",
     501: "Not Implemented",
 }
+
+
+#: RFC 9110 §5.6.2 ``token``: methods and field names.
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+#: Characters a field value may not carry (RFC 9110 §5.5).
+_BAD_VALUE = re.compile(r"[\r\n\x00]")
+
+#: Whitespace and control characters, which no request-target holds.
+_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
+
+#: RFC 9112 §2.3 ``HTTP-version``, major version 1.
+_VERSION = re.compile(r"HTTP/1\.[0-9]")
 
 
 class BadRequest(Exception):
@@ -76,8 +98,8 @@ class HttpRequest:
 async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Parse one request off ``reader``; ``None`` on a clean EOF.
 
-    Raises :class:`BadRequest` for malformed heads, missing
-    ``Content-Length`` framing, or oversized heads/bodies.
+    Raises :class:`BadRequest` for malformed heads, ambiguous or
+    missing ``Content-Length`` framing, or oversized heads/bodies.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -95,7 +117,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
         method, target, version = lines[0].split(" ", 2)
     except (UnicodeDecodeError, ValueError):
         raise BadRequest(400, "malformed request line") from None
-    if not version.startswith("HTTP/1."):
+    if not _TOKEN.fullmatch(method) or not target or _BAD_TARGET.search(target):
+        raise BadRequest(400, "malformed request line")
+    if not _VERSION.fullmatch(version):
         raise BadRequest(400, f"unsupported protocol: {version}")
 
     headers: Dict[str, str] = {}
@@ -103,19 +127,22 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or not _TOKEN.fullmatch(name) or _BAD_VALUE.search(value):
             raise BadRequest(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.lower()
+        value = value.strip(" \t")
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest(400, "conflicting Content-Length values")
+        headers[name] = value
 
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise BadRequest(400, "malformed Content-Length") from None
-        if length < 0:
+        if "transfer-encoding" in headers:
+            raise BadRequest(400, "both Content-Length and Transfer-Encoding")
+        if not (length_header.isascii() and length_header.isdigit()):
             raise BadRequest(400, "malformed Content-Length")
+        length = int(length_header)
         if length > MAX_BODY_BYTES:
             raise BadRequest(413, "request body too large")
         if length:

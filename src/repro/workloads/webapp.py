@@ -52,6 +52,12 @@ class WebApplication(Application):
         self._latency_sum_ms = 0.0
         self._worst_latency_ms = 0.0
         self._requests_total = 0.0
+        # The database and this app's three series handles in it, resolved
+        # at the first write: handle appends skip the database's flush
+        # hook, so a batched run's buffered telemetry is not written back
+        # every tick just because this app records its own series.
+        self._db = None
+        self._series: tuple = ()
 
     # ------------------------------------------------------------------
     # Observables used by policies
@@ -157,10 +163,17 @@ class WebApplication(Application):
         self._worst_latency_ms = max(self._worst_latency_ms, latency_ms)
         self._requests_total += self._current_rate_rps * duration_s
         db = self.api.ecovisor.database
+        if db is not self._db:
+            self._db = db
+            self._series = tuple(
+                db.series_handle(f"app.{self.name}.{metric}")
+                for metric in ("p95_ms", "request_rate_rps", "slo_violated")
+            )
+        latency, rate, slo = self._series
         t = tick.start_s
-        db.record(f"app.{self.name}.p95_ms", t, latency_ms)
-        db.record(f"app.{self.name}.request_rate_rps", t, self._current_rate_rps)
-        db.record(f"app.{self.name}.slo_violated", t, 1.0 if violated else 0.0)
+        latency.append(t, latency_ms)
+        rate.append(t, self._current_rate_rps)
+        slo.append(t, 1.0 if violated else 0.0)
 
     # ------------------------------------------------------------------
     # Vectorized engine protocol (core/upcalls.py)

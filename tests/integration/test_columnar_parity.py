@@ -93,6 +93,9 @@ CHURN_PARAMS = st.fixed_dictionaries(
     }
 )
 
+#: Store orders a planned read can take (see ``_read``).
+STORE_ORDERS = ("ledger", "database", "ledger+database", "database+ledger")
+
 READ_PLANS = st.fixed_dictionaries(
     {
         # Ticks after which the observer reads: adjacent ticks give
@@ -105,6 +108,10 @@ READ_PLANS = st.fixed_dictionaries(
         "tenants": st.lists(
             st.integers(min_value=0, max_value=255), min_size=1, max_size=3
         ),
+        # Which stores each read touches, in which order (cycled over
+        # the reads): the two stores write back separately, so a
+        # one-store read leaves the other's records waiting.
+        "stores": st.lists(st.sampled_from(STORE_ORDERS), min_size=1, max_size=4),
     }
 )
 
@@ -115,11 +122,13 @@ _SETTINGS = dict(
 )
 
 
-def _read(ecovisor, tenants):
-    """Read some tenants' telemetry series and ledger accounts.
+def _read(ecovisor, tenants, stores="ledger+database"):
+    """Read some tenants' ledger accounts and/or telemetry series.
 
-    On the columnar path the first read forces the buffered
-    write-back; the object path wrote everything eagerly.
+    ``stores`` names the stores read, in order.  On the columnar path
+    the first read of a store forces its buffered write-back (a ledger
+    read writes back the ledger only); the object path wrote both
+    eagerly.
     """
     names = ecovisor.app_names()
     if not names:
@@ -129,17 +138,22 @@ def _read(ecovisor, tenants):
     reads = {}
     for k in tenants:
         name = names[k % len(names)]
-        account = ledger.account(name)
-        prefix = f"app.{name}."
-        reads[name] = {
-            "settlements": [dataclasses.asdict(s) for s in account.settlements],
-            "totals": [account.energy_wh, account.grid_wh, account.cost_usd],
-            "series": {
-                series: database.series(series).values().tolist()
-                for series in database.series_names()
-                if series.startswith(prefix)
-            },
-        }
+        read = reads[name] = {}
+        for store in stores.split("+"):
+            if store == "ledger":
+                account = ledger.account(name)
+                read["settlements"] = [dataclasses.asdict(s) for s in account.settlements]
+                read["totals"] = [account.energy_wh, account.grid_wh, account.cost_usd]
+            else:
+                prefix = f"app.{name}."
+                read["series"] = {
+                    series: [
+                        database.series(series).times().tolist(),
+                        database.series(series).values().tolist(),
+                    ]
+                    for series in database.series_names()
+                    if series.startswith(prefix)
+                }
     return reads
 
 
@@ -170,7 +184,9 @@ def _observe(fleet, reads=None):
             }
         )
         if reads is not None and tick.index in reads["at"]:
-            states.append({"reads": _read(ecovisor, reads["tenants"])})
+            orders = reads.get("stores", ["ledger+database"])
+            stores = orders[reads["at"].index(tick.index) % len(orders)]
+            states.append({"reads": _read(ecovisor, reads["tenants"], stores)})
 
     fleet.engine.add_observer(observer)
     return states
@@ -385,16 +401,21 @@ class TestForcedFlushParity:
         "evict_rate": 0.25,
     }
     CHURN_READS = {"at": [0, 1, 5, 6, 7, 22], "tenants": [1, 4]}
+    # One store at a time, then both in either order: records reach the
+    # ledger and the database at different ticks.
+    SPLIT = {"stores": ["ledger", "database", "ledger", "database+ledger"]}
 
     @settings(max_examples=5, **_SETTINGS)
     @given(params=FLEET_PARAMS, reads=READ_PLANS)
     @example(params=STATIC, reads=STATIC_READS)
+    @example(params=STATIC, reads={**STATIC_READS, **SPLIT})
     def test_static_fleet_surfaces_byte_identical(self, params, reads):
         _assert_parity(params, reads=reads)
 
     @settings(max_examples=5, **_SETTINGS)
     @given(params=CHURN_PARAMS, reads=READ_PLANS)
     @example(params=CHURN, reads=CHURN_READS)
+    @example(params=CHURN, reads={**CHURN_READS, **SPLIT})
     def test_churn_fleet_surfaces_byte_identical(self, params, reads):
         _assert_parity(params, churn=True, reads=reads)
 
@@ -675,7 +696,13 @@ class TestStepwiseLayout:
         ecovisor.ledger.write_back = spy
         assert ecovisor.ledger.account("fleet-0000").settlements
         assert batches == [301]
+        assert self._scraped(ecovisor, "ledger_write_back_records_total") == 301
+        # A ledger read leaves the database side waiting; the first
+        # database read stacks all of it.
+        assert self._scraped(ecovisor, "telemetry_pending_records") == 301
+        assert ecovisor.database.series("app.fleet-0000.power_w")
         assert self._scraped(ecovisor, "telemetry_flush_records_total") == 301
+        assert self._scraped(ecovisor, "telemetry_pending_records") == 0
 
     def test_changes_between_steps_cost_one_refresh(self):
         fleet = _build(STEPWISE_STATIC, batched=True)

@@ -44,6 +44,7 @@ from tests.integration.test_columnar_parity import (
     _first_difference,
     collect_surfaces,
 )
+from tests.unit.test_metrics_exposition import parse_exposition
 
 #: Mid-range caiso carbon intensity: the shadow suspend/resume tenant
 #: sees both sides of the threshold over the run.
@@ -175,6 +176,42 @@ class TestFallbackParity:
         assert len(two.tick_callbacks) == 2
         assert type(two.tick_callbacks[0].__self__) is SuspendResumePolicy
         assert _batchable_policy(two) is None
+
+    def test_routing_gauge_counts_tenants_per_route(self):
+        """A scrape shows each fallback tenant under its reason and every
+        stock tenant under the batch path; a route whose tenants left
+        reads 0."""
+        fleet = _build(batched=True)
+        ecovisor = fleet.ecovisor
+
+        def scrape():
+            types, samples = parse_exposition(ecovisor.metrics.render())
+            assert types["upcall_routing_apps"] == "gauge"
+            return {
+                (labels["path"], labels["reason"]): value
+                for name, labels, value in samples
+                if name == "upcall_routing_apps"
+            }
+
+        fleet.engine.schedule_eviction(EVICT_TICK, "two-callbacks")
+        fleet.engine.run(ADMIT_TICK + 2)
+        called = [n for n in ecovisor.app_names() if ecovisor._apps[n].tick_callbacks]
+        stock = [name for name in called if name.startswith("fleet-")]
+        assert len(stock) == PARAMS["apps"]
+        routes = scrape()
+        assert routes == {
+            ("batch", "opted_in"): len(stock),
+            # shadow-suspend, stepper-static, stepper-churn
+            ("fallback", "not_opted_in"): 3,
+            ("fallback", "callback_count"): 1,
+        }
+        assert sum(routes.values()) == len(called)
+
+        fleet.engine.run(EVICT_TICK - ADMIT_TICK)
+        routes = scrape()
+        assert routes[("fallback", "not_opted_in")] == 2
+        assert routes[("fallback", "callback_count")] == 0
+        assert routes[("batch", "opted_in")] == len(stock)
 
     def test_mixed_fleet_surfaces_byte_identical(self):
         mixed, phases, binding = _capture(batched=True)

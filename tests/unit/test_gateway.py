@@ -4,6 +4,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import UnknownApplicationError
 from repro.core.events import AppEvictedEvent, CarbonChangeEvent, event_to_dict
@@ -11,6 +13,7 @@ from repro.core.journal import EventJournal
 from repro.gateway.cache import CacheEntry, SnapshotCache
 from repro.gateway.http import (
     BadRequest,
+    HttpRequest,
     json_response,
     read_request,
     render_response,
@@ -122,6 +125,141 @@ class TestHttpParsing:
     def test_split_target(self):
         assert split_target("/x?a=1") == ("/x", "a=1")
         assert split_target("/x") == ("/x", "")
+
+
+def parse_all(data: bytes):
+    """Every request on ``data`` in order, then the terminal outcome:
+    ``None`` (clean EOF) or the :class:`BadRequest` raised."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        requests = []
+        while True:
+            try:
+                request = await read_request(reader)
+            except BadRequest as exc:
+                return requests, exc
+            if request is None:
+                return requests, None
+            requests.append(request)
+
+    return run(go())
+
+
+def bad_status(data: bytes) -> int:
+    with pytest.raises(BadRequest) as excinfo:
+        run(parse(data))
+    return excinfo.value.status
+
+
+class TestHttpFraming:
+    """Ambiguous framing answers 400 (RFC 9112 §5.1, §6.1, §6.3): on a
+    kept-alive connection a body length two parties read differently
+    lets one request smuggle the next."""
+
+    def test_conflicting_content_lengths_answer_400(self):
+        raw = (
+            b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"Content-Length: 10\r\n\r\nabcGET /b HTTP/1.1\r\n\r\n"
+        )
+        assert bad_status(raw) == 400
+
+    def test_repeated_identical_content_length_is_folded(self):
+        raw = (
+            b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"Content-Length: 3\r\n\r\nabcGET /b HTTP/1.1\r\n\r\n"
+        )
+        requests, end = parse_all(raw)
+        assert [(r.method, r.target, r.body) for r in requests] == [
+            ("POST", "/a", b"abc"),
+            ("GET", "/b", b""),
+        ]
+        assert end is None
+
+    def test_content_length_beside_transfer_encoding_answers_400(self):
+        raw = (
+            b"POST /a HTTP/1.1\r\nContent-Length: 4\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"0\r\n\r\nGET /b HTTP/1.1\r\n\r\n"
+        )
+        assert bad_status(raw) == 400
+
+    @pytest.mark.parametrize("length", [b"1_0", b"+3", b"-0", b"0x3", b"3, 3"])
+    def test_content_length_must_be_plain_digits(self, length):
+        raw = b"POST /a HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n" + b"x" * 16
+        assert bad_status(raw) == 400
+
+    @pytest.mark.parametrize("line", [b"Content-Length : 3", b"Content-Length\t: 3", b" Host: a"])
+    def test_field_names_must_be_tokens(self, line):
+        raw = b"POST /a HTTP/1.1\r\n" + line + b"\r\n\r\nabc"
+        assert bad_status(raw) == 400
+
+    @pytest.mark.parametrize(
+        "request_line",
+        [b"\nGET / HTTP/1.1", b"G(T / HTTP/1.1", b" GET / HTTP/1.1", b"GET /a\nb HTTP/1.1"],
+    )
+    def test_request_line_must_frame_cleanly(self, request_line):
+        assert bad_status(request_line + b"\r\n\r\n") == 400
+
+    def test_header_values_carry_no_bare_line_breaks(self):
+        raw = b"GET / HTTP/1.1\r\nX-A: 1\nContent-Length: 3\r\n\r\nabc"
+        assert bad_status(raw) == 400
+
+
+_TCHARS = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_TOKENS = st.text(alphabet=_TCHARS, min_size=1, max_size=12)
+_VALUES = st.text(alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=16)
+
+
+@st.composite
+def _requests(draw):
+    """(bytes, (method, target, headers, body)) of one well-formed request."""
+    method = draw(_TOKENS)
+    target = "/" + draw(_VALUES)
+    names = draw(st.lists(_TOKENS, max_size=4, unique_by=str.lower))
+    headers = {
+        name.lower(): draw(_VALUES)
+        for name in names
+        if name.lower() not in ("content-length", "transfer-encoding")
+    }
+    head = [f"{method} {target} HTTP/1.{draw(st.sampled_from('01'))}"]
+    head += [f"{name}: {value}" for name, value in headers.items()]
+    body = draw(st.binary(max_size=32))
+    if body or draw(st.booleans()):
+        length = str(len(body))
+        copies = draw(st.integers(min_value=1, max_value=2))
+        head += [f"Content-Length: {length}"] * copies
+        headers["content-length"] = length
+    data = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+    return data, (method.upper(), target, headers, body)
+
+
+class TestHttpParserFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=256))
+    def test_arbitrary_bytes_parse_or_refuse(self, data):
+        requests, end = parse_all(data)
+        assert all(isinstance(r, HttpRequest) for r in requests)
+        assert end is None or isinstance(end, BadRequest)
+        assert end is None or end.status in (400, 411, 413)
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=st.lists(_requests(), min_size=1, max_size=3))
+    def test_pipelined_requests_round_trip(self, batch):
+        requests, end = parse_all(b"".join(data for data, _ in batch))
+        assert end is None
+        got = [(r.method, r.target, r.headers, r.body) for r in requests]
+        assert got == [want for _, want in batch]
+
+    @settings(max_examples=100, deadline=None)
+    @given(request=_requests(), cut=st.integers(min_value=1))
+    def test_truncated_requests_answer_400(self, request, cut):
+        data, _ = request
+        requests, end = parse_all(data[: 1 + cut % (len(data) - 1)])
+        assert requests == []
+        assert isinstance(end, BadRequest) and end.status == 400
 
 
 class TestRoutePatterns:

@@ -175,47 +175,75 @@ class TestExpositionLint:
 
 
 class TestTelemetryFlushMetrics:
-    """The columnar write-back runs inside other calls; these three
-    metrics make it visible without forcing it."""
+    """The columnar write-back runs inside other calls, split by store:
+    a ledger read writes back the ledger only, and the records then wait
+    for the first database read.  These five metrics make both sides
+    visible without forcing either."""
 
-    def test_write_back_counted_and_scrape_does_not_flush(self):
-        fleet = build_churn_fleet(
-            {
-                "apps": 8,
-                "ticks": 24,
-                "seed": 2023,
-                "mix": "balanced",
-                "admit_rate": 0.8,
-                "evict_rate": 0.25,
-            }
-        )
-        ecovisor = fleet.ecovisor
-        registry = ecovisor.metrics
+    CHURN = {
+        "apps": 8,
+        "ticks": 24,
+        "seed": 2023,
+        "mix": "balanced",
+        "admit_rate": 0.8,
+        "evict_rate": 0.25,
+    }
+
+    def run_churn(self):
+        fleet = build_churn_fleet(self.CHURN)
         assert fleet.engine.run(24) == 24
+        registry = fleet.ecovisor.metrics
 
         def value(name):
             return sum(sample[2] for sample in registry.get(name).samples())
 
-        # Lifecycle calls wrote back some records mid-run; the ticks
-        # since the last one are still buffered.
+        return fleet.ecovisor, value
+
+    def test_write_back_counted_and_scrape_does_not_flush(self):
+        ecovisor, value = self.run_churn()
         pending = value("telemetry_pending_records")
-        assert 0 < pending < 24
-        assert value("telemetry_flush_records_total") + pending == 24
-        types, series = lint_exposition(registry.render())
-        assert types["telemetry_flush_records_total"] == "counter"
-        assert types["telemetry_flush_seconds_total"] == "counter"
+        written = value("ledger_write_back_records_total")
+        types, series = lint_exposition(ecovisor.metrics.render())
+        for name in (
+            "ledger_write_back_records_total",
+            "ledger_write_back_seconds_total",
+            "telemetry_flush_records_total",
+            "telemetry_flush_seconds_total",
+        ):
+            assert types[name] == "counter"
         assert types["telemetry_pending_records"] == "gauge"
         assert series[("telemetry_pending_records", ())] == pending
         assert value("telemetry_pending_records") == pending  # no flush
+        assert value("ledger_write_back_records_total") == written
 
         database, ledger = ecovisor.database, ecovisor.ledger
         for name in database.series_names():
             database.series(name).values()
         for name in ledger.app_names():
             assert ledger.account(name).settlements
+        assert value("ledger_write_back_records_total") == 24
         assert value("telemetry_flush_records_total") == 24
         assert value("telemetry_pending_records") == 0
+        assert value("ledger_write_back_seconds_total") > 0
         assert value("telemetry_flush_seconds_total") > 0
+
+    def test_lifecycle_calls_write_back_only_the_ledger(self):
+        ecovisor, value = self.run_churn()
+        # Admissions and evictions read the ledger mid-run, so they
+        # wrote it back; the database side of every tick still waits.
+        assert 0 < value("ledger_write_back_records_total") < 24
+        assert value("telemetry_flush_records_total") == 0
+        assert value("telemetry_pending_records") == 24
+        ledger = ecovisor.ledger
+        for name in ledger.app_names():
+            ledger.account(name)
+        assert value("ledger_write_back_records_total") == 24
+        assert value("telemetry_pending_records") == 24
+        # The first database read takes all of them at once.
+        assert ecovisor.database.has_series("cluster.power_w")
+        assert value("telemetry_flush_records_total") == 24
+        assert value("telemetry_pending_records") == 0
+        assert len(ecovisor.database.series("cluster.power_w")) == 24
 
 
 class TestRouterInstrumentation:

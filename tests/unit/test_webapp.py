@@ -111,6 +111,26 @@ class TestTelemetry:
         assert db.latest("app.w.request_rate_rps") == pytest.approx(100.0)
         assert db.latest("app.w.slo_violated") in (0.0, 1.0)
 
+    def test_writes_leave_the_columnar_backlog_buffered(self):
+        """The app appends through held handles, so its per-tick writes do
+        not write the ecovisor's buffered telemetry back every tick; the
+        series match the object path's."""
+
+        def run(columnar):
+            app = WebApplication("w", constant_request_trace(150.0))
+            eco, _ = bind(app, workers=2)
+            eco.columnar = columnar
+            drive(eco, app, 5)
+            [(_, _, pending)] = eco.metrics.get("telemetry_pending_records").samples()
+            return pending, eco.database
+
+        pending, db = run(True)
+        assert pending == 4  # all but the tick whose write resolved the handles
+        _, reference = run(False)
+        for name in ("app.w.p95_ms", "app.w.request_rate_rps", "app.w.power_w"):
+            assert db.series(name).times().tolist() == reference.series(name).times().tolist()
+            assert db.series(name).values().tolist() == reference.series(name).values().tolist()
+
     def test_requests_counted(self):
         app = WebApplication("w", constant_request_trace(100.0))
         eco, _ = bind(app, workers=2)
