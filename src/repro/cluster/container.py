@@ -58,8 +58,8 @@ class Container:
     #: Process-wide generation counter, bumped whenever an *existing*
     #: container's placement-relevant state changes (start, stop, core
     #: resize).  Batched consumers key derived caches on it so per-tick
-    #: knob writes (demand utilization, power caps) stay epoch-free and
-    #: cheap.  Creation deliberately does not bump it: a new container
+    #: knob writes (demand utilization, power caps) leave those caches
+    #: intact.  Creation deliberately does not bump it: a new container
     #: is invisible until the platform registers it, which bumps the
     #: platform's own version — keeping launches from invalidating every
     #: server's occupancy cache.
@@ -71,6 +71,13 @@ class Container:
     #: attribution position maps — key on this so the resize-heavy
     #: steady state of a scaling fleet leaves them intact.
     _runstate_epoch = 0
+
+    #: Bumped whenever a container's attributed power can change without
+    #: a placement change: a demand utilization that moved, a power cap.
+    #: The columnar settle kernel keeps every container's power from one
+    #: settle to the next until this (or its cache key, which a start,
+    #: stop or resize moves) moves.
+    _utilization_epoch = 0
 
     def __init__(
         self,
@@ -174,6 +181,7 @@ class Container:
             raise ValueError(f"power cap must be >= 0, got {cap_w}")
         self._power_cap_w = cap_w
         self._cap_utilization = clamp(cap_utilization, 0.0, 1.0)
+        Container._utilization_epoch += 1
 
     @property
     def demand_utilization(self) -> float:
@@ -183,6 +191,7 @@ class Container:
         """Workload-requested utilization of the container's cores."""
         if utilization != self._demand_utilization:
             self._demand_utilization = clamp(utilization, 0.0, 1.0)
+            Container._utilization_epoch += 1
 
     @property
     def effective_utilization(self) -> float:

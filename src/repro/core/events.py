@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, DefaultDict, Dict, List, Type
 
 
@@ -181,6 +182,43 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
 }
 
 
+#: Each registered type's field values in declaration order (every type
+#: has at least two fields, so each getter returns a tuple).
+_RECORD_FIELDS = {
+    cls: attrgetter(*(f.name for f in dataclasses.fields(cls)))
+    for cls in EVENT_TYPES.values()
+}
+
+
+def event_record(event: Event) -> tuple:
+    """The flat journal record of ``event``: ``(type name, *field values)``.
+
+    Fields follow declaration order, so a :class:`SolarChangeEvent`
+    flattens to ``("SolarChangeEvent", time_s, app_name, previous_w,
+    current_w)``.  A record holds only strings, numbers and tuples of
+    them, which the garbage collector stops tracking once it has seen
+    them.  Only the :data:`EVENT_TYPES` types have a record.
+    """
+    fields = _RECORD_FIELDS.get(type(event))
+    if fields is None:
+        raise ValueError(f"unregistered event type: {type(event).__name__}")
+    return (type(event).__name__, *fields(event))
+
+
+def solar_change_record(
+    time_s: float, app_name: str, previous_w: float, current_w: float
+) -> tuple:
+    """:func:`event_record` of the :class:`SolarChangeEvent` with these
+    fields, for a publisher that journals the change without building
+    the event."""
+    return ("SolarChangeEvent", time_s, app_name, previous_w, current_w)
+
+
+def event_from_record(record: tuple) -> Event:
+    """The event :func:`event_record` flattened (equal, not identical)."""
+    return EVENT_TYPES[record[0]](*record[1:])
+
+
 def event_to_dict(event: Event) -> Dict[str, Any]:
     """JSON-serializable form of an event: its fields plus ``type``."""
     payload = dataclasses.asdict(event)
@@ -246,6 +284,19 @@ class EventBus:
         for callback in callbacks:
             callback(event)
         return len(callbacks)
+
+    def count_unheard(self, event_type: Type[Event], count: int) -> None:
+        """Count ``count`` publishes of a type nobody subscribes to.
+
+        For a publisher that skips building events no callback would
+        receive: :meth:`published_count` reads as if each had gone
+        through :meth:`publish`.
+        """
+        if self._subscribers.get(event_type):
+            raise RuntimeError(f"{event_type.__name__} has subscribers")
+        self._published_counts[event_type] = (
+            self._published_counts.get(event_type, 0) + count
+        )
 
     def published_count(self, event_type: Type[Event]) -> int:
         """How many events of ``event_type`` have been published."""

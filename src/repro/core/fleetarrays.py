@@ -19,6 +19,17 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
   meters, last charge/discharge) are written back into each
   ``VirtualBattery`` after the bulk pass so the objects stay the source
   of truth at tick boundaries.
+- **Mirrors behind write epochs.**  What settle reads back from the
+  objects every tick — the battery sub-fleet's level, last charge and
+  discharge power and full/empty flags, the Table 1 knob columns, the
+  container powers — is kept in arrays from one settle to the next and
+  re-read only after a layout change (:attr:`FleetArrays.epoch`) or
+  after a class-level write epoch moved (``Battery._write_epoch``,
+  ``VirtualBattery._knob_epoch``, ``Container._utilization_epoch``).
+  Every object-side writer bumps one (a container start, stop or
+  resize moves the container cache's own key instead); the kernel's
+  own write-back does not, because its mirrors already hold what it
+  writes.
 - **Array identity.**  Rows live in persistent arrays; admission
   acquires a row from a free list, eviction releases it, and growth
   uses ``ndarray.resize`` so the arrays keep their identity.  Snapshots
@@ -49,12 +60,9 @@ import numpy as np
 
 from repro.cluster.container import Container
 from repro.core.accounting import TickSettlement
-from repro.core.events import (
-    BatteryEmptyEvent,
-    BatteryFullEvent,
-    Event,
-    SolarChangeEvent,
-)
+from repro.core.events import BatteryEmptyEvent, BatteryFullEvent
+from repro.core.virtual_battery import VirtualBattery
+from repro.energy.battery import Battery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cop import ContainerOrchestrationPlatform
@@ -69,8 +77,9 @@ class _ContainerCache:
 
     Rebuilt whenever the structural cache key — ``(platform.version,
     Container._mutation_epoch)`` — changes (launch/stop/start/resize);
-    per-tick quantities (demand and cap utilizations) are re-read on
-    every :meth:`powers` call, mirroring the scalar power model.
+    the per-tick quantities (demand and cap utilizations) behind
+    :meth:`powers` are re-read only when
+    ``Container._utilization_epoch`` moved since the last read.
     """
 
     __slots__ = (
@@ -89,11 +98,15 @@ class _ContainerCache:
         "cont_ids",
         "running_positions",
         "baseline_w",
+        "_powers",
+        "_powers_list",
+        "_powers_epoch",
     )
 
     def __init__(
         self, platform: "ContainerOrchestrationPlatform", key: Tuple[int, int]
     ):
+        self._powers_epoch = -1
         self.key = key
         clist = platform.containers()
         self.clist = clist
@@ -171,6 +184,7 @@ class _ContainerCache:
             return None
         new = clist[old_n:]
         obj = cls.__new__(cls)
+        obj._powers_epoch = -1
         obj.key = key
         obj.clist = clist
         obj.ids = prev.ids + tuple(c.id for c in new)
@@ -238,6 +252,7 @@ class _ContainerCache:
         clist = prev.clist
         n = len(clist)
         obj = cls.__new__(cls)
+        obj._powers_epoch = -1
         obj.key = key
         obj.clist = clist
         obj.ids = prev.ids
@@ -280,26 +295,46 @@ class _ContainerCache:
         return obj
 
     def powers(self) -> np.ndarray:
-        """Attributed power of every container, one vectorized pass.
+        """Attributed power of every container, as a read-only array.
 
         Bit-identical to ``ServerPowerModel.container_power``: the
         breakdown sums as ``(idle + cpu) + gpu`` with ``cpu = (cf * u) *
         range``, and utilizations are already clamped at their setters.
+        One vectorized pass, kept until a utilization write moves
+        ``Container._utilization_epoch``; every other input is fixed
+        for this cache's lifetime.
         """
+        if self._powers_epoch != Container._utilization_epoch:
+            self._read_powers()
+        return self._powers
+
+    def powers_list(self) -> List[float]:
+        """:meth:`powers` as a list (the same cached reading)."""
+        if self._powers_epoch != Container._utilization_epoch:
+            self._read_powers()
+        return self._powers_list
+
+    def _read_powers(self) -> None:
+        epoch = Container._utilization_epoch
         clist = self.clist
         n = len(clist)
         du = np.fromiter(
-            (c.demand_utilization for c in clist), dtype=float, count=n
+            map(attrgetter("_demand_utilization"), clist), dtype=float, count=n
         )
         cap = np.fromiter(
-            (c.cap_utilization for c in clist), dtype=float, count=n
+            map(attrgetter("_cap_utilization"), clist), dtype=float, count=n
         )
         u = np.where(self.power_mask, np.minimum(du, cap), 0.0)
         gu = np.where(self.gpu_mask, u, 0.0)
         p = (self.cf_idle + (self.cf * u) * self.cpu_range) + (
             self.cf * gu
         ) * self.gpu_range
-        return np.where(self.power_mask, p, 0.0)
+        p = np.where(self.power_mask, p, 0.0)
+        # Shared by every tick record and snapshot until the next read.
+        p.flags.writeable = False
+        self._powers = p
+        self._powers_list = p.tolist()
+        self._powers_epoch = epoch
 
 
 class FleetSnapshot:
@@ -396,7 +431,7 @@ class FleetSnapshot:
             # Begin-phase snapshot: materialize on first access, at
             # access-time utilizations (the documented lazy-view rule).
             cc = self._cc = self.fleet.container_cache(self.platform)
-            self._powers_list = cc.powers().tolist()
+            self._powers_list = cc.powers_list()
         name = self.names[index]
         ids = cc.cont_ids.get(name)
         if ids is None:
@@ -713,6 +748,14 @@ class FleetArrays:
         self.batt_deff = np.zeros(0)
         self.batt_maxc = np.zeros(0)
         self.batt_maxd = np.zeros(0)
+        # Settle's mirrors of object state, each valid while its key —
+        # (epoch, class-level write epoch) — is unchanged: the battery
+        # sub-fleet's (level, last discharge, last charge, full, empty)
+        # columns, and the knob columns of _knob_cache().
+        self._batt_key: Optional[Tuple[int, int]] = None
+        self._batt_state: Optional[tuple] = None
+        self._knob_key: Optional[Tuple[int, int]] = None
+        self._knobs: Optional[tuple] = None
         # Per-(container cache, names) gather plan for settle(); see
         # _gather_plan().
         # Keyed on the *positions* dict identity, not the cache object:
@@ -836,25 +879,49 @@ class FleetArrays:
             app.snap_epoch = epoch
         self.dirty = False
 
-    def _knob_columns(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fresh snapshot columns of the Table 1 battery knobs.
+    def _knob_cache(self) -> tuple:
+        """The Table 1 battery knobs as read-only columns.
 
-        Read from the objects at call time (not the settle gathers):
-        an event subscriber can turn a knob mid-settle and the snapshot
-        must see it, exactly like the object path's late read.
+        ``(target, maxdis, knob_target, knob_maxdis)``: the charge-rate
+        target and discharge cap over the battery sub-fleet, then the
+        same as dense per-tenant snapshot columns (0.0 for tenants
+        without a battery).  One cache serves settle's battery pass and
+        both phase snapshots; it re-reads the objects only after a
+        layout change or a knob write (``VirtualBattery._knob_epoch``).
         """
-        knob_target = np.zeros(n)
-        knob_maxdis = np.zeros(n)
-        vbs = self.batt_vbs
-        m = len(vbs)
-        if m:
-            bidx = self.batt_idx
-            knob_target[bidx] = np.fromiter(
+        key = (self.epoch, VirtualBattery._knob_epoch)
+        if self._knob_key != key:
+            vbs = self.batt_vbs
+            m = len(vbs)
+            target = np.fromiter(
                 map(attrgetter("_charge_rate_w"), vbs), dtype=float, count=m
             )
-            knob_maxdis[bidx] = np.fromiter(
+            maxdis = np.fromiter(
                 map(attrgetter("_max_discharge_w"), vbs), dtype=float, count=m
             )
+            n = len(self.names)
+            knob_target = np.zeros(n)
+            knob_maxdis = np.zeros(n)
+            knob_target[self.batt_idx] = target
+            knob_maxdis[self.batt_idx] = maxdis
+            knobs = (target, maxdis, knob_target, knob_maxdis)
+            for column in knobs:
+                column.flags.writeable = False
+            self._knobs = knobs
+            self._knob_key = key
+        return self._knobs
+
+    def _reread_knobs(
+        self, knob_target: np.ndarray, knob_maxdis: np.ndarray, start: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Snapshot knob columns with battery holders ``start:`` re-read
+        from the objects (copies; the cached columns stay as they are)."""
+        knob_target = knob_target.copy()
+        knob_maxdis = knob_maxdis.copy()
+        vbs = self.batt_vbs[start:]
+        bidx = self.batt_idx[start:]
+        knob_target[bidx] = [vb._charge_rate_w for vb in vbs]
+        knob_maxdis[bidx] = [vb._max_discharge_w for vb in vbs]
         return knob_target, knob_maxdis
 
     def container_cache(
@@ -938,36 +1005,32 @@ class FleetArrays:
     # ------------------------------------------------------------------
     def begin(
         self, eco: "Ecovisor", time_s: float, visible_solar: float
-    ) -> List[Event]:
-        """Bulk solar refresh + begin-phase snapshot; returns solar events."""
+    ) -> Tuple[List[str], List[float], List[float]]:
+        """Bulk solar refresh + begin-phase snapshot.
+
+        Returns the tick's solar changes as columns — the flagged
+        tenants' names, previous and current virtual solar, in app
+        order — for ``Ecovisor.begin_tick`` to publish.
+        """
         if self.dirty:
             self.refresh(eco)
         rows = self.rows
         names = self.names
-        n = len(names)
         new = visible_solar * self.frac_solar
         prev = self.prev_solar[rows]
-        events: List[Event] = []
-        if n:
-            flagged = np.flatnonzero(
-                self.has_solar & (np.abs(new - prev) >= self.thresh)
-            )
-            for i in flagged.tolist():
-                events.append(
-                    SolarChangeEvent(
-                        time_s=time_s,
-                        app_name=names[i],
-                        previous_w=float(prev[i]),
-                        current_w=float(new[i]),
-                    )
-                )
+        flagged = np.flatnonzero(self.has_solar & (np.abs(new - prev) >= self.thresh))
+        changes = (
+            [names[i] for i in flagged.tolist()],
+            prev[flagged].tolist(),
+            new[flagged].tolist(),
+        )
         self.solar_w[rows] = new
         self.prev_solar[rows] = new
-        # Only the snapshot's knob columns need the objects here: settle
-        # reads solar from the arrays, so VES-held per-tick solar stays
-        # stale in columnar mode (all apps alike) and is re-synced if
-        # the mode turns off.
-        knob_target, knob_maxdis = self._knob_columns(n)
+        # Only the snapshot's knob columns come from the objects, and
+        # only after a knob write: settle reads solar from the arrays,
+        # so VES-held per-tick solar stays stale in columnar mode (all
+        # apps alike) and is re-synced if the mode turns off.
+        knob_target, knob_maxdis = self._knob_cache()[2:]
         self.current_snap = FleetSnapshot(
             epoch=self.epoch,
             names=names,
@@ -991,7 +1054,7 @@ class FleetArrays:
             cc=None,
             powers_list=None,
         )
-        return events
+        return changes
 
     def settle(
         self, eco: "Ecovisor", time_s: float, duration_s: float
@@ -1012,7 +1075,7 @@ class FleetArrays:
         n = len(apps)
         cc = self.container_cache(eco._platform)
         powers = cc.powers()
-        powers_list = powers.tolist()
+        powers_list = cc.powers_list()
         counts, flat_pos, flat_app, ids_flat, cluster_get = self._gather_plan(cc)
         # bincount accumulates each app's container powers from 0.0 in
         # launch order — the exact IEEE sequence of the object path's
@@ -1051,6 +1114,10 @@ class FleetArrays:
         batt_soc = batt_level = batt_power = _NO_ROWS
         batt_apps = self.batt_apps
         m = len(batt_apps)
+        # The settle snapshot's knobs start as the columns the battery
+        # pass settles under; the edge loop re-reads them past a tenant
+        # whose battery events moved them.
+        target, maxdis, knob_target, knob_maxdis = self._knob_cache()
         if m and duration_s > 0:
             # Vectorized replay of the VES battery settlement (steps 2
             # and 4 of `VirtualEnergySystem.settle`) over the battery
@@ -1067,17 +1134,29 @@ class FleetArrays:
             deff = self.batt_deff
             maxc = self.batt_maxc
             maxd_phys = self.batt_maxd
-            # Live state: the level moves every settle and the Table 1
-            # knobs can change in any upcall, so gather them fresh.
-            level = np.fromiter(
-                map(attrgetter("_battery._level_wh"), vbs), dtype=float, count=m
-            )
-            target = np.fromiter(
-                map(attrgetter("_charge_rate_w"), vbs), dtype=float, count=m
-            )
-            maxdis = np.fromiter(
-                map(attrgetter("_max_discharge_w"), vbs), dtype=float, count=m
-            )
+            # Live state: the mirrors this kernel left at the last settle,
+            # unless the layout changed or something else wrote a
+            # battery since (the object path, a share rescale).
+            batt_key = (self.epoch, Battery._write_epoch)
+            if self._batt_key == batt_key:
+                level, prev_dis, prev_chg, was_full, was_empty = self._batt_state
+            else:
+                level = np.fromiter(
+                    map(attrgetter("_battery._level_wh"), vbs), dtype=float, count=m
+                )
+                prev_dis = np.fromiter(
+                    map(attrgetter("_last_discharge_w"), vbs), dtype=float, count=m
+                )
+                prev_chg = np.fromiter(
+                    map(attrgetter("_last_charge_w"), vbs), dtype=float, count=m
+                )
+                batt_objs = self.batt_objs
+                was_full = np.fromiter(
+                    map(attrgetter("battery_was_full"), batt_objs), dtype=bool, count=m
+                )
+                was_empty = np.fromiter(
+                    map(attrgetter("battery_was_empty"), batt_objs), dtype=bool, count=m
+                )
             deficit_b = deficit[bidx]
             excess_b = excess[bidx]
             gcap_b = grid_cap_wh[bidx]
@@ -1151,13 +1230,8 @@ class FleetArrays:
             # clamps, the accumulators gain exact 0.0, the last-power
             # figures already equal their targets), so skipping them is
             # unobservable — and most of a large fleet's batteries are
-            # idle on most ticks.
-            prev_dis = np.fromiter(
-                map(attrgetter("_last_discharge_w"), vbs), dtype=float, count=m
-            )
-            prev_chg = np.fromiter(
-                map(attrgetter("_last_charge_w"), vbs), dtype=float, count=m
-            )
+            # idle on most ticks.  The write-back skips the write epoch:
+            # the mirrors below already hold what it writes.
             touched = (
                 (out_wh != 0.0)
                 | (in1 != 0.0)
@@ -1188,10 +1262,13 @@ class FleetArrays:
                 vb._last_charge_w = lchg_l[k]
 
             # Battery full/empty edges, published after the bulk compute
-            # but in the same per-app order as the object loop (a
-            # subscriber that mutates tenancy mid-settlement sees a
-            # later phase of the tick than on the object path — a
-            # documented edge).
+            # but in the same per-app order as the object loop.  Two
+            # documented edges remain, both of a subscriber acting
+            # mid-settle: one that mutates tenancy sees a later phase of
+            # the tick than on the object path, and one that turns
+            # *another* tenant's knob changes that tenant's same-tick
+            # settlement only on the object path (its own knob settles
+            # next tick on both).
             usable_arr = np.maximum(0.0, level - bfloor)
             full_arr = np.maximum(0.0, bcap - level) <= 1e-9
             empty_arr = usable_arr <= 1e-9
@@ -1204,16 +1281,6 @@ class FleetArrays:
             # rows the flag write is value-identical and no event
             # fires.  The masked walk stays in ascending app order, so
             # event interleaving matches the full loop.
-            was_full = np.fromiter(
-                map(attrgetter("battery_was_full"), self.batt_objs),
-                dtype=bool,
-                count=m,
-            )
-            was_empty = np.fromiter(
-                map(attrgetter("battery_was_empty"), self.batt_objs),
-                dtype=bool,
-                count=m,
-            )
             edges = (full_arr != was_full) | (empty_arr != was_empty)
             if edges.any():
                 full_l = full_arr.tolist()
@@ -1221,6 +1288,7 @@ class FleetArrays:
                 usable_l = usable_arr.tolist()
                 for k in np.flatnonzero(edges).tolist():
                     i, app = batt_apps[k]
+                    knob_epoch = VirtualBattery._knob_epoch
                     if full_l[k] and not app.battery_was_full:
                         eco._publish(
                             BatteryFullEvent(
@@ -1235,6 +1303,15 @@ class FleetArrays:
                             BatteryEmptyEvent(time_s=time_s, app_name=app.name)
                         )
                     app.battery_was_empty = empty_l[k]
+                    if VirtualBattery._knob_epoch != knob_epoch:
+                        # The object path finalizes this tenant's
+                        # snapshot before its events and every later
+                        # holder's after them.
+                        knob_target, knob_maxdis = self._reread_knobs(
+                            knob_target, knob_maxdis, k + 1
+                        )
+            self._batt_state = (level, delivered, last_charge_b, full_arr, empty_arr)
+            self._batt_key = batt_key
         elif m:
             # Degenerate duration: defer to the real VES so its input
             # validation raises exactly as the object path would.  The
@@ -1300,6 +1377,9 @@ class FleetArrays:
             batt_soc = np.asarray(soc_l, dtype=float)
             batt_level = np.asarray(level_l, dtype=float)
             batt_power = np.asarray(power_l, dtype=float)
+            # The flags were written through the objects here.
+            self._batt_key = None
+            knob_target, knob_maxdis = self._knob_cache()[2:]
 
         # Scatter the settled figures back into the persistent rows.
         # Rows are unique, so fancy += accumulates exactly like the
@@ -1422,7 +1502,6 @@ class FleetArrays:
         record.cluster_power = attributed + cc.baseline_w
         self.pending.append(record)
 
-        knob_target, knob_maxdis = self._knob_columns(n)
         self.current_snap = FleetSnapshot(
             epoch=self.epoch,
             names=names,

@@ -431,6 +431,18 @@ class UpcallPlane:
         )
         self._routes_seen: set = set()
 
+    def reset(self) -> None:
+        """Drop every grouping, and with them the kernels' mirrors.
+
+        The engine calls this before it runs ticks on the object path:
+        their per-app bodies write the state the groups mirror
+        (``WorkloadRows.updated_progress``, ``was_running``,
+        ``warmup``) behind the plane's back, so the next grouped tick
+        regroups and gathers from the objects again.
+        """
+        self._p_epoch = -1
+        self._w_apps = None
+
     # -- policy upcalls -------------------------------------------------
     def invoke_policies(self, tick) -> float:
         """Deliver the tick upcalls; returns the seconds spent in fallbacks.

@@ -38,6 +38,13 @@ def scaled_battery_config(physical: BatteryConfig, fraction: float) -> BatteryCo
 class VirtualBattery:
     """An application's battery share plus its software control knobs."""
 
+    #: Process-wide generation counter of the Table 1 knobs, bumped by
+    #: :meth:`set_charge_rate` and :meth:`set_max_discharge`: the
+    #: columnar kernel caches the knob columns until it moves.  The
+    #: per-tick methods write battery state, so they bump
+    #: :attr:`Battery._write_epoch` instead.
+    _knob_epoch = 0
+
     def __init__(self, physical_config: BatteryConfig, fraction: float):
         self._fraction = fraction
         self._battery = Battery(scaled_battery_config(physical_config, fraction))
@@ -102,6 +109,7 @@ class VirtualBattery:
         if watts < 0:
             raise ValueError(f"charge rate must be >= 0, got {watts}")
         self._charge_rate_w = min(watts, self._battery.max_charge_power_w)
+        VirtualBattery._knob_epoch += 1
 
     @property
     def max_discharge_w(self) -> float:
@@ -113,6 +121,7 @@ class VirtualBattery:
         if watts < 0:
             raise ValueError(f"max discharge must be >= 0, got {watts}")
         self._max_discharge_w = min(watts, self._battery.max_discharge_power_w)
+        VirtualBattery._knob_epoch += 1
 
     # ------------------------------------------------------------------
     # Settlement-facing operations
@@ -132,6 +141,7 @@ class VirtualBattery:
         limited = min(requested_power_w, self._max_discharge_w)
         delivered = self._battery.discharge(limited, duration_s) if limited > 0 else 0.0
         self._last_discharge_w = delivered
+        Battery._write_epoch += 1
         return delivered
 
     def charge_for_tick(self, offered_power_w: float, duration_s: float) -> float:
@@ -142,11 +152,13 @@ class VirtualBattery:
             else 0.0
         )
         self._last_charge_w = accepted
+        Battery._write_epoch += 1
         return accepted
 
     def note_tick_charge(self, total_accepted_w: float) -> None:
         """Record the combined charge power for the tick (solar + grid)."""
         self._last_charge_w = total_accepted_w
+        Battery._write_epoch += 1
 
     def rescaled(
         self, physical_config: BatteryConfig, fraction: float

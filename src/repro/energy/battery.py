@@ -27,6 +27,15 @@ class Battery:
     though 30% of nameplate charge remains.
     """
 
+    #: Process-wide generation counter, bumped by every write to a
+    #: battery's stored energy (:meth:`charge`, :meth:`discharge`,
+    #: :meth:`set_level_wh`) and to a virtual battery's last charge and
+    #: discharge power.  The columnar settle kernel mirrors that state
+    #: in arrays between ticks and re-reads the objects only when this
+    #: moved; its own write-back skips the bump.  Class-level, so a
+    #: write by another ecovisor in the process forces a re-read.
+    _write_epoch = 0
+
     def __init__(self, config: BatteryConfig | None = None):
         self._config = config or BatteryConfig()
         self._config.validate()
@@ -130,6 +139,7 @@ class Battery:
         )
         self._total_charged_wh += input_wh
         self._cycle_throughput_wh += input_wh
+        Battery._write_epoch += 1
         return power_w(input_wh, duration_s)
 
     def discharge(self, requested_power_w: float, duration_s: float) -> float:
@@ -154,6 +164,7 @@ class Battery:
         )
         self._total_discharged_wh += output_wh
         self._cycle_throughput_wh += output_wh
+        Battery._write_epoch += 1
         return power_w(output_wh, duration_s)
 
     def set_level_wh(self, level_wh: float) -> None:
@@ -167,6 +178,7 @@ class Battery:
         if level_wh < 0:
             raise ValueError(f"level must be >= 0, got {level_wh}")
         self._level_wh = clamp(level_wh, 0.0, self._config.capacity_wh)
+        Battery._write_epoch += 1
 
     def max_discharge_energy_wh(self, duration_s: float) -> float:
         """Most terminal energy deliverable over a window of ``duration_s``."""

@@ -266,6 +266,8 @@ class SimulationEngine:
             ecovisor.prime_signal_cache(clock.tick_index, times)
         else:
             ecovisor.clear_signal_cache()
+            # The object path writes what the plane's groups mirror.
+            self._plane.reset()
         observers = self._observers
         profiler = self.profiler
         plane = self._plane if self._batched else None

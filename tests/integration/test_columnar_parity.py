@@ -52,15 +52,33 @@ import math
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.carbon.service import CarbonIntensityService
+from repro.carbon.traces import make_region_trace
 from repro.cluster.container import reset_container_id_counter
+from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.core.api import connect
-from repro.core.config import ShareConfig
+from repro.core.clock import SimulationClock
+from repro.core.config import (
+    BatteryConfig,
+    CarbonServiceConfig,
+    ClusterConfig,
+    EcovisorConfig,
+    ShareConfig,
+    SolarConfig,
+)
+from repro.core.ecovisor import Ecovisor
 from repro.core.errors import EcovisorError, InsufficientResourcesError
-from repro.core.events import BatteryEmptyEvent, BatteryFullEvent
+from repro.core.events import BatteryEmptyEvent, BatteryFullEvent, SolarChangeEvent
+from repro.energy.battery import Battery
+from repro.energy.grid import GridConnection
+from repro.energy.solar import SolarArrayEmulator, SolarTrace
+from repro.energy.system import PhysicalEnergySystem
 from repro.policies import CarbonAgnosticPolicy
+from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import (
     POLICY_MIXES,
     build_churn_fleet,
@@ -457,15 +475,13 @@ class TestForcedFlushParity:
         ecovisor.ledger.app_names()
         return batches, edges
 
-    def test_batched_toggle_matches_object_run(self):
-        """batched True -> False -> True, reading in between, is
-        byte-identical to the same run on the object path throughout."""
-        params = {**self.CHURN, "ticks": 30}
-        reads = {"at": [3, 9, 10, 17, 25], "tenants": [0, 2, 5]}
-        chunks = [(True, 8), (False, 10), (True, 12)]
+    @staticmethod
+    def _assert_toggle_parity(params, churn, chunks, reads=None):
+        """Running ``chunks`` of (batched, ticks) is byte-identical to
+        the same ticks on the object path throughout."""
 
         def toggled(all_objects):
-            fleet = _build(params, batched=not all_objects, churn=True)
+            fleet = _build(params, batched=not all_objects, churn=churn)
             states = _observe(fleet, reads)
             for batched, ticks in chunks:
                 fleet.engine.batched = batched and not all_objects
@@ -473,7 +489,57 @@ class TestForcedFlushParity:
                 assert fleet.ecovisor.columnar is fleet.engine.batched
             return collect_surfaces(fleet.ecovisor, states)
 
-        _assert_identical(params, True, toggled(False), toggled(True), reads)
+        _assert_identical(params, churn, toggled(False), toggled(True), reads)
+
+    def test_batched_toggle_matches_object_run(self):
+        """batched True -> False -> True, reading in between, is
+        byte-identical to the same run on the object path throughout."""
+        self._assert_toggle_parity(
+            {**self.CHURN, "ticks": 30},
+            True,
+            [(True, 8), (False, 10), (True, 12)],
+            {"at": [3, 9, 10, 17, 25], "tenants": [0, 2, 5]},
+        )
+
+    def test_batched_toggle_static_fleet(self):
+        """The static twin: no admission or eviction regroups the
+        upcall plane, so only the object-path stretch itself can tell
+        the plane (and the settle kernel's mirrors) that the workload
+        and battery state moved under them."""
+        self._assert_toggle_parity(
+            {**self.STATIC, "ticks": 60}, False, [(True, 20), (False, 20), (True, 20)]
+        )
+
+    def test_battery_event_subscriber_turns_own_knobs(self):
+        """A subscriber that turns its own tenant's knobs on a battery
+        edge: the settle snapshot shows the knobs the tenant settled
+        under on both paths, because the object path finalizes each
+        tenant's snapshot before it publishes that tenant's events."""
+
+        def capture(batched):
+            fleet = _build(self.STATIC, batched)
+            ecovisor = fleet.ecovisor
+            turned = []
+
+            def on_full(event):
+                api = connect(ecovisor, event.app_name)
+                battery = ecovisor.ves_for(event.app_name).battery
+                api.set_battery_charge_rate(0.0)
+                api.set_battery_max_discharge(battery.max_discharge_w / 2)
+                turned.append(event)
+
+            def on_empty(event):
+                connect(ecovisor, event.app_name).set_battery_charge_rate(5.0)
+                turned.append(event)
+
+            ecovisor.events.subscribe(BatteryFullEvent, on_full)
+            ecovisor.events.subscribe(BatteryEmptyEvent, on_empty)
+            states = _observe(fleet)
+            fleet.engine.run(self.STATIC["ticks"])
+            assert any(type(e) is BatteryEmptyEvent for e in turned)
+            return collect_surfaces(ecovisor, states)
+
+        _assert_identical(self.STATIC, False, capture(True), capture(False))
 
 
 #: Writes a client can make between ticks.  ``FleetArrays.refresh()``
@@ -482,8 +548,9 @@ class TestForcedFlushParity:
 #: rates); only admissions and evictions (``admit``, ``evict``) and
 #: staged share changes (``add_battery``, ``drop_battery``, which also
 #: move the solar fraction, threshold and grid share) change any of
-#: them.  The battery knobs, power caps and scaling are read afresh at
-#: every settle, so a step must not depend on a re-layout for those.
+#: them.  The battery knobs, power caps and scaling reach the next
+#: settle through write epochs or the container cache's key, so a step
+#: must not depend on a re-layout for those.
 WRITE_KINDS = (
     "charge_rate",
     "max_discharge",
@@ -739,6 +806,108 @@ class TestStepwiseLayout:
         ecovisor.evict_app("step-new")
         assert refreshes() == 1
         assert refreshes() == 0
+
+
+#: Object-side writes between ticks that the settle kernel's mirrors
+#: (battery state, knob columns, container powers) must pick up.
+OBJECT_WRITES = {
+    "battery_charge": lambda vb, c, eco: vb.battery.charge(5.0, 60.0),
+    "battery_discharge": lambda vb, c, eco: vb.battery.discharge(5.0, 60.0),
+    "set_level": lambda vb, c, eco: vb.battery.set_level_wh(vb.battery.capacity_wh),
+    "charge_for_tick": lambda vb, c, eco: vb.charge_for_tick(4.0, 60.0),
+    "discharge_for_tick": lambda vb, c, eco: vb.discharge_for_tick(4.0, 60.0),
+    "note_tick_charge": lambda vb, c, eco: vb.note_tick_charge(7.0),
+    "set_charge_rate": lambda vb, c, eco: vb.set_charge_rate(9.0),
+    "set_max_discharge": lambda vb, c, eco: vb.set_max_discharge(0.5),
+    "power_cap": lambda vb, c, eco: eco.platform.set_power_cap(c.id, 1.0),
+    "stop": lambda vb, c, eco: eco.stop_container(c.app_name, c.id),
+}
+
+
+class TestSettleMirrors:
+    """The settle kernel keeps battery state, knobs and container powers
+    in arrays between ticks; a write through the objects between two
+    ``run`` calls must reach the next settle exactly as on the object
+    path."""
+
+    PARAMS = {"apps": 9, "ticks": 12, "seed": 2023, "mix": "balanced"}
+
+    def _capture(self, batched, write):
+        fleet = _build(self.PARAMS, batched)
+        ecovisor = fleet.ecovisor
+        states = _observe(fleet)
+        fleet.engine.run(6)
+        holder = "fleet-0003"
+        vb = ecovisor.ves_for(holder).battery
+        container = ecovisor.containers_for(holder)[0]
+        OBJECT_WRITES[write](vb, container, ecovisor)
+        fleet.engine.run(6)
+        return collect_surfaces(ecovisor, states)
+
+    @pytest.mark.parametrize("write", sorted(OBJECT_WRITES))
+    def test_object_write_between_runs(self, write):
+        _assert_identical(
+            self.PARAMS, False, self._capture(True, write), self._capture(False, write)
+        )
+
+
+def _solar_fleet(batched):
+    """Six tenants, three with a solar share, under a solar-change
+    threshold low enough that every daylight tick flags them (the stock
+    5 W threshold, scaled by the share, flags only fleets of hundreds)."""
+    reset_container_id_counter()
+    plant = PhysicalEnergySystem(
+        grid=GridConnection(),
+        battery=Battery(BatteryConfig(capacity_wh=60.0)),
+        solar=SolarArrayEmulator(SolarConfig(peak_power_w=50.0), SolarTrace(days=1, seed=7)),
+    )
+    carbon = CarbonIntensityService(
+        CarbonServiceConfig(region="caiso"), trace=make_region_trace("caiso", days=1, seed=7)
+    )
+    platform = ContainerOrchestrationPlatform(ClusterConfig(num_servers=6))
+    ecovisor = Ecovisor(
+        plant, platform, carbon, EcovisorConfig(solar_change_threshold_w=0.05)
+    )
+    engine = SimulationEngine(ecovisor, SimulationClock(60.0), batched=batched)
+    for i in range(6):
+        share = (
+            ShareConfig(solar_fraction=0.3, battery_fraction=0.3, grid_power_w=math.inf)
+            if i % 2 == 0
+            else ShareConfig(grid_power_w=math.inf)
+        )
+        engine.add_application(
+            MLTrainingJob(name=f"solar-{i}", total_work_units=1e6),
+            share,
+            CarbonAgnosticPolicy(workers=1),
+        )
+    return engine
+
+
+class TestLazySolarEvents:
+    """Solar changes become events only for a subscriber, and the
+    journal cannot tell."""
+
+    TICKS = 420  # past dawn
+
+    def _run(self, batched, subscribe):
+        engine = _solar_fleet(batched)
+        ecovisor = engine.ecovisor
+        received = []
+        if subscribe:
+            ecovisor.signal_bus_for("solar-2").on(SolarChangeEvent, received.append)
+        engine.run(self.TICKS)
+        journals = collect_surfaces(ecovisor, [])["journals"]
+        return journals, received, ecovisor.events.published_count(SolarChangeEvent)
+
+    def test_subscriber_sees_the_same_events_and_journal(self):
+        quiet = self._run(True, subscribe=False)
+        heard = self._run(True, subscribe=True)
+        reference = self._run(False, subscribe=True)
+        assert len(heard[1]) > 10 and heard[1] == reference[1]
+        assert quiet[0] == heard[0] == reference[0]
+        assert quiet[2] == heard[2] == reference[2] > len(heard[1])
+        journaled = [e for e in quiet[0]["solar-4"]["events"] if "current_w" in e]
+        assert len(journaled) > 10
 
 
 class TestFleetDeterminism:

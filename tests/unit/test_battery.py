@@ -123,3 +123,23 @@ class TestWearAccounting:
         battery.discharge(5.0, HOUR)
         assert battery.total_charged_wh == pytest.approx(10.0)
         assert battery.total_discharged_wh == pytest.approx(5.0)
+
+
+class TestWriteEpoch:
+    """Every write to the stored energy moves ``Battery._write_epoch``,
+    the key of the columnar settle kernel's battery mirrors."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda b: b.charge(10.0, HOUR),
+            lambda b: b.discharge(10.0, HOUR),
+            lambda b: b.set_level_wh(40.0),
+        ],
+        ids=["charge", "discharge", "set_level_wh"],
+    )
+    def test_write_bumps_epoch(self, small_battery_config, write):
+        battery = Battery(small_battery_config)
+        before = Battery._write_epoch
+        write(battery)
+        assert Battery._write_epoch > before

@@ -106,3 +106,23 @@ class TestAccounting:
         assert c.last_power_w == 2.0
         assert c.energy_wh == pytest.approx(1.5)
         assert c.carbon_g == pytest.approx(0.4)
+
+
+class TestUtilizationEpoch:
+    """``Container._utilization_epoch`` moves on every write that can
+    change a container's power without a placement change: the key of
+    the columnar settle kernel's power cache."""
+
+    def test_demand_write_bumps_only_on_change(self):
+        c = Container("app", 1)
+        before = Container._utilization_epoch
+        c.set_demand_utilization(0.5)
+        assert Container._utilization_epoch == before + 1
+        c.set_demand_utilization(0.5)
+        assert Container._utilization_epoch == before + 1
+
+    def test_power_cap_bumps(self):
+        c = Container("app", 1)
+        before = Container._utilization_epoch
+        c.set_power_cap(2.0, 0.5)
+        assert Container._utilization_epoch == before + 1

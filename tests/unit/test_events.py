@@ -68,6 +68,15 @@ class TestSubscribePublish:
         assert bus.published_count(TickEvent) == 2
         assert bus.published_count(SolarChangeEvent) == 0
 
+    def test_unheard_publishes_count_like_published_ones(self):
+        bus = EventBus()
+        bus.count_unheard(SolarChangeEvent, 3)
+        bus.publish(SolarChangeEvent(time_s=0.0, app_name="a"))
+        assert bus.published_count(SolarChangeEvent) == 4
+        bus.subscribe(SolarChangeEvent, lambda e: None)
+        with pytest.raises(RuntimeError):
+            bus.count_unheard(SolarChangeEvent, 1)
+
     def test_subscriber_count(self):
         bus = EventBus()
         assert bus.subscriber_count(TickEvent) == 0

@@ -396,3 +396,12 @@ class TestGcFreeRecords:
         for slot in _TickRecord.__slots__:
             if slot not in self.SHARED:
                 assert not gc.is_tracked(getattr(record, slot)), slot
+
+    def test_journal_entries_untracked_after_one_collection(self):
+        fleet = _small_fleet(apps=8)
+        fleet.engine.run(40)
+        gc.collect()
+        feeds = fleet.ecovisor.journal._feeds.values()
+        entries = [entry for feed in feeds for entry in feed.entries]
+        assert len(entries) > len(feeds)
+        assert not any(gc.is_tracked(entry) for entry in entries)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.virtual_battery import VirtualBattery, scaled_battery_config
+from repro.energy.battery import Battery
 
 HOUR = 3600.0
 
@@ -86,3 +87,37 @@ class TestTickOperations:
         assert vb.soc_fraction == pytest.approx(0.5)
         assert not vb.is_full
         assert not vb.is_empty
+
+
+class TestWriteEpochs:
+    """Knob writes move ``VirtualBattery._knob_epoch``; the per-tick
+    methods, which write battery state, move ``Battery._write_epoch``.
+    The columnar settle kernel keys its mirrors on both."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [lambda vb: vb.set_charge_rate(5.0), lambda vb: vb.set_max_discharge(5.0)],
+        ids=["set_charge_rate", "set_max_discharge"],
+    )
+    def test_knob_write_bumps_knob_epoch(self, small_battery_config, write):
+        vb = VirtualBattery(small_battery_config, 0.5)
+        before = VirtualBattery._knob_epoch
+        write(vb)
+        assert VirtualBattery._knob_epoch > before
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            # Zero requests touch no Battery method, so the virtual
+            # battery's own bump is what moves the epoch.
+            lambda vb: vb.discharge_for_tick(0.0, HOUR),
+            lambda vb: vb.charge_for_tick(0.0, HOUR),
+            lambda vb: vb.note_tick_charge(3.0),
+        ],
+        ids=["discharge_for_tick", "charge_for_tick", "note_tick_charge"],
+    )
+    def test_tick_write_bumps_battery_epoch(self, small_battery_config, write):
+        vb = VirtualBattery(small_battery_config, 0.5)
+        before = Battery._write_epoch
+        write(vb)
+        assert Battery._write_epoch > before
