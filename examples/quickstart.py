@@ -42,7 +42,7 @@ def main() -> None:
 
     # 3. The ecovisor multiplexes the plant across applications.
     ecovisor = Ecovisor(plant, platform, carbon)
-    ecovisor.register_app(
+    ecovisor.admit_app(
         "demo", ShareConfig(solar_fraction=0.5, battery_fraction=0.5)
     )
     api = connect(ecovisor, "demo")

@@ -32,10 +32,10 @@ def main() -> None:
     ecovisor = Ecovisor(
         plant, ContainerOrchestrationPlatform(), CarbonIntensityService()
     )
-    ecovisor.register_app(
+    ecovisor.admit_app(
         "shop", ShareConfig(solar_fraction=0.4, battery_fraction=0.4)
     )
-    ecovisor.register_app(
+    ecovisor.admit_app(
         "batch", ShareConfig(solar_fraction=0.4, battery_fraction=0.4)
     )
     server = EcovisorRestServer(ecovisor)

@@ -56,26 +56,20 @@ class Container:
     DEFAULT_ROLE = "worker"
 
     #: Process-wide generation counter, bumped whenever an *existing*
-    #: container's placement-relevant state changes (start, stop, core
-    #: resize).  Batched consumers key derived caches on it so per-tick
-    #: knob writes (demand utilization, power caps) leave those caches
-    #: intact.  Creation deliberately does not bump it: a new container
-    #: is invisible until the platform registers it, which bumps the
-    #: platform's own version — keeping launches from invalidating every
-    #: server's occupancy cache.
+    #: container's core allocation changes (a stop, a core resize).
+    #: Occupancy caches (servers, the scheduler) key on it alone; the
+    #: columnar container cache keys on it together with the platform's
+    #: version, so per-tick knob writes (demand utilization, power caps)
+    #: leave those caches intact.  Creation deliberately does not bump
+    #: it: a new container is invisible until the platform registers it,
+    #: which bumps the platform's own version — keeping launches from
+    #: invalidating every server's occupancy cache.
     _mutation_epoch = 0
-
-    #: Like ``_mutation_epoch`` but bumped only on run-state flips
-    #: (start/stop), not core resizes.  Caches that depend solely on
-    #: *which* containers are running — role indexes, worker plans,
-    #: attribution position maps — key on this so the resize-heavy
-    #: steady state of a scaling fleet leaves them intact.
-    _runstate_epoch = 0
 
     #: Bumped whenever a container's attributed power can change without
     #: a placement change: a demand utilization that moved, a power cap.
     #: The columnar settle kernel keeps every container's power from one
-    #: settle to the next until this (or its cache key, which a start,
+    #: settle to the next until this (or its cache key, which a launch,
     #: stop or resize moves) moves.
     _utilization_epoch = 0
 
@@ -150,17 +144,14 @@ class Container:
     def is_running(self) -> bool:
         return self._state is ContainerState.RUNNING
 
-    def stop(self) -> None:
+    def _stop(self) -> None:
+        # Called only by ContainerOrchestrationPlatform.stop_container,
+        # which evicts and deregisters the container in the same call:
+        # every container the platform lists is running and placed.
         self._state = ContainerState.STOPPED
         self._demand_utilization = 0.0
         self._last_power_w = 0.0
         Container._mutation_epoch += 1
-        Container._runstate_epoch += 1
-
-    def start(self) -> None:
-        self._state = ContainerState.RUNNING
-        Container._mutation_epoch += 1
-        Container._runstate_epoch += 1
 
     # ------------------------------------------------------------------
     # Power capping and utilization

@@ -6,6 +6,14 @@ scales core allocations via cgroups, and enforces per-container power caps
 by translating a watt cap into a utilization clamp through the server's
 power model — the approach of Thunderbolt [48] that the prototype adopts.
 
+Every container the platform lists is running and placed:
+:meth:`~ContainerOrchestrationPlatform.launch_container` places a
+container before registering it, :meth:`~ContainerOrchestrationPlatform.stop_container`
+evicts, stops and deregisters it in one call, and a refused migration
+restores the container to its host before raising.  Every derived view
+(per-app and role lists, occupancy, power readings, the columnar
+container cache) relies on this and filters nothing.
+
 The ecovisor wraps this platform (it has privileged access to these
 functions); applications reach it only through the ecovisor API.
 """
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cluster.container import Container, ContainerState
+from repro.cluster.container import Container
 from repro.cluster.scheduler import FewestInstancesScheduler, Scheduler
 from repro.cluster.server import Server
 from repro.core.config import ClusterConfig
@@ -46,18 +54,18 @@ class ContainerOrchestrationPlatform:
         self._containers: Dict[str, Container] = {}
         # Per-application index of the same containers.  Each inner dict
         # preserves launch order, which equals the global insertion order
-        # filtered by app — so `containers_for` keeps its historical
-        # ordering while dropping from O(all containers) to O(app's).
+        # filtered by app — so `running_containers_for` keeps its
+        # historical ordering while dropping from O(all containers) to
+        # O(app's).
         self._containers_by_app: Dict[str, Dict[str, Container]] = {}
-        # Topology generation: bumped on launch/stop so batched readers
-        # can key derived caches on (version, Container._mutation_epoch)
-        # instead of rescanning the container population every tick.
+        # Topology generation: bumped on launch/stop, so batched readers
+        # can key derived caches on it (with Container._mutation_epoch
+        # where core allocations matter) instead of rescanning the
+        # container population every tick.
         self._version = 0
-        self._running_cache: Dict[str, List[Container]] = {}
         self._role_cache: Dict[tuple, List[Container]] = {}
         self._role_index: Optional[Dict[tuple, List[Container]]] = None
         self._cache_version = -1
-        self._cache_epoch = -1
         self._baseline_key = (-1, -1)
         self._baseline_w = 0.0
 
@@ -95,51 +103,31 @@ class ContainerOrchestrationPlatform:
         return container_id in self._containers
 
     def containers(self) -> List[Container]:
+        """Every listed (hence running and placed) container, in launch order."""
         return list(self._containers.values())
 
-    def running_containers(self) -> List[Container]:
-        return [c for c in self._containers.values() if c.is_running]
-
-    def containers_for(self, app_name: str) -> List[Container]:
+    def running_containers_for(self, app_name: str) -> List[Container]:
+        """One app's containers, in launch order."""
         index = self._containers_by_app.get(app_name)
         return list(index.values()) if index else []
 
     def _sync_generation_caches(self) -> None:
-        # The memoized running/role views are keyed per (topology,
-        # run-state) generation: the batched tick path asks for every
-        # app's running list every tick while the running set usually
-        # changes orders of magnitude less often.  Resizes (which bump
-        # only the mutation epoch) leave these views untouched.
-        if (
-            self._cache_version != self._version
-            or self._cache_epoch != Container._runstate_epoch
-        ):
-            self._running_cache = {}
+        # The memoized role views are keyed on the topology version: the
+        # batched tick path asks for every app's worker pool every tick,
+        # while containers come and go orders of magnitude less often.
+        # Resizes (which bump only the mutation epoch) leave these views
+        # untouched.
+        if self._cache_version != self._version:
             self._role_cache = {}
             self._role_index = None
             self._cache_version = self._version
-            self._cache_epoch = Container._runstate_epoch
-
-    def _running_for(self, app_name: str) -> List[Container]:
-        # Returns the cached list itself — callers must copy before
-        # exposing it for mutation.
-        self._sync_generation_caches()
-        cached = self._running_cache.get(app_name)
-        if cached is None:
-            index = self._containers_by_app.get(app_name)
-            cached = [c for c in index.values() if c.is_running] if index else []
-            self._running_cache[app_name] = cached
-        return cached
-
-    def running_containers_for(self, app_name: str) -> List[Container]:
-        return list(self._running_for(app_name))
 
     def running_containers_for_role(
         self, app_name: str, role: str
     ) -> List[Container]:
-        """One app's running containers of one role, memoized like
-        :meth:`running_containers_for` (policies and workloads consult
-        the worker pool several times per app per tick).
+        """One app's containers of one role, memoized per topology
+        version (policies and workloads consult the worker pool several
+        times per app per tick).
 
         Returns the cached list itself to keep the fleet hot path
         allocation-free — callers must treat it as read-only.
@@ -148,28 +136,20 @@ class ContainerOrchestrationPlatform:
         key = (app_name, role)
         cached = self._role_cache.get(key)
         if cached is None:
-            base = self._running_cache.get(app_name)
-            if base is None:
-                index = self._containers_by_app.get(app_name)
-                base = (
-                    [c for c in index.values() if c.is_running]
-                    if index
-                    else []
-                )
-                self._running_cache[app_name] = base
-            cached = [c for c in base if c.role == role]
+            index = self._containers_by_app.get(app_name)
+            cached = [c for c in index.values() if c.role == role] if index else []
             self._role_cache[key] = cached
         return cached
 
     def running_role_index(self) -> Dict[tuple, List[Container]]:
-        """Every running container grouped by ``(app_name, role)``.
+        """Every container grouped by ``(app_name, role)``.
 
         Lists are in launch order (the per-app index order filtered by
         role), so each entry equals the corresponding
-        :meth:`running_containers_for_role` result; apps with no running
+        :meth:`running_containers_for_role` result; apps with no
         containers of a role are simply absent.  Built with one walk
-        over the container population and memoized per generation —
-        this replaces the O(apps) per-app call storm when the batched
+        over the container population and memoized per topology version
+        — this replaces the O(apps) per-app call storm when the batched
         upcall plane re-plans a large fleet after a topology change.
         Returns the cached dict itself; callers must treat it (and its
         lists) as read-only.
@@ -178,12 +158,10 @@ class ContainerOrchestrationPlatform:
         index = self._role_index
         if index is None:
             index = {}
-            running = ContainerState.RUNNING
             for container in self._containers.values():
-                if container._state is running:
-                    index.setdefault(
-                        (container._app_name, container._role), []
-                    ).append(container)
+                index.setdefault(
+                    (container._app_name, container._role), []
+                ).append(container)
             self._role_index = index
         return index
 
@@ -210,21 +188,17 @@ class ContainerOrchestrationPlatform:
         return container
 
     def stop_container(self, container_id: str) -> None:
-        """Stop and remove a container, releasing its resources."""
+        """Evict, stop and deregister a container, releasing its resources."""
         container = self.get_container(container_id)
-        if container.server_name is not None:
-            server = self._server_by_name(container.server_name)
-            server.evict(container_id)
-        container.stop()
+        self._servers_by_name[container.server_name].evict(container_id)
+        container._stop()
         del self._containers[container_id]
-        app_index = self._containers_by_app.get(container.app_name)
-        if app_index is not None:
-            app_index.pop(container_id, None)
+        del self._containers_by_app[container.app_name][container_id]
         self._version += 1
 
     def stop_app(self, app_name: str) -> List[str]:
         """Stop every container of an application; returns their ids."""
-        ids = [c.id for c in self.containers_for(app_name)]
+        ids = [c.id for c in self.running_containers_for(app_name)]
         for container_id in ids:
             self.stop_container(container_id)
         return ids
@@ -237,7 +211,7 @@ class ContainerOrchestrationPlatform:
         if cores <= 0:
             raise SchedulingError(f"cores must be positive, got {cores}")
         container = self.get_container(container_id)
-        server = self._server_by_name(container.server_name)
+        server = self._servers_by_name[container.server_name]
         if server.can_grow(container, cores):
             container.set_cores(cores)
             self._refresh_power_cap(container)
@@ -279,8 +253,8 @@ class ContainerOrchestrationPlatform:
         Only containers of the given role are counted and affected, so a
         policy scaling workers leaves auxiliary containers (e.g. a queue
         server) untouched.  Extra containers are stopped (newest first);
-        missing ones are launched.  Returns the role's running containers
-        after scaling.
+        missing ones are launched.  Returns the role's containers after
+        scaling.
         """
         if count < 0:
             raise SchedulingError(f"count must be >= 0, got {count}")
@@ -300,7 +274,7 @@ class ContainerOrchestrationPlatform:
     def set_power_cap(self, container_id: str, cap_w: Optional[float]) -> None:
         """Install (or clear, with None) a per-container power cap."""
         container = self.get_container(container_id)
-        server = self._server_by_name(container.server_name)
+        server = self._servers_by_name[container.server_name]
         if cap_w is None:
             container.set_power_cap(None, 1.0)
             return
@@ -315,10 +289,8 @@ class ContainerOrchestrationPlatform:
         return self._container_power(self.get_container(container_id))
 
     def _container_power(self, container: Container) -> float:
-        """The power model applied to one already-resolved container."""
-        if not container.is_running or container.server_name is None:
-            return 0.0
-        server = self._server_by_name(container.server_name)
+        """The power model applied to one listed container."""
+        server = self._servers_by_name[container.server_name]
         gpu_util = container.effective_utilization if container.has_gpu else 0.0
         return server.power_model.container_power_w(
             container.effective_utilization, container.cores, gpu_util
@@ -337,25 +309,26 @@ class ContainerOrchestrationPlatform:
         }
 
     def app_container_powers(self, app_name: str) -> Dict[str, float]:
-        """Per-container attributed power of one app's running containers."""
+        """Per-container attributed power of one app's containers."""
         index = self._containers_by_app.get(app_name)
         if not index:
             return {}
         return {
             container_id: self._container_power(container)
             for container_id, container in index.items()
-            if container.is_running
         }
 
     def app_power_w(self, app_name: str) -> float:
-        """Summed attributed power of an application's running containers."""
+        """Summed attributed power of an application's containers."""
         return sum(
             self._container_power(c) for c in self.running_containers_for(app_name)
         )
 
     def cluster_power_w(self) -> float:
         """Attributed power of all containers plus unallocated idle power."""
-        attributed = sum(self._container_power(c) for c in self.running_containers())
+        attributed = sum(
+            self._container_power(c) for c in self._containers.values()
+        )
         return attributed + self.baseline_power_w()
 
     def baseline_power_w(self) -> float:
@@ -382,11 +355,3 @@ class ContainerOrchestrationPlatform:
             self._baseline_w = acc
             self._baseline_key = key
         return self._baseline_w
-
-    def _server_by_name(self, name: Optional[str]) -> Server:
-        server = self._servers_by_name.get(name) if name is not None else None
-        if server is None:
-            raise SchedulingError(
-                f"container not placed on any known server: {name!r}"
-            )
-        return server

@@ -44,7 +44,7 @@ class FewestInstancesScheduler(Scheduler):
     The selection key is ``(running instances, server name)``.  The scan
     is vectorized: per-server instance counts and allocated cores live
     in name-ordered numpy arrays rebuilt whenever a container mutation
-    (stop/start/resize, tracked by ``Container._mutation_epoch``) could
+    (stop/resize, tracked by ``Container._mutation_epoch``) could
     have changed occupancy, and updated in place on :meth:`commit` —
     placements do not bump the epoch, so a launch burst pays one argmin
     per placement instead of a full cluster walk.

@@ -25,10 +25,10 @@ class Server:
         self._power_model = ServerPowerModel(self._config)
         self._containers: Dict[str, Container] = {}
         # Occupancy memo: placements/evictions clear it locally, while
-        # in-place container mutations (stop/start/resize, which don't
-        # pass through this server) invalidate via the global mutation
-        # epoch.  Keeps the fleet-wide scheduler scan from re-walking
-        # every server's containers on every launch.
+        # in-place core resizes (which don't pass through this server)
+        # invalidate via the global mutation epoch.  Keeps the
+        # fleet-wide scheduler scan from re-walking every server's
+        # containers on every launch.
         self._occ_cache: tuple | None = None
         self._occ_epoch = -1
 
@@ -80,13 +80,12 @@ class Server:
         cache = self._occ_cache
         if cache is not None and self._occ_epoch == Container._mutation_epoch:
             return cache
+        # Every hosted container is running: the platform evicts a
+        # container in the same call that stops it.
         allocated = 0.0
-        count = 0
         for container in self._containers.values():
-            if container.is_running:
-                allocated += container.cores
-                count += 1
-        cache = (allocated, count)
+            allocated += container.cores
+        cache = (allocated, len(self._containers))
         self._occ_cache = cache
         self._occ_epoch = Container._mutation_epoch
         return cache
@@ -114,7 +113,7 @@ class Server:
 
     def can_grow(self, container: Container, new_cores: float) -> bool:
         """Whether vertically scaling ``container`` to ``new_cores`` fits."""
-        others = self.allocated_cores - (container.cores if container.is_running else 0.0)
+        others = self.allocated_cores - container.cores
         return others + new_cores <= self.total_cores + 1e-9
 
     def measured_power_w(self) -> float:

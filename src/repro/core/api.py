@@ -56,7 +56,6 @@ class EcovisorAPI:
         # repeats without re-entering the platform's shared cache.
         self._role_lists: dict = {}
         self._rl_version = -1
-        self._rl_epoch = -1
 
     @property
     def app_name(self) -> str:
@@ -179,7 +178,7 @@ class EcovisorAPI:
         self._ecovisor.set_container_cores(self._app_name, container_id, cores)
 
     def list_containers(self, role: Optional[str] = None) -> List[Container]:
-        """The application's running containers (optionally one role's).
+        """The application's containers (optionally one role's).
 
         The role-filtered form returns the platform's memoized list —
         treat it as read-only (every policy and workload consults it
@@ -191,13 +190,9 @@ class EcovisorAPI:
             # times per tick at fleet scale, where even the property
             # indirection shows up.
             version = platform._version
-            if (
-                self._rl_version != version
-                or self._rl_epoch != Container._runstate_epoch
-            ):
+            if self._rl_version != version:
                 self._role_lists = {}
                 self._rl_version = version
-                self._rl_epoch = Container._runstate_epoch
             cached = self._role_lists.get(role)
             if cached is None:
                 cached = self._role_lists[role] = (

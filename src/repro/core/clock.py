@@ -25,12 +25,20 @@ class TickInfo:
     Attributes:
         index: zero-based tick counter.
         start_s: simulation time at the start of the interval (seconds).
-        duration_s: interval length (seconds).
+        duration_s: interval length (seconds); must be positive, which
+            every settlement relies on to turn energy into power.
     """
 
     index: int
     start_s: float
     duration_s: float
+
+    def __post_init__(self) -> None:
+        # Written as a negated comparison so that NaN is refused too.
+        if not self.duration_s > 0:
+            raise ConfigurationError(
+                f"tick duration must be positive, got {self.duration_s}"
+            )
 
     @property
     def end_s(self) -> float:

@@ -542,10 +542,6 @@ class Ecovisor:
         )
         return ves
 
-    def register_app(self, name: str, share: ShareConfig) -> VirtualEnergySystem:
-        """Alias of :meth:`admit_app` (the pre-v1.1 registration name)."""
-        return self.admit_app(name, share)
-
     def evict_app(self, name: str) -> AppAccount:
         """Evict an application, finalizing its account and shares.
 

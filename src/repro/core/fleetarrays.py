@@ -26,7 +26,7 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
   re-read only after a layout change (:attr:`FleetArrays.epoch`) or
   after a class-level write epoch moved (``Battery._write_epoch``,
   ``VirtualBattery._knob_epoch``, ``Container._utilization_epoch``).
-  Every object-side writer bumps one (a container start, stop or
+  Every object-side writer bumps one (a container launch, stop or
   resize moves the container cache's own key instead); the kernel's
   own write-back does not, because its mirrors already hold what it
   writes.
@@ -53,7 +53,7 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -75,11 +75,13 @@ INITIAL_CAPACITY = 64
 class _ContainerCache:
     """Vectorized view of the platform's container population.
 
-    Rebuilt whenever the structural cache key — ``(platform.version,
-    Container._mutation_epoch)`` — changes (launch/stop/start/resize);
-    the per-tick quantities (demand and cap utilizations) behind
-    :meth:`powers` are re-read only when
-    ``Container._utilization_epoch`` moved since the last read.
+    Every listed container is running and placed (the platform's
+    invariant), so the cache covers the whole population with no masks.
+    Built once per change of the structural key — ``(platform.version,
+    Container._mutation_epoch)``, which a launch, stop or core resize
+    moves; the per-tick quantities (demand and cap utilizations) behind
+    :meth:`powers` are re-read only when ``Container._utilization_epoch``
+    moved since the last read.
     """
 
     __slots__ = (
@@ -90,13 +92,9 @@ class _ContainerCache:
         "cf_idle",
         "cpu_range",
         "gpu_range",
-        "run_mask",
-        "run_epoch",
-        "power_mask",
         "gpu_mask",
         "positions",
         "cont_ids",
-        "running_positions",
         "baseline_w",
         "_powers",
         "_powers_list",
@@ -124,32 +122,13 @@ class _ContainerCache:
             if server.has_gpu
             else 0.0
         )
-        run = np.fromiter(
-            map(attrgetter("is_running"), clist), dtype=bool, count=n
-        )
-        self.run_mask = run
-        self.run_epoch = Container._runstate_epoch
-        placed = np.fromiter(
-            (c.server_name is not None for c in clist), dtype=bool, count=n
-        )
-        # The scalar path attributes 0.0 W to stopped or unplaced
-        # containers; running-but-unplaced ones still appear in per-app
-        # readings (with 0.0), hence two distinct masks.
-        self.power_mask = run & placed
         self.gpu_mask = np.fromiter(
             map(attrgetter("has_gpu"), clist), dtype=bool, count=n
         )
-        self._index_running(run)
-        self.baseline_w = platform.baseline_power_w()
-
-    def _index_running(self, run: np.ndarray) -> None:
-        """Per-app position/id maps over the running subset of ``clist``."""
-        clist = self.clist
-        running_positions = np.flatnonzero(run).tolist()
+        # Per-app position/id maps over clist, in launch order.
         positions: Dict[str, List[int]] = {}
         cont_ids: Dict[str, List[str]] = {}
-        for p in running_positions:
-            c = clist[p]
+        for p, c in enumerate(clist):
             name = c._app_name
             positions.setdefault(name, []).append(p)
             cont_ids.setdefault(name, []).append(c._id)
@@ -159,140 +138,7 @@ class _ContainerCache:
         self.cont_ids: Dict[str, Tuple[str, ...]] = {
             name: tuple(v) for name, v in cont_ids.items()
         }
-        self.running_positions = tuple(running_positions)
-
-    @classmethod
-    def extended(
-        cls,
-        prev: "_ContainerCache",
-        platform: "ContainerOrchestrationPlatform",
-        key: Tuple[int, int],
-    ) -> Optional["_ContainerCache"]:
-        """Append-only rebuild: reuse ``prev`` for the common launch case.
-
-        An unchanged mutation epoch means no container stopped, started,
-        or resized since ``prev`` was built — the platform's population
-        only grew, so ``prev``'s containers are an exact prefix and every
-        derived array extends instead of rebuilding (the launch ramp of
-        a large fleet rebuilds this cache every tick otherwise).  Returns
-        None when the prefix invariant does not hold.
-        """
-        clist = platform.containers()
-        old_n = len(prev.clist)
-        n = len(clist)
-        if n < old_n or (old_n and clist[old_n - 1] is not prev.clist[-1]):
-            return None
-        new = clist[old_n:]
-        obj = cls.__new__(cls)
-        obj._powers_epoch = -1
-        obj.key = key
-        obj.clist = clist
-        obj.ids = prev.ids + tuple(c.id for c in new)
-        server = platform.config.server
-        k = len(new)
-        cf_new = (
-            np.fromiter((c.cores for c in new), dtype=float, count=k)
-            / server.cores
-        )
-        obj.cf = np.concatenate([prev.cf, cf_new])
-        obj.cf_idle = np.concatenate(
-            [prev.cf_idle, cf_new * server.idle_power_w]
-        )
-        obj.cpu_range = prev.cpu_range
-        obj.gpu_range = prev.gpu_range
-        run_new = np.fromiter(
-            (c.is_running for c in new), dtype=bool, count=k
-        )
-        placed_new = np.fromiter(
-            (c.server_name is not None for c in new), dtype=bool, count=k
-        )
-        obj.run_mask = np.concatenate([prev.run_mask, run_new])
-        obj.run_epoch = Container._runstate_epoch
-        obj.power_mask = np.concatenate(
-            [prev.power_mask, run_new & placed_new]
-        )
-        obj.gpu_mask = np.concatenate(
-            [
-                prev.gpu_mask,
-                np.fromiter((c.has_gpu for c in new), dtype=bool, count=k),
-            ]
-        )
-        positions = dict(prev.positions)
-        cont_ids = dict(prev.cont_ids)
-        run_pos = list(prev.running_positions)
-        for p in range(old_n, n):
-            c = clist[p]
-            if not c.is_running:
-                continue
-            run_pos.append(p)
-            name = c.app_name
-            positions[name] = positions.get(name, ()) + (p,)
-            cont_ids[name] = cont_ids.get(name, ()) + (c.id,)
-        obj.positions = positions
-        obj.cont_ids = cont_ids
-        obj.running_positions = tuple(run_pos)
-        obj.baseline_w = platform.baseline_power_w()
-        return obj
-
-    @classmethod
-    def resized(
-        cls,
-        prev: "_ContainerCache",
-        platform: "ContainerOrchestrationPlatform",
-        key: Tuple[int, int],
-    ) -> "_ContainerCache":
-        """Same-population rebuild: only the mutable columns re-derive.
-
-        An unchanged topology version means no container launched or was
-        removed since ``prev`` — the population and its order are exactly
-        ``prev.clist`` — so identity-derived fields (ids, GPU mask) carry
-        over, and when the running set is also unchanged (the common
-        resize-only scale) the per-app position maps carry over too.
-        """
-        clist = prev.clist
-        n = len(clist)
-        obj = cls.__new__(cls)
-        obj._powers_epoch = -1
-        obj.key = key
-        obj.clist = clist
-        obj.ids = prev.ids
-        server = platform.config.server
-        cf = np.fromiter(map(attrgetter("cores"), clist), dtype=float, count=n)
-        cf = cf / server.cores
-        obj.cf = cf
-        obj.cf_idle = cf * server.idle_power_w
-        obj.cpu_range = prev.cpu_range
-        obj.gpu_range = prev.gpu_range
-        obj.gpu_mask = prev.gpu_mask
-        run_epoch = Container._runstate_epoch
-        obj.run_epoch = run_epoch
-        if prev.run_epoch == run_epoch:
-            # Resize-only epoch: no container started or stopped, so the
-            # run mask — and every index derived from it — carries over.
-            obj.run_mask = prev.run_mask
-            obj.power_mask = prev.power_mask
-            obj.positions = prev.positions
-            obj.cont_ids = prev.cont_ids
-            obj.running_positions = prev.running_positions
-        else:
-            run = np.fromiter(
-                map(attrgetter("is_running"), clist), dtype=bool, count=n
-            )
-            obj.run_mask = run
-            placed = np.fromiter(
-                (c.server_name is not None for c in clist),
-                dtype=bool,
-                count=n,
-            )
-            obj.power_mask = run & placed
-            if np.array_equal(run, prev.run_mask):
-                obj.positions = prev.positions
-                obj.cont_ids = prev.cont_ids
-                obj.running_positions = prev.running_positions
-            else:
-                obj._index_running(run)
-        obj.baseline_w = platform.baseline_power_w()
-        return obj
+        self.baseline_w = platform.baseline_power_w()
 
     def powers(self) -> np.ndarray:
         """Attributed power of every container, as a read-only array.
@@ -324,12 +170,11 @@ class _ContainerCache:
         cap = np.fromiter(
             map(attrgetter("_cap_utilization"), clist), dtype=float, count=n
         )
-        u = np.where(self.power_mask, np.minimum(du, cap), 0.0)
+        u = np.minimum(du, cap)
         gu = np.where(self.gpu_mask, u, 0.0)
         p = (self.cf_idle + (self.cf * u) * self.cpu_range) + (
             self.cf * gu
         ) * self.gpu_range
-        p = np.where(self.power_mask, p, 0.0)
         # Shared by every tick record and snapshot until the next read.
         p.flags.writeable = False
         self._powers = p
@@ -453,12 +298,11 @@ class _TickRecord:
     per battery holder, per container) and layout objects settle
     already shares between ticks (``names``, ``counts``, the container
     cache's ``ids``, the gather plan's ``ids_flat``, ``batt_idx``) —
-    nothing per tick that the garbage collector tracks.  ``settlements``
-    is None except on the degenerate-duration path, which settles its
-    battery holders through the real ``VirtualEnergySystem`` and keeps
-    those settlements as a sparse ``{index: TickSettlement}``.  Every
-    other settlement is built by :meth:`settlement` when its account's
-    settlements are first read.
+    nothing per tick that the garbage collector tracks.  Every
+    settlement is built by :meth:`settlement` when its account's
+    settlements are first read; ticks have a positive duration
+    (:class:`~repro.core.clock.TickInfo` refuses any other), so every
+    column divides by it.
     """
 
     __slots__ = (
@@ -483,7 +327,6 @@ class _TickRecord:
         "carbon_g",
         "cost",
         "last_grid",
-        "settlements",
         "batt_idx",
         "batt_soc",
         "batt_level",
@@ -502,10 +345,6 @@ class _TickRecord:
         produces on the object path (conserving by construction, so no
         re-validation, as for ``ledger.record(validate=False)``).
         """
-        if self.settlements is not None:
-            settlement = self.settlements.get(index)
-            if settlement is not None:
-                return settlement
         return TickSettlement(
             app_name=app_name,
             time_s=self.time_s,
@@ -671,12 +510,7 @@ _FAMILIES = (
 
 def _tenant_metrics(records: List[_TickRecord]):
     """(suffix, record column or per-record arrays) of every tenant series."""
-    rate = [
-        record.carbon_g * 1000.0 / record.duration_s
-        if record.duration_s > 0
-        else np.zeros(len(record.names))
-        for record in records
-    ]
+    rate = [record.carbon_g * 1000.0 / record.duration_s for record in records]
     columns = ("demand_w", "counts", "carbon_g", "last_grid", "solar_used", "unmet", rate)
     # The price signal is fixed for an ecovisor's lifetime, so every
     # record agrees on has_market.
@@ -698,6 +532,12 @@ class FleetArrays:
     or share rebalance sets it and the next tick phase re-derives them
     in one :meth:`refresh` pass, bumping ``epoch`` so stale snapshots
     are never indexed with fresh row assignments.
+
+    The kernel checks neither of the two invariants it rests on: every
+    container the platform lists is running and placed, so the
+    container cache spans the whole population with no masks; and every
+    tick has a positive duration (:class:`~repro.core.clock.TickInfo`
+    refuses any other), so settle divides by it unguarded.
     """
 
     def __init__(self, capacity: int = INITIAL_CAPACITY):
@@ -757,10 +597,8 @@ class FleetArrays:
         self._knob_key: Optional[Tuple[int, int]] = None
         self._knobs: Optional[tuple] = None
         # Per-(container cache, names) gather plan for settle(); see
-        # _gather_plan().
-        # Keyed on the *positions* dict identity, not the cache object:
-        # resize-only cache rebuilds carry the position maps over
-        # unchanged, and the gather plan depends on nothing else.
+        # _gather_plan().  Keyed on the cache's positions dict, the only
+        # part of the cache the plan reads.
         self._plan_positions: Optional[dict] = None
         self._plan_names: Optional[List[str]] = None
         self._plan: Optional[tuple] = None
@@ -930,20 +768,7 @@ class FleetArrays:
         key = (platform.version, Container._mutation_epoch)
         cc = self._cc
         if cc is None or cc.key != key:
-            if cc is not None and cc.key[1] == key[1] and key[0] > cc.key[0]:
-                # Same mutation epoch, newer topology version: launches
-                # only, so the cache extends instead of rebuilding.
-                cc = _ContainerCache.extended(cc, platform, key)
-            elif cc is not None and cc.key[0] == key[0]:
-                # Same topology version, newer mutation epoch: the
-                # population is unchanged (resize/start/stop in place),
-                # so identity-derived columns carry over.
-                cc = _ContainerCache.resized(cc, platform, key)
-            else:
-                cc = None
-            if cc is None:
-                cc = _ContainerCache(platform, key)
-            self._cc = cc
+            cc = self._cc = _ContainerCache(platform, key)
         return cc
 
     def _gather_plan(self, cc: _ContainerCache) -> tuple:
@@ -961,8 +786,6 @@ class FleetArrays:
           accumulates each app's container powers left-to-right from
           0.0, the exact IEEE sequence of the object path's per-app
           ``sum``.
-        - ``cluster_get``: itemgetter over every running container for
-          the cluster-power sum (None when the cluster is empty).
         """
         names = self.names
         positions = cc.positions
@@ -982,10 +805,6 @@ class FleetArrays:
                 ids_flat.extend(cont_ids[name])
             else:
                 counts.append(0)
-        run = cc.running_positions
-        cluster_get = (
-            (itemgetter(*run), len(run) == 1) if run else None
-        )
         counts_arr = np.asarray(counts, dtype=float)
         counts_arr.flags.writeable = False
         plan = (
@@ -993,7 +812,6 @@ class FleetArrays:
             np.asarray(flat_pos, dtype=np.intp),
             np.asarray(flat_app, dtype=np.intp),
             ids_flat,
-            cluster_get,
         )
         self._plan_positions = positions
         self._plan_names = names
@@ -1076,7 +894,7 @@ class FleetArrays:
         cc = self.container_cache(eco._platform)
         powers = cc.powers()
         powers_list = cc.powers_list()
-        counts, flat_pos, flat_app, ids_flat, cluster_get = self._gather_plan(cc)
+        counts, flat_pos, flat_app, ids_flat = self._gather_plan(cc)
         # bincount accumulates each app's container powers from 0.0 in
         # launch order — the exact IEEE sequence of the object path's
         # per-app demand sum (an app without containers reads 0.0, as
@@ -1107,9 +925,8 @@ class FleetArrays:
         grid_total = grid_load.copy()
         carbon_g = grid_total / 1000.0 * carbon
         cost = grid_total / 1000.0 * price
-        last_grid = grid_total / hrs if duration_s > 0 else np.zeros(n)
+        last_grid = grid_total / hrs
 
-        settlements: Optional[Dict[int, TickSettlement]] = None
         batt_idx = self.batt_idx
         batt_soc = batt_level = batt_power = _NO_ROWS
         batt_apps = self.batt_apps
@@ -1118,7 +935,7 @@ class FleetArrays:
         # pass settles under; the edge loop re-reads them past a tenant
         # whose battery events moved them.
         target, maxdis, knob_target, knob_maxdis = self._knob_cache()
-        if m and duration_s > 0:
+        if m:
             # Vectorized replay of the VES battery settlement (steps 2
             # and 4 of `VirtualEnergySystem.settle`) over the battery
             # sub-fleet.  Every line mirrors one arithmetic step of
@@ -1312,74 +1129,6 @@ class FleetArrays:
                         )
             self._batt_state = (level, delivered, last_charge_b, full_arr, empty_arr)
             self._batt_key = batt_key
-        elif m:
-            # Degenerate duration: defer to the real VES so its input
-            # validation raises exactly as the object path would.  The
-            # VES per-tick solar is stale in columnar mode; restore it
-            # from the arrays first.  The columns take the settlements'
-            # figures, so the write-back reads columns only.
-            settlements = {}
-            for i, app in batt_apps:
-                app.ves.restore_tick_state(
-                    float(self.solar_w[app.row]), float(self.grid_w[app.row])
-                )
-                s = app.ves.settle(
-                    demand_arr.item(i),
-                    carbon,
-                    time_s,
-                    duration_s,
-                    price_usd_per_kwh=price,
-                )
-                settlements[i] = s
-                demand_wh[i] = s.demand_wh
-                solar_wh[i] = s.solar_available_wh
-                solar_used[i] = s.solar_used_wh
-                served[i] = s.served_wh
-                unmet[i] = s.unmet_wh
-                s2b[i] = s.solar_to_battery_wh
-                curtailed[i] = s.curtailed_wh
-                battery_wh[i] = s.battery_discharge_wh
-                grid_load[i] = s.grid_load_wh
-                g2b[i] = s.grid_to_battery_wh
-                grid_total[i] = s.grid_load_wh + s.grid_to_battery_wh
-                carbon_g[i] = s.carbon_g
-                cost[i] = s.cost_usd
-                last_grid[i] = app.ves.grid_power_w
-            tel: List[Tuple[int, float, float, float]] = []
-            for i, app in batt_apps:
-                vb = app.ves.battery
-                if vb is None:
-                    continue
-                if vb.is_full and not app.battery_was_full:
-                    eco._publish(
-                        BatteryFullEvent(
-                            time_s=time_s,
-                            app_name=app.name,
-                            charge_level_wh=vb.usable_wh,
-                        )
-                    )
-                app.battery_was_full = vb.is_full
-                if vb.is_empty and not app.battery_was_empty:
-                    eco._publish(
-                        BatteryEmptyEvent(time_s=time_s, app_name=app.name)
-                    )
-                app.battery_was_empty = vb.is_empty
-                tel.append(
-                    (
-                        i,
-                        vb.soc_fraction,
-                        vb.usable_wh,
-                        vb.last_charge_w - vb.last_discharge_w,
-                    )
-                )
-            idx_l, soc_l, level_l, power_l = zip(*tel) if tel else ((),) * 4
-            batt_idx = np.asarray(idx_l, dtype=np.intp)
-            batt_soc = np.asarray(soc_l, dtype=float)
-            batt_level = np.asarray(level_l, dtype=float)
-            batt_power = np.asarray(power_l, dtype=float)
-            # The flags were written through the objects here.
-            self._batt_key = None
-            knob_target, knob_maxdis = self._knob_cache()[2:]
 
         # Scatter the settled figures back into the persistent rows.
         # Rows are unique, so fancy += accumulates exactly like the
@@ -1426,18 +1175,15 @@ class FleetArrays:
         else:
             fractions = {}
 
+        # Elementwise terms vectorize bit-identically; the running sums
+        # stay sequential in app order (their IEEE sequence is the parity
+        # contract, so no np.sum/fsum here).
         total_grid_w = 0.0
+        for v in (grid_total * 3600.0 / duration_s).tolist():
+            total_grid_w += v
         total_solar_used_w = 0.0
-        if duration_s > 0:
-            # Elementwise terms vectorize bit-identically; the running
-            # sums stay sequential in app order (their IEEE sequence is
-            # the parity contract, so no np.sum/fsum here).
-            gt = (grid_total * 3600.0 / duration_s).tolist()
-            ss = ((solar_used + s2b) * 3600.0 / duration_s).tolist()
-            for v in gt:
-                total_grid_w += v
-            for v in ss:
-                total_solar_used_w += v
+        for v in ((solar_used + s2b) * 3600.0 / duration_s).tolist():
+            total_solar_used_w += v
 
         plant = eco._plant
         if plant.has_grid and total_grid_w > 0:
@@ -1485,7 +1231,6 @@ class FleetArrays:
         record.carbon_g = carbon_g
         record.cost = cost
         record.last_grid = last_grid
-        record.settlements = settlements
         record.batt_idx = batt_idx
         record.batt_soc = batt_soc
         record.batt_level = batt_level
@@ -1494,12 +1239,9 @@ class FleetArrays:
         record.cont_powers = powers
         record.ids_flat = ids_flat
         record.cont_carbon = cont_carbon
-        if cluster_get is None:
-            attributed = 0
-        else:
-            v = cluster_get[0](powers_list)
-            attributed = v if cluster_get[1] else sum(v)
-        record.cluster_power = attributed + cc.baseline_w
+        # Left to right over every container, as the object path's
+        # cluster_power_w sums them.
+        record.cluster_power = sum(powers_list) + cc.baseline_w
         self.pending.append(record)
 
         self.current_snap = FleetSnapshot(

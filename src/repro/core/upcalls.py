@@ -52,8 +52,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.container import Container
-
 __all__ = ["UpcallPlane", "PolicyRows", "WorkloadRows", "TickSignals"]
 
 
@@ -114,7 +112,7 @@ class PolicyRows:
         self.complete = np.zeros(0, dtype=bool)
         self._static: Dict[str, np.ndarray] = {}
         self._lists: Dict[str, list] = {}
-        self._counts_key = (-1, -1)
+        self._counts_key = -1
         # When every member's ``is_complete`` is the un-overridden
         # progress compare (BatchJob's ``_progress >= _total_work -
         # 1e-9``), the per-tick completion refresh vectorizes over the
@@ -131,7 +129,7 @@ class PolicyRows:
     def refresh(self) -> None:
         """Re-derive worker counts (topology-keyed) and completion flags."""
         platform = self.plane.platform
-        key = (platform._version, Container._runstate_epoch)
+        key = platform._version
         if self._counts_key != key:
             index = platform.running_role_index()
             empty = ()
@@ -316,7 +314,7 @@ class WorkloadRows:
         self.warmup: Optional[np.ndarray] = None
         self._static: Dict[str, np.ndarray] = {}
         self._plan: Optional[_WorkerPlan] = None
-        self._plan_key = (-1, -1)
+        self._plan_key = -1
 
     def col(self, attr: str, dtype=float) -> np.ndarray:
         """Cached column of an immutable per-app attribute."""
@@ -336,7 +334,7 @@ class WorkloadRows:
     def worker_plan(self) -> _WorkerPlan:
         """The group's worker topology, rebuilt when containers come or go."""
         platform = self.platform
-        key = (platform._version, Container._runstate_epoch)
+        key = platform._version
         if self._plan_key != key:
             index = platform.running_role_index()
             empty: list = []

@@ -260,7 +260,7 @@ class BatchJob(Application):
             # containers (any role), every tick until they are stopped.
             platform = rows.platform
             for k in np.flatnonzero(complete).tolist():
-                for container in platform._running_for(rows.names[k]):
+                for container in platform.running_containers_for(rows.names[k]):
                     container.set_demand_utilization(0.0)
                 plan.written[k] = False
         active = ~complete

@@ -548,14 +548,15 @@ class TestForcedFlushParity:
 #: rates); only admissions and evictions (``admit``, ``evict``) and
 #: staged share changes (``add_battery``, ``drop_battery``, which also
 #: move the solar fraction, threshold and grid share) change any of
-#: them.  The battery knobs, power caps and scaling reach the next
-#: settle through write epochs or the container cache's key, so a step
-#: must not depend on a re-layout for those.
+#: them.  The battery knobs, power caps, scaling and core resizes reach
+#: the next settle through write epochs or the container cache's key, so
+#: a step must not depend on a re-layout for those.
 WRITE_KINDS = (
     "charge_rate",
     "max_discharge",
     "powercap",
     "scale",
+    "cores",
     "add_battery",
     "drop_battery",
     "admit",
@@ -578,8 +579,8 @@ def _apply_write(fleet, tick_index, kind, target, value, serial):
 
     Targets are picked from the live tenants by index, so all three
     runs of a plan pick the same tenant as long as they agree.  A
-    rejected write (an oversubscribed share, a full cluster) is part of
-    the outcome and must be rejected alike.
+    rejected write (an oversubscribed share, a full cluster, a refused
+    migration) is part of the outcome and must be rejected alike.
     """
     engine, ecovisor = fleet.engine, fleet.ecovisor
     names = ecovisor.app_names()
@@ -604,12 +605,15 @@ def _apply_write(fleet, tick_index, kind, target, value, serial):
             api.set_battery_charge_rate(value)
         elif kind == "max_discharge":
             api.set_battery_max_discharge(value)
-        elif kind == "powercap":
+        elif kind in ("powercap", "cores"):
             containers = ecovisor.containers_for(name)
             if not containers:
                 return [kind, name, "skipped"]
             cid = containers[target % len(containers)].id
-            api.set_container_powercap(cid, value if value >= 1.0 else None)
+            if kind == "powercap":
+                api.set_container_powercap(cid, value if value >= 1.0 else None)
+            else:
+                api.set_container_cores(cid, 1.0 + int(value) % 3)
         elif kind == "scale":
             api.scale_to(int(value) % 3, 1.0)
         elif kind == "add_battery":
@@ -701,6 +705,7 @@ STEPWISE_PLAN = [
     (5, "drop_battery", 0, 10.0),
     (6, "admit", 0, 4.0),
     (6, "evict", 5, 0.0),
+    (7, "cores", 2, 2.0),
     (8, "charge_rate", 1, 40.0),
     (9, "scale", 3, 0.0),
     (12, "add_battery", 2, 0.0),

@@ -1,9 +1,11 @@
 """Property-based tests of orchestration-platform invariants.
 
-Under any sequence of launches, stops, scalings, and cap changes:
-no server is ever over-committed, every running container is placed on
-exactly one server, and measured power stays within the cluster's
-physical envelope.
+Under any sequence of launches, stops, scalings, resizes (refused
+migrations included), and cap and demand changes: no server is ever
+over-committed, every listed container is running and placed on exactly
+the server it names, the memoized per-app and role views equal a fresh
+regrouping of the listed containers, and measured power stays within
+the cluster's physical envelope.
 """
 
 import hypothesis.strategies as st
@@ -14,16 +16,20 @@ from repro.core.config import ClusterConfig, ServerConfig
 from repro.core.errors import InsufficientResourcesError, UnknownContainerError
 
 CLUSTER = ClusterConfig(num_servers=4, server=ServerConfig())
+APPS = ("app", "other")
+ROLES = ("worker", "coordinator")
 
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("launch"), st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("launch"), st.integers(min_value=1, max_value=4),
+                  st.sampled_from(APPS), st.sampled_from(ROLES)),
         st.tuples(st.just("stop"), st.integers(min_value=0, max_value=30)),
         st.tuples(st.just("resize"), st.integers(min_value=0, max_value=30),
                   st.integers(min_value=1, max_value=4)),
         st.tuples(st.just("cap"), st.integers(min_value=0, max_value=30),
                   st.floats(min_value=0.0, max_value=6.0)),
-        st.tuples(st.just("scale"), st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("scale"), st.integers(min_value=0, max_value=8),
+                  st.sampled_from(APPS), st.sampled_from(ROLES)),
         st.tuples(st.just("demand"), st.integers(min_value=0, max_value=30),
                   st.floats(min_value=0.0, max_value=1.0)),
     ),
@@ -37,7 +43,7 @@ def apply_ops(cop: ContainerOrchestrationPlatform, ops) -> None:
         containers = cop.containers()
         try:
             if kind == "launch":
-                cop.launch_container("app", op[1])
+                cop.launch_container(op[2], op[1], role=op[3])
             elif kind == "stop" and containers:
                 cop.stop_container(containers[op[1] % len(containers)].id)
             elif kind == "resize" and containers:
@@ -47,7 +53,7 @@ def apply_ops(cop: ContainerOrchestrationPlatform, ops) -> None:
             elif kind == "cap" and containers:
                 cop.set_power_cap(containers[op[1] % len(containers)].id, op[2])
             elif kind == "scale":
-                cop.scale_app_to("app", op[1], cores=1)
+                cop.scale_app_to(op[2], op[1], cores=1, role=op[3])
             elif kind == "demand" and containers:
                 containers[op[1] % len(containers)].set_demand_utilization(op[2])
         except (InsufficientResourcesError, UnknownContainerError):
@@ -70,19 +76,42 @@ class TestPlacementInvariants:
     def test_every_running_container_placed_exactly_once(self, ops):
         cop = ContainerOrchestrationPlatform(CLUSTER)
         apply_ops(cop, ops)
-        for container in cop.running_containers():
+        for container in cop.containers():
+            assert container.is_running
             hosts = [s for s in cop.servers if s.hosts(container.id)]
             assert len(hosts) == 1
             assert hosts[0].name == container.server_name
 
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)
+    def test_views_equal_a_fresh_regrouping(self, ops):
+        # Checked after every operation, so a memo kept past the change
+        # that should have dropped it is read while stale.
+        cop = ContainerOrchestrationPlatform(CLUSTER)
+        for op in ops:
+            apply_ops(cop, [op])
+            listed = cop.containers()
+            groups = {}
+            for container in listed:
+                groups.setdefault(
+                    (container.app_name, container.role), []
+                ).append(container)
+            assert cop.running_role_index() == groups
+            for app in APPS:
+                assert cop.running_containers_for(app) == [
+                    c for c in listed if c.app_name == app
+                ]
+                for role in ROLES:
+                    assert cop.running_containers_for_role(app, role) == (
+                        groups.get((app, role), [])
+                    )
+
+    @given(ops=operations)
+    @settings(max_examples=60, deadline=None)
     def test_free_cores_accounting(self, ops):
         cop = ContainerOrchestrationPlatform(CLUSTER)
         apply_ops(cop, ops)
-        allocated = sum(
-            c.cores for c in cop.running_containers()
-        )
+        allocated = sum(c.cores for c in cop.containers())
         assert cop.free_cores == (
             __import__("pytest").approx(cop.total_cores - allocated)
         )
@@ -103,7 +132,7 @@ class TestPowerEnvelope:
     def test_capped_containers_respect_caps(self, ops):
         cop = ContainerOrchestrationPlatform(CLUSTER)
         apply_ops(cop, ops)
-        for container in cop.running_containers():
+        for container in cop.containers():
             if container.power_cap_w is None:
                 continue
             measured = cop.container_power_w(container.id)

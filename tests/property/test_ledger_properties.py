@@ -28,7 +28,7 @@ class TestAttributionAdditivity:
     @settings(max_examples=40, deadline=None)
     def test_container_sums_equal_app_totals(self, sequence):
         eco = make_ecovisor(solar_w=3.0, carbon_g_per_kwh=250.0)
-        eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+        eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
         c1 = eco.launch_container("a", 1)
         c2 = eco.launch_container("a", 2)
         clock = SimulationClock(60.0)
@@ -51,8 +51,8 @@ class TestAttributionAdditivity:
     @settings(max_examples=40, deadline=None)
     def test_grid_meter_matches_ledger(self, sequence):
         eco = make_ecovisor(solar_w=0.0, carbon_g_per_kwh=250.0)
-        eco.register_app("a", ShareConfig())
-        eco.register_app("b", ShareConfig())
+        eco.admit_app("a", ShareConfig())
+        eco.admit_app("b", ShareConfig())
         ca = eco.launch_container("a", 1)
         cb = eco.launch_container("b", 1)
         clock = SimulationClock(60.0)
@@ -74,7 +74,7 @@ class TestAttributionAdditivity:
     @settings(max_examples=40, deadline=None)
     def test_carbon_never_negative(self, sequence):
         eco = make_ecovisor(solar_w=5.0, carbon_g_per_kwh=250.0)
-        eco.register_app("a", ShareConfig(solar_fraction=1.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0))
         c = eco.launch_container("a", 2)
         clock = SimulationClock(60.0)
         for u, _ in sequence:

@@ -178,7 +178,6 @@ def _record(tick):
     record.duration_s = first.duration_s
     record.carbon = first.carbon_intensity_g_per_kwh
     record.price = first.price_usd_per_kwh
-    record.settlements = None
     for column, name in _RECORD_COLUMNS.items():
         setattr(record, column, np.array([getattr(s, name) for s in tick]))
     return record

@@ -15,8 +15,8 @@ from tests.conftest import make_ecovisor, run_ticks
 @pytest.fixture
 def bound():
     eco = make_ecovisor(solar_w=10.0, carbon_g_per_kwh=250.0)
-    eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
-    eco.register_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
     return eco, connect(eco, "a"), connect(eco, "b")
 
 
@@ -72,7 +72,7 @@ class TestSetters:
 
     def test_battery_setters_require_battery(self):
         eco = make_ecovisor()
-        eco.register_app("nobatt", ShareConfig())
+        eco.admit_app("nobatt", ShareConfig())
         api = connect(eco, "nobatt")
         with pytest.raises(ConfigurationError):
             api.set_battery_charge_rate(1.0)

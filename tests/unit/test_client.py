@@ -19,7 +19,7 @@ from tests.conftest import make_ecovisor, run_ticks
 @pytest.fixture
 def server():
     eco = make_ecovisor(solar_w=10.0, carbon_g_per_kwh=250.0)
-    eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
     run_ticks(eco, 1)
     return EcovisorRestServer(eco)
 

@@ -62,6 +62,11 @@ class TestTickInfo:
         with pytest.raises(AttributeError):
             tick.start_s = 10.0
 
+    @pytest.mark.parametrize("duration_s", [0.0, -60.0, float("nan")])
+    def test_rejects_nonpositive_duration(self, duration_s):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            TickInfo(index=0, start_s=0.0, duration_s=duration_s)
+
 
 class TestTicksForDuration:
     def test_exact_multiple(self):

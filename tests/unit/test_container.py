@@ -3,6 +3,16 @@
 import pytest
 
 from repro.cluster.container import Container, ContainerState
+from repro.cluster.cop import ContainerOrchestrationPlatform
+
+
+def _stopped(demand_utilization):
+    """A container the platform launched, drove and stopped."""
+    cop = ContainerOrchestrationPlatform()
+    c = cop.launch_container("app", 1)
+    c.set_demand_utilization(demand_utilization)
+    cop.stop_container(c.id)
+    return c
 
 
 class TestIdentity:
@@ -31,18 +41,10 @@ class TestLifecycle:
         assert Container("app", 1).state is ContainerState.RUNNING
 
     def test_stop_clears_demand_and_power(self):
-        c = Container("app", 1)
-        c.set_demand_utilization(1.0)
-        c.stop()
+        c = _stopped(1.0)
         assert not c.is_running
         assert c.demand_utilization == 0.0
         assert c.last_power_w == 0.0
-
-    def test_restart(self):
-        c = Container("app", 1)
-        c.stop()
-        c.start()
-        assert c.is_running
 
 
 class TestScaling:
@@ -81,10 +83,7 @@ class TestCapping:
         assert c.power_cap_w is None
 
     def test_stopped_container_has_zero_effective_utilization(self):
-        c = Container("app", 1)
-        c.set_demand_utilization(1.0)
-        c.stop()
-        assert c.effective_utilization == 0.0
+        assert _stopped(1.0).effective_utilization == 0.0
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,8 @@ class TestLifecycle:
         cop.launch_container("b", 1)
         stopped = cop.stop_app("a")
         assert len(stopped) == 2
-        assert len(cop.containers_for("a")) == 0
-        assert len(cop.containers_for("b")) == 1
+        assert len(cop.running_containers_for("a")) == 0
+        assert len(cop.running_containers_for("b")) == 1
 
     def test_rejects_nonpositive_cores(self, cop):
         with pytest.raises(SchedulingError):
@@ -198,10 +198,10 @@ class TestPerAppIndex:
         c1 = cop.launch_container("a", 1)
         c2 = cop.launch_container("a", 1)
         cop.launch_container("b", 1)
-        assert [c.id for c in cop.containers_for("a")] == [c1.id, c2.id]
+        assert [c.id for c in cop.running_containers_for("a")] == [c1.id, c2.id]
         cop.stop_container(c1.id)
-        assert [c.id for c in cop.containers_for("a")] == [c2.id]
-        assert len(cop.containers_for("b")) == 1
+        assert [c.id for c in cop.running_containers_for("a")] == [c2.id]
+        assert len(cop.running_containers_for("b")) == 1
 
     def test_index_preserves_launch_order_after_scaling(self, cop):
         cop.scale_app_to("a", 3, 1)
@@ -213,7 +213,7 @@ class TestPerAppIndex:
         cop.launch_container("a", 1)
         cop.launch_container("a", 1)
         cop.stop_app("a")
-        assert cop.containers_for("a") == []
+        assert cop.running_containers_for("a") == []
         assert cop.app_power_w("a") == 0.0
 
 

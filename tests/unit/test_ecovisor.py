@@ -16,44 +16,44 @@ from tests.conftest import make_ecovisor, run_ticks
 class TestRegistration:
     def test_register_creates_ves(self):
         eco = make_ecovisor()
-        ves = eco.register_app("a", ShareConfig(solar_fraction=0.5))
+        ves = eco.admit_app("a", ShareConfig(solar_fraction=0.5))
         assert ves.app_name == "a"
         assert eco.app_names() == ["a"]
 
     def test_duplicate_rejected(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         with pytest.raises(ConfigurationError):
-            eco.register_app("a", ShareConfig())
+            eco.admit_app("a", ShareConfig())
 
     def test_solar_oversubscription_rejected(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig(solar_fraction=0.7))
+        eco.admit_app("a", ShareConfig(solar_fraction=0.7))
         with pytest.raises(ConfigurationError):
-            eco.register_app("b", ShareConfig(solar_fraction=0.5))
+            eco.admit_app("b", ShareConfig(solar_fraction=0.5))
 
     def test_battery_oversubscription_rejected(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig(battery_fraction=0.7))
+        eco.admit_app("a", ShareConfig(battery_fraction=0.7))
         with pytest.raises(ConfigurationError):
-            eco.register_app("b", ShareConfig(battery_fraction=0.5))
+            eco.admit_app("b", ShareConfig(battery_fraction=0.5))
 
     def test_battery_share_without_battery_rejected(self):
         eco = make_ecovisor(with_battery=False)
         with pytest.raises(ConfigurationError):
-            eco.register_app("a", ShareConfig(battery_fraction=0.5))
+            eco.admit_app("a", ShareConfig(battery_fraction=0.5))
 
     def test_solar_share_without_array_rejected(self):
         eco = make_ecovisor(with_solar=False)
         with pytest.raises(ConfigurationError):
-            eco.register_app("a", ShareConfig(solar_fraction=0.5))
+            eco.admit_app("a", ShareConfig(solar_fraction=0.5))
 
 
 class TestOwnership:
     def test_cross_app_container_access_denied(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
-        eco.register_app("b", ShareConfig())
+        eco.admit_app("a", ShareConfig())
+        eco.admit_app("b", ShareConfig())
         container = eco.launch_container("a", 1)
         with pytest.raises(AuthorizationError):
             eco.set_container_powercap("b", container.id, 1.0)
@@ -62,7 +62,7 @@ class TestOwnership:
 
     def test_owner_can_manage(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         container = eco.launch_container("a", 1)
         eco.set_container_powercap("a", container.id, 1.0)
         eco.set_container_cores("a", container.id, 2)
@@ -72,7 +72,7 @@ class TestOwnership:
 class TestTickLoop:
     def test_settlement_attributes_carbon(self):
         eco = make_ecovisor(solar_w=0.0, carbon_g_per_kwh=300.0)
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         c = eco.launch_container("a", 1)
 
         def demand(tick):
@@ -84,7 +84,7 @@ class TestTickLoop:
 
     def test_solar_share_reduces_carbon(self):
         eco = make_ecovisor(solar_w=10.0, carbon_g_per_kwh=300.0)
-        eco.register_app("a", ShareConfig(solar_fraction=1.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0))
         c = eco.launch_container("a", 1)
 
         def demand(tick):
@@ -95,7 +95,7 @@ class TestTickLoop:
 
     def test_container_attribution_sums_to_app(self):
         eco = make_ecovisor(solar_w=0.0)
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         c1 = eco.launch_container("a", 1)
         c2 = eco.launch_container("a", 2)
 
@@ -110,7 +110,7 @@ class TestTickLoop:
 
     def test_served_fraction_reported(self):
         eco = make_ecovisor(solar_w=0.0)
-        eco.register_app("a", ShareConfig(grid_power_w=0.5))
+        eco.admit_app("a", ShareConfig(grid_power_w=0.5))
         c = eco.launch_container("a", 1)
         from repro.core.clock import SimulationClock
 
@@ -123,7 +123,7 @@ class TestTickLoop:
 
     def test_tick_callbacks_invoked(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         calls = []
         eco.register_tick_callback("a", lambda tick, state: calls.append(tick))
         run_ticks(eco, 3)
@@ -133,7 +133,7 @@ class TestTickLoop:
 class TestSolarBuffer:
     def test_first_tick_sees_current_solar(self):
         eco = make_ecovisor(solar_w=10.0)
-        eco.register_app("a", ShareConfig(solar_fraction=1.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0))
         from repro.core.clock import SimulationClock
 
         clock = SimulationClock(60.0)
@@ -154,7 +154,7 @@ class TestSolarBuffer:
             TabularSolarTrace([0.0, 0.1, 0.2, 0.3]),
         )
         eco._plant._solar = ramp
-        eco.register_app("a", ShareConfig(solar_fraction=1.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0))
         clock = SimulationClock(60.0)
         seen = []
         for _ in range(3):
@@ -196,7 +196,7 @@ class TestEvents:
         eco = make_ecovisor(
             solar_w=50.0, battery_config=small_battery_config
         )
-        eco.register_app("a", ShareConfig(solar_fraction=1.0, battery_fraction=1.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0, battery_fraction=1.0))
         full, empty = [], []
         eco.events.subscribe(BatteryFullEvent, full.append)
         eco.events.subscribe(BatteryEmptyEvent, empty.append)
@@ -207,7 +207,7 @@ class TestEvents:
 
         # Now a heavy load with no solar: battery drains to empty.
         eco2 = make_ecovisor(solar_w=0.0, battery_config=small_battery_config)
-        eco2.register_app("a", ShareConfig(battery_fraction=1.0, grid_power_w=0.0))
+        eco2.admit_app("a", ShareConfig(battery_fraction=1.0, grid_power_w=0.0))
         c = eco2.launch_container("a", 4)
         eco2.events.subscribe(BatteryEmptyEvent, empty.append)
 
@@ -221,7 +221,7 @@ class TestEvents:
 class TestPlantMetering:
     def test_grid_meter_accumulates(self):
         eco = make_ecovisor(solar_w=0.0)
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         c = eco.launch_container("a", 1)
 
         def demand(tick):

@@ -8,6 +8,8 @@ structural invariants of the struct-of-arrays store itself:
   next admission's row (cache-hot reuse),
 - growth past :data:`~repro.core.fleetarrays.INITIAL_CAPACITY` doubles
   in place and keeps every array's identity,
+- every change of the container cache's key (a launch, a stop, a core
+  resize) builds it once, equal to a fresh build,
 - a staged ``set_share`` swaps the dense battery sub-fleet caches at
   the next tick boundary, and
 - ticks past the primed signal-cache horizon fall back to live
@@ -20,6 +22,7 @@ structural invariants of the struct-of-arrays store itself:
 import gc
 
 import numpy as np
+import pytest
 
 from repro.cluster.container import Container, reset_container_id_counter
 from repro.cluster.cop import ContainerOrchestrationPlatform
@@ -164,21 +167,19 @@ def _assert_cache_equal(a, b):
     np.testing.assert_array_equal(a.cf_idle, b.cf_idle)
     assert a.cpu_range == b.cpu_range
     assert a.gpu_range == b.gpu_range
-    np.testing.assert_array_equal(a.power_mask, b.power_mask)
     np.testing.assert_array_equal(a.gpu_mask, b.gpu_mask)
     assert a.positions == b.positions
     assert a.cont_ids == b.cont_ids
-    assert a.running_positions == b.running_positions
     assert a.baseline_w == b.baseline_w
+    np.testing.assert_array_equal(a.powers(), b.powers())
 
 
 class TestContainerCacheExtension:
-    """The append-only `_ContainerCache.extended` fast path.
+    """How the container cache follows the platform's population.
 
-    Fleet scenarios rarely hit it (policy stops bump the mutation epoch
-    before most rebuilds), so it is exercised directly: launches without
-    any stop/start/resize keep the epoch fixed, and the extended cache
-    must equal a from-scratch rebuild on every field.
+    Every change of its key — a launch, a stop, a core resize — builds
+    the cache once, from scratch, equal field by field to a fresh build;
+    an unchanged key reuses it.
     """
 
     def _platform(self):
@@ -189,31 +190,8 @@ class TestContainerCacheExtension:
         platform.launch_container("alpha", 1.0, role="worker")
         return platform
 
-    def test_extended_matches_full_rebuild(self):
-        platform = self._platform()
-        prev = _ContainerCache(
-            platform, (platform.version, Container._mutation_epoch)
-        )
-        # Launches only: version moves, mutation epoch does not.
-        platform.launch_container("beta", 1.0, role="worker")
-        platform.launch_container("gamma", 2.0)
-        key = (platform.version, Container._mutation_epoch)
-        assert key[0] > prev.key[0] and key[1] == prev.key[1]
-
-        ext = _ContainerCache.extended(prev, platform, key)
-        assert ext is not None
-        _assert_cache_equal(ext, _ContainerCache(platform, key))
-        np.testing.assert_array_equal(
-            ext.powers(), _ContainerCache(platform, key).powers()
-        )
-
-    def test_container_cache_takes_extension_path(self, monkeypatch):
-        platform = self._platform()
-        fleet = FleetArrays()
-        first = fleet.container_cache(platform)
-        assert fleet.container_cache(platform) is first  # key unchanged
-
-        platform.launch_container("gamma", 1.0)
+    @staticmethod
+    def _count_builds(monkeypatch):
         rebuilds = []
         original = _ContainerCache.__init__
 
@@ -222,11 +200,23 @@ class TestContainerCacheExtension:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(_ContainerCache, "__init__", counting)
+        return rebuilds
+
+    @pytest.mark.parametrize("change", ["launch", "resize"])
+    def test_change_builds_once(self, monkeypatch, change):
+        platform = self._platform()
+        fleet = FleetArrays()
+        first = fleet.container_cache(platform)
+        rebuilds = self._count_builds(monkeypatch)
+        assert fleet.container_cache(platform) is first  # key unchanged
+        if change == "launch":
+            platform.launch_container("gamma", 1.0)
+        else:
+            platform.set_container_cores(first.clist[1].id, 3.0)
         second = fleet.container_cache(platform)
-        # `extended` builds via __new__, never __init__: zero rebuilds.
-        assert not rebuilds
-        assert second is not first
+        assert rebuilds == [1]
         assert second.key == (platform.version, Container._mutation_epoch)
+        assert fleet.container_cache(platform) is second
         monkeypatch.undo()
         _assert_cache_equal(second, _ContainerCache(platform, second.key))
 
@@ -235,31 +225,10 @@ class TestContainerCacheExtension:
         fleet = FleetArrays()
         first = fleet.container_cache(platform)
         platform.stop_container(first.clist[0].id)  # bumps the epoch
-        rebuilds = []
-        original = _ContainerCache.__init__
-
-        def counting(self, *args, **kwargs):
-            rebuilds.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(_ContainerCache, "__init__", counting)
+        rebuilds = self._count_builds(monkeypatch)
         second = fleet.container_cache(platform)
         assert rebuilds == [1]
         assert len(second.clist) == len(first.clist) - 1
-
-    def test_extended_refuses_non_prefix_population(self):
-        platform = self._platform()
-        prev = _ContainerCache(
-            platform, (platform.version, Container._mutation_epoch)
-        )
-        # Shrunk population: n < old_n.
-        platform.stop_container(prev.clist[-1].id)
-        key = (platform.version, Container._mutation_epoch)
-        assert _ContainerCache.extended(prev, platform, key) is None
-        # Same length but different tail container: prefix identity fails.
-        platform.launch_container("delta", 1.0)
-        key = (platform.version, Container._mutation_epoch)
-        assert _ContainerCache.extended(prev, platform, key) is None
 
 
 class TestSetShareSwap:
@@ -386,12 +355,11 @@ class TestGcFreeRecords:
             assert getattr(record, slot).shape == (m,), slot
         assert record.cont_powers.shape == (len(record.cont_ids),)
         assert record.cont_carbon.shape == (len(record.ids_flat),)
-        assert record.settlements is None
         # Shared, not copied: the same objects settle reuses.
         assert record.names is store.names
         assert record.batt_idx is store.batt_idx
         assert record.cont_ids is store._cc.ids
-        counts, _, _, ids_flat, _ = store._plan
+        counts, _, _, ids_flat = store._plan
         assert record.counts is counts and record.ids_flat is ids_flat
         for slot in _TickRecord.__slots__:
             if slot not in self.SHARED:

@@ -12,7 +12,7 @@ from tests.conftest import make_ecovisor, run_ticks
 @pytest.fixture
 def setup():
     eco = make_ecovisor(solar_w=0.0, carbon_g_per_kwh=300.0)
-    eco.register_app("a", ShareConfig())
+    eco.admit_app("a", ShareConfig())
     api = connect(eco, "a")
     library = AppEnergyLibrary(api)
     return eco, api, library
@@ -149,7 +149,7 @@ class TestNotifications:
             CarbonServiceConfig(region="jumpy"),
             trace=CarbonTrace([100.0, 400.0] * 5),
         )
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         got = []
         connect(eco, "a").signals.on(CarbonChange, got.append)
         run_ticks(eco, 12)
@@ -157,8 +157,8 @@ class TestNotifications:
 
     def test_battery_full_notification_filtered_by_app(self, small_battery_config):
         eco = make_ecovisor(solar_w=50.0, battery_config=small_battery_config)
-        eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
-        eco.register_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+        eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+        eco.admit_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
         got_a = []
         connect(eco, "a").signals.on(BatteryFull, got_a.append)
         run_ticks(eco, 60 * 6)
@@ -174,7 +174,7 @@ class TestNotifications:
             SolarConfig(peak_power_w=100.0, panel_efficiency_derating=1.0),
             TabularSolarTrace([0.0, 0.5, 1.0, 0.2]),
         )
-        eco.register_app("a", ShareConfig(solar_fraction=1.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0))
         got = []
         connect(eco, "a").signals.on(SolarChange, got.append)
         run_ticks(eco, 4)

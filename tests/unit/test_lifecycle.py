@@ -24,12 +24,6 @@ class TestAdmission:
         page = eco.events_for("a")
         assert list(page.events) == seen
 
-    def test_register_app_is_admit_alias(self):
-        eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
-        assert eco.events.published_count(AppAdmittedEvent) == 1
-        assert eco.journal.has_feed("a")
-
     def test_mid_run_admission_is_settled_same_tick(self):
         eco = make_ecovisor(solar_w=0.0)
         eco.admit_app("a", ShareConfig())

@@ -62,7 +62,7 @@ class TestLedgerCost:
         eco = make_ecovisor(
             solar_w=0.0, carbon_g_per_kwh=200.0, price_trace=price_trace
         )
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         container = eco.launch_container("a", 1)
         run_ticks(eco, 10, lambda tick: container.set_demand_utilization(1.0))
         return eco
@@ -114,7 +114,7 @@ class TestSolarOnlyBillsZero:
             solar_w=50.0, carbon_g_per_kwh=200.0,
             price_trace=constant_price_trace(0.55),
         )
-        eco.register_app("a", ShareConfig(solar_fraction=1.0, grid_power_w=0.0))
+        eco.admit_app("a", ShareConfig(solar_fraction=1.0, grid_power_w=0.0))
         container = eco.launch_container("a", 1)
         run_ticks(eco, 5, lambda tick: container.set_demand_utilization(1.0))
         account = eco.ledger.account("a")
@@ -131,7 +131,7 @@ class TestMarketSurface:
             solar_w=0.0,
             price_trace=price_trace or constant_price_trace(0.40),
         )
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         return eco
 
     def test_api_getters(self):

@@ -12,7 +12,7 @@ from tests.conftest import make_ecovisor
 
 def bind(job):
     eco = make_ecovisor(solar_w=0.0)
-    eco.register_app(job.name, ShareConfig())
+    eco.admit_app(job.name, ShareConfig())
     api = connect(eco, job.name)
     job.bind(api)
     containers = api.scale_to(job.num_tasks, cores=1)

@@ -72,8 +72,8 @@ class TestRouter:
 @pytest.fixture
 def server():
     eco = make_ecovisor(solar_w=10.0, carbon_g_per_kwh=250.0)
-    eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
-    eco.register_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
     run_ticks(eco, 1)
     return EcovisorRestServer(eco)
 
@@ -86,7 +86,7 @@ def market_server():
         carbon_g_per_kwh=250.0,
         price_trace=constant_price_trace(0.55),
     )
-    eco.register_app("a", ShareConfig())
+    eco.admit_app("a", ShareConfig())
     container = eco.launch_container("a", 1)
     run_ticks(eco, 3, lambda tick: container.set_demand_utilization(1.0))
     return EcovisorRestServer(eco)
@@ -254,7 +254,7 @@ class TestV1OnlyRouteTable:
 
     def test_unversioned_path_is_404_counted_as_unmatched(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         server = EcovisorRestServer(eco)
         assert server.request("GET", "/apps/a/solar").status == 404
         requests = eco.metrics.get("http_requests_total")
@@ -429,7 +429,7 @@ class TestAdminNamespace:
 
     def test_patch_before_first_tick_reports_tick_zero(self):
         eco = make_ecovisor()
-        eco.register_app("x", ShareConfig(solar_fraction=0.5))
+        eco.admit_app("x", ShareConfig(solar_fraction=0.5))
         fresh = EcovisorRestServer(eco)  # no tick has run yet
         response = fresh.request(
             "PATCH", "/v1/admin/apps/x", {"solar_fraction": 0.25}
@@ -554,7 +554,7 @@ class TestConditionalGet:
 
     def test_etag_changes_at_the_tick_boundary(self):
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         clock = run_ticks(eco, 1)
         server = EcovisorRestServer(eco)
         etag = server.request("GET", "/v1/apps/a/state").etag
@@ -569,7 +569,7 @@ class TestConditionalGet:
         from repro.rest.server import snapshot_etag
 
         eco = make_ecovisor()
-        eco.register_app("a", ShareConfig())
+        eco.admit_app("a", ShareConfig())
         run_ticks(eco, 1)
         server = EcovisorRestServer(eco)
         settled = server.request("GET", "/v1/apps/a/state")

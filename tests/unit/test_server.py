@@ -3,8 +3,9 @@
 import pytest
 
 from repro.cluster.container import Container
+from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.cluster.server import Server
-from repro.core.config import ServerConfig
+from repro.core.config import ClusterConfig, ServerConfig
 from repro.core.errors import InsufficientResourcesError
 
 
@@ -38,12 +39,13 @@ class TestPlacement:
         assert server.free_cores == 4
         assert c.server_name is None
 
-    def test_instance_count_excludes_stopped(self, server):
-        a, b = Container("app", 1), Container("app", 1)
-        server.place(a)
-        server.place(b)
-        b.stop()
-        assert server.instance_count == 1
+    def test_instance_count_excludes_stopped(self):
+        # Only the platform stops a container, evicting it in the same call.
+        cop = ContainerOrchestrationPlatform(ClusterConfig(num_servers=1))
+        cop.launch_container("app", 1)
+        b = cop.launch_container("app", 1)
+        cop.stop_container(b.id)
+        assert cop.servers[0].instance_count == 1
 
 
 class TestGrowth:

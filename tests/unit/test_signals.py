@@ -18,8 +18,8 @@ from tests.conftest import make_ecovisor, run_ticks
 
 def _bus_ecovisor(**kwargs):
     eco = make_ecovisor(**kwargs)
-    eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
-    eco.register_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("b", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
     return eco, connect(eco, "a"), connect(eco, "b")
 
 

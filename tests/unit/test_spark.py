@@ -11,7 +11,7 @@ from tests.conftest import make_ecovisor
 
 def bind(job, workers=0):
     eco = make_ecovisor(solar_w=0.0)
-    eco.register_app(job.name, ShareConfig())
+    eco.admit_app(job.name, ShareConfig())
     api = connect(eco, job.name)
     job.bind(api)
     if workers:

@@ -25,8 +25,8 @@ class _SimpleJob(BatchJob):
 @pytest.fixture
 def bound():
     eco = make_ecovisor(solar_w=10.0, carbon_g_per_kwh=250.0)
-    eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
-    eco.register_app("nobatt", ShareConfig())
+    eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+    eco.admit_app("nobatt", ShareConfig())
     return eco, connect(eco, "a"), connect(eco, "nobatt")
 
 

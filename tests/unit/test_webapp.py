@@ -12,7 +12,7 @@ from tests.conftest import make_ecovisor
 
 def bind(app, workers=0):
     eco = make_ecovisor(solar_w=0.0)
-    eco.register_app(app.name, ShareConfig())
+    eco.admit_app(app.name, ShareConfig())
     api = connect(eco, app.name)
     app.bind(api)
     if workers:

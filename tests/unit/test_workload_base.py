@@ -18,7 +18,7 @@ class FixedRateJob(BatchJob):
 
 def bind(app, workers=0):
     eco = make_ecovisor(solar_w=0.0)
-    eco.register_app(app.name, ShareConfig())
+    eco.admit_app(app.name, ShareConfig())
     api = connect(eco, app.name)
     app.bind(api)
     if workers:
