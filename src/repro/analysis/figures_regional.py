@@ -9,11 +9,10 @@ bundled historical carbon datasets (``caiso-2022``, ``ontario-2022``,
 (``solar``, ``wind+solar``) from capacity-factor datasets and day-ahead
 prices attached for billing.
 
-Every signal is registry-resolved into stock trace types, so these runs
-ride the tracecache numpy fast path, run fully offline, and carry
-dataset checksums in their sweep provenance — the per-run metrics repeat
-the carbon dataset name and SHA-256 so a results table is
-self-describing.
+Every signal is registry-resolved from bundled datasets, so these runs
+run fully offline and carry dataset checksums in their sweep
+provenance — the per-run metrics repeat the carbon dataset name and
+SHA-256 so a results table is self-describing.
 """
 
 from __future__ import annotations

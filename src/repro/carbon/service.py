@@ -67,19 +67,9 @@ class CarbonIntensityService:
     def observe(self, time_s: float) -> float:
         """Sample the service and append to the history buffer."""
         value = self.intensity_at(time_s)
-        self.record_observation(time_s, value)
-        return value
-
-    def record_observation(self, time_s: float, value: float) -> None:
-        """Append one already-sampled observation to the history buffer.
-
-        The batched tick path precomputes intensities into a per-run
-        array (:mod:`repro.core.tracecache`) and feeds them back through
-        here, so history-based queries (``observed_percentile``) see
-        exactly what live :meth:`observe` calls would have recorded.
-        """
         if not self._history or self._history[-1][0] < time_s:
             self._history.append((time_s, value))
+        return value
 
     def history(self) -> List[Tuple[float, float]]:
         """All (time_s, intensity) observations recorded so far."""

@@ -168,7 +168,7 @@ class Container:
         server's power model (cgroups enforcement); the container just
         stores and applies it.
         """
-        if cap_w is not None and cap_w < 0:
+        if cap_w is not None and not cap_w >= 0:
             raise ValueError(f"power cap must be >= 0, got {cap_w}")
         self._power_cap_w = cap_w
         self._cap_utilization = clamp(cap_utilization, 0.0, 1.0)

@@ -176,7 +176,7 @@ class ContainerOrchestrationPlatform:
         role: str = Container.DEFAULT_ROLE,
     ) -> Container:
         """Create, place, and start a container for ``app_name``."""
-        if cores <= 0:
+        if not cores > 0:
             raise SchedulingError(f"cores must be positive, got {cores}")
         container = Container(app_name, cores, gpu=gpu, role=role)
         server = self._scheduler.select(self._servers, cores)
@@ -208,7 +208,7 @@ class ContainerOrchestrationPlatform:
     # ------------------------------------------------------------------
     def set_container_cores(self, container_id: str, cores: float) -> None:
         """Vertically scale a container, migrating if its host is full."""
-        if cores <= 0:
+        if not cores > 0:
             raise SchedulingError(f"cores must be positive, got {cores}")
         container = self.get_container(container_id)
         server = self._servers_by_name[container.server_name]

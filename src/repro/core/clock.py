@@ -59,7 +59,7 @@ class SimulationClock:
     """
 
     def __init__(self, tick_interval_s: float = DEFAULT_TICK_INTERVAL_S):
-        if tick_interval_s <= 0:
+        if not tick_interval_s > 0:
             raise ConfigurationError(
                 f"tick interval must be positive, got {tick_interval_s}"
             )

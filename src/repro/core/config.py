@@ -257,15 +257,15 @@ class EcovisorConfig:
     price_change_threshold_usd_per_kwh: float = 0.05
 
     def validate(self) -> None:
-        if self.tick_interval_s <= 0:
+        if not self.tick_interval_s > 0:
             raise ConfigurationError("tick interval must be positive")
         if not 0.0 <= self.solar_buffer_fraction < 0.5:
             raise ConfigurationError("solar buffer fraction must be in [0, 0.5)")
-        if self.carbon_change_threshold_g_per_kwh < 0:
+        if not self.carbon_change_threshold_g_per_kwh >= 0:
             raise ConfigurationError("carbon change threshold must be >= 0")
-        if self.solar_change_threshold_w < 0:
+        if not self.solar_change_threshold_w >= 0:
             raise ConfigurationError("solar change threshold must be >= 0")
-        if self.price_change_threshold_usd_per_kwh < 0:
+        if not self.price_change_threshold_usd_per_kwh >= 0:
             raise ConfigurationError("price change threshold must be >= 0")
 
 
@@ -287,5 +287,5 @@ class ShareConfig:
             raise ConfigurationError("solar fraction must be in [0, 1]")
         if not 0.0 <= self.battery_fraction <= 1.0:
             raise ConfigurationError("battery fraction must be in [0, 1]")
-        if self.grid_power_w < 0:
+        if not self.grid_power_w >= 0:
             raise ConfigurationError("grid power share must be >= 0")

@@ -75,7 +75,6 @@ from repro.core.fleetarrays import FleetArrays, telemetry_frames
 from repro.core.journal import EventJournal, JournalPage
 from repro.core.signals import SignalBus
 from repro.core.state import BatteryState, EnergyState, RowEnergyState
-from repro.core.tracecache import SignalTraceCache, build_signal_cache
 from repro.core.virtual_battery import VirtualBattery
 from repro.core.virtual_energy_system import VirtualEnergySystem
 from repro.energy.system import PhysicalEnergySystem
@@ -157,7 +156,6 @@ class Ecovisor:
         self._current_tick_duration_s = self._config.tick_interval_s
         self._carbon_sample_time_s = 0.0
         self._state_builds = 0
-        self._signal_cache: Optional[SignalTraceCache] = None
         # Columnar hot path (core/fleetarrays.py): fleet state lives in
         # struct-of-arrays rows, snapshots are lazy RowEnergyState views,
         # and telemetry/ledger writes buffer until first read.  Off by
@@ -206,8 +204,6 @@ class Ecovisor:
         #: The engine's :class:`~repro.obs.profiler.TickProfiler`
         #: (installed by SimulationEngine; None for a bare ecovisor).
         self.profiler = None
-        self._trace_cache_hits = 0
-        self._trace_cache_misses = 0
         self._register_metric_callbacks()
 
     # ------------------------------------------------------------------
@@ -263,7 +259,7 @@ class Ecovisor:
     def _register_metric_callbacks(self) -> None:
         """Expose the hot-path counters through collect-time callbacks.
 
-        The journal, trace cache, and columnar store keep plain integer
+        The journal and the columnar store keep plain integer
         attributes; these callbacks read them only when the registry is
         scraped or rendered, so the tick loop never touches a metric
         object.
@@ -290,14 +286,10 @@ class Ecovisor:
             lambda: self._journal.overflow_dropped_total,
         )
         registry.counter_fn(
-            "trace_cache_hits_total",
-            "begin_tick signal lookups served from the primed cache.",
-            lambda: self._trace_cache_hits,
-        )
-        registry.counter_fn(
             "trace_cache_misses_total",
-            "begin_tick signal lookups that fell back to live sampling.",
-            lambda: self._trace_cache_misses,
+            "Always 0: every tick samples its signals live, and the "
+            "counter stays only while perfbench reads it.",
+            lambda: 0,
         )
         registry.counter_fn(
             "fleet_rows_acquired_total",
@@ -833,29 +825,6 @@ class Ecovisor:
         return self._platform.running_containers_for(app_name)
 
     # ------------------------------------------------------------------
-    # Signal priming
-    # ------------------------------------------------------------------
-    def prime_signal_cache(self, start_index: int, times) -> None:
-        """Precompute per-tick solar/carbon/price arrays for a run.
-
-        Called by the engine before a batched run; ``begin_tick`` then
-        reads one array entry per signal per tick instead of walking the
-        trace-lookup call chains.  Ticks outside the primed window (or a
-        clock that disagrees with ``times``) fall back to live sampling.
-        """
-        self._signal_cache = build_signal_cache(
-            self._plant,
-            self._carbon_service,
-            self._price_signal,
-            start_index,
-            times,
-        )
-
-    def clear_signal_cache(self) -> None:
-        """Drop any primed signals; every tick samples live again."""
-        self._signal_cache = None
-
-    # ------------------------------------------------------------------
     # Columnar fleet mode (core/fleetarrays.py)
     # ------------------------------------------------------------------
     @property
@@ -979,19 +948,7 @@ class Ecovisor:
         share_events = (
             self._apply_pending_shares(time_s) if self._pending_shares else []
         )
-        cache = self._signal_cache
-        if cache is not None:
-            offset = cache.offset_for(tick.index, time_s)
-            if offset is None:
-                self._trace_cache_misses += 1
-            else:
-                self._trace_cache_hits += 1
-        else:
-            offset = None
-        if offset is None:
-            physical_solar = self._plant.renewable_power_w(time_s)
-        else:
-            physical_solar = float(cache.solar_w[offset])
+        physical_solar = self._plant.renewable_power_w(time_s)
         if not self._config.solar_buffer_enabled or self._buffered_solar_w is None:
             # Buffer disabled (ablation), or first tick where no buffered
             # interval exists yet: expose the current sample directly.
@@ -1010,11 +967,7 @@ class Ecovisor:
         pending_events: List[Event] = share_events
 
         self._previous_carbon = self._current_carbon or None
-        if offset is None:
-            self._current_carbon = self._carbon_service.observe(time_s)
-        else:
-            self._current_carbon = float(cache.carbon[offset])
-            self._carbon_service.record_observation(time_s, self._current_carbon)
+        self._current_carbon = self._carbon_service.observe(time_s)
         self._monitor.record_carbon_intensity(time_s, self._current_carbon)
 
         if (
@@ -1034,11 +987,7 @@ class Ecovisor:
             self._previous_price = (
                 self._current_price if self._price_sampled else None
             )
-            if offset is None or cache.price is None:
-                self._current_price = self._price_signal.observe(time_s)
-            else:
-                self._current_price = float(cache.price[offset])
-                self._price_signal.record_observation(time_s, self._current_price)
+            self._current_price = self._price_signal.observe(time_s)
             self._price_sampled = True
             self._monitor.record_grid_price(time_s, self._current_price)
             if (
@@ -1105,21 +1054,27 @@ class Ecovisor:
         evict applications mid-delivery: admissions receive their first
         upcall next tick, evicted apps are skipped.
         """
-        apps = self._apps
-        columnar = self._columnar
-        for app in list(apps.values()):
-            # The tuple is an immutable snapshot: callbacks registered
-            # during delivery replace it and take effect next tick.
-            callbacks = app.tick_callbacks
-            if not callbacks or app.name not in apps:
-                continue
-            # The app handle is already resolved; only fall back to the
-            # name lookup when no columnar row view exists for it yet.
-            state = self._columnar_state(app) if columnar else None
-            if state is None:
-                state = self.state_for(app.name)
-            for callback in callbacks:
-                callback(tick, state)
+        for app in list(self._apps.values()):
+            self._deliver_tick(tick, app)
+
+    def _deliver_tick(self, tick: TickInfo, app: _RegisteredApp) -> None:
+        """Deliver ``tick()`` to one app's callbacks, unless it was evicted.
+
+        The per-app body of :meth:`invoke_app_ticks`, and the upcall
+        plane's delivery for every app no batch kernel covers.
+        """
+        # The tuple is an immutable snapshot: callbacks registered
+        # during delivery replace it and take effect next tick.
+        callbacks = app.tick_callbacks
+        if not callbacks or app.name not in self._apps:
+            return
+        # The app handle is already resolved; only fall back to the
+        # name lookup when no columnar row view exists for it yet.
+        state = self._columnar_state(app) if self._columnar else None
+        if state is None:
+            state = self.state_for(app.name)
+        for callback in callbacks:
+            callback(tick, state)
 
     def settle(self, tick: TickInfo) -> Dict[str, float]:
         """Settle every application's tick; returns served-energy fractions.
@@ -1182,13 +1137,12 @@ class Ecovisor:
                 if settlement.demand_wh > 1e-12
                 else 1.0
             )
-            if duration_s > 0:
-                total_grid_w += settlement.grid_total_wh * 3600.0 / duration_s
-                total_solar_used_w += (
-                    (settlement.solar_used_wh + settlement.solar_to_battery_wh)
-                    * 3600.0
-                    / duration_s
-                )
+            total_grid_w += settlement.grid_total_wh * 3600.0 / duration_s
+            total_solar_used_w += (
+                (settlement.solar_used_wh + settlement.solar_to_battery_wh)
+                * 3600.0
+                / duration_s
+            )
 
         if self._plant.has_grid and total_grid_w > 0:
             self._plant.grid.draw(total_grid_w, duration_s)

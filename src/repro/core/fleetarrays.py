@@ -1,11 +1,9 @@
 """Columnar fleet state: struct-of-arrays over the registered apps.
 
-:mod:`repro.core.tracecache` vectorizes the *trace* dimension (one primed
-array entry per tick per signal).  This module extends the same idiom to
-the *app* dimension: one preallocated numpy row per registered
-application for solar allocation, grid draw, and the cumulative ledger
-figures, updated in bulk inside ``Ecovisor.begin_tick``/``settle``
-instead of once per app per tick.
+This module vectorizes the *app* dimension of a tick: one preallocated
+numpy row per registered application for solar allocation, grid draw,
+and the cumulative ledger figures, updated in bulk inside
+``Ecovisor.begin_tick``/``settle`` instead of once per app per tick.
 
 Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
 

@@ -447,8 +447,8 @@ class UpcallPlane:
 
         Byte-equivalent to ``Ecovisor.invoke_app_ticks`` on any fleet:
         segments run their class kernels and apply staged actions in
-        registration order; fallback apps run the reference per-app
-        body at their exact position.
+        registration order; fallback apps run ``Ecovisor._deliver_tick``,
+        the reference per-app body, at their exact position.
         """
         eco = self._eco
         epoch = eco.upcall_epoch
@@ -474,7 +474,7 @@ class UpcallPlane:
                 return fallback_s
             if type(item) is _Fallback:
                 t0 = perf_counter()
-                self._invoke_one(tick, item.reg)
+                eco._deliver_tick(tick, item.reg)
                 fallback_s += perf_counter() - t0
                 continue
             groups = item.groups
@@ -490,21 +490,9 @@ class UpcallPlane:
                 actions.clear()
         return fallback_s
 
-    def _invoke_one(self, tick, reg) -> None:
-        """The reference per-app upcall body (mirrors invoke_app_ticks)."""
-        eco = self._eco
-        callbacks = reg.tick_callbacks
-        if not callbacks or reg.name not in eco._apps:
-            return
-        state = eco._columnar_state(reg) if eco._columnar else None
-        if state is None:
-            state = eco.state_for(reg.name)
-        for callback in callbacks:
-            callback(tick, state)
-
     def _scalar_tail(self, tick, start: int) -> None:
         for reg in self._p_regs[start:]:
-            self._invoke_one(tick, reg)
+            self._eco._deliver_tick(tick, reg)
 
     def _rebuild_policies(self, epoch: int) -> None:
         eco = self._eco

@@ -106,7 +106,7 @@ class VirtualBattery:
         additionally tops charging up to ``watts`` using grid power (whose
         carbon is attributed to the application).
         """
-        if watts < 0:
+        if not watts >= 0:
             raise ValueError(f"charge rate must be >= 0, got {watts}")
         self._charge_rate_w = min(watts, self._battery.max_charge_power_w)
         VirtualBattery._knob_epoch += 1
@@ -118,7 +118,7 @@ class VirtualBattery:
 
     def set_max_discharge(self, watts: float) -> None:
         """``set_battery_max_discharge``: cap discharge power at ``watts``."""
-        if watts < 0:
+        if not watts >= 0:
             raise ValueError(f"max discharge must be >= 0, got {watts}")
         self._max_discharge_w = min(watts, self._battery.max_discharge_power_w)
         VirtualBattery._knob_epoch += 1

@@ -9,10 +9,10 @@ so a run under load interleaves as
     [tick 0] [requests...] [tick 1] [requests...] ...
 
 exactly like a single-threaded program.  Stepwise ``run(1)`` is
-byte-identical to one ``run(N)``: the engine primes its signal cache
-per call from ``(clock.tick_index + arange(n)) * dt``, the same
-arithmetic either way (pinned by the gateway determinism test and the
-stepwise parity suite).
+byte-identical to one ``run(N)``: every tick samples its signals live
+at the clock's start time, however the ticks are split into calls
+(pinned by the gateway determinism test and the stepwise parity
+suite).
 
 A step also costs what a tick inside ``run(N)`` costs.  The columnar
 fleet keeps its layout across calls and re-derives it only after an

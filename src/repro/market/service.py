@@ -84,19 +84,9 @@ class PriceSignal:
     def observe(self, time_s: float) -> float:
         """Sample the feed and append to the history buffer."""
         value = self.price_at(time_s)
-        self.record_observation(time_s, value)
-        return value
-
-    def record_observation(self, time_s: float, value: float) -> None:
-        """Append one already-sampled observation to the history buffer.
-
-        Mirrors :meth:`CarbonIntensityService.record_observation`: the
-        batched tick path replays precomputed per-tick prices through
-        this hook so history-based queries stay identical to the live
-        ``observe`` path.
-        """
         if not self._history or self._history[-1][0] < time_s:
             self._history.append((time_s, value))
+        return value
 
     def history(self) -> List[Tuple[float, float]]:
         """All (time_s, price) observations recorded so far."""

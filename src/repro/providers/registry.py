@@ -2,13 +2,10 @@
 
 Scenarios reference signal data *by name* (``carbon="caiso-2022"``,
 ``generation="wind+solar"``); this module resolves those names into the
-stock trace objects the rest of the simulator consumes.  Resolution is
-deliberately shaped so provider-backed runs stay on the numpy fast path:
-every resolver returns an **exact stock type** (:class:`CarbonTrace`,
-:class:`PriceTrace`, :class:`TabularSolarTrace`,
-:class:`WindCapacityTrace`), which is what
-:mod:`repro.core.tracecache`'s vectorized builders key on — historical
-data flows through the same precomputed arrays as synthetic data.
+stock trace objects the rest of the simulator consumes.  Every resolver
+returns a stock trace type (:class:`CarbonTrace`, :class:`PriceTrace`,
+:class:`TabularSolarTrace`, :class:`WindCapacityTrace`), so historical
+data flows through the same trace lookups as synthetic data.
 
 Integrity: every dataset carries a pinned SHA-256.  :func:`load_samples`
 verifies the file bytes against it and raises
@@ -314,7 +311,7 @@ def resolve_generation(spec: str) -> Tuple[Optional[object], Optional[object]]:
     default capacity-factor datasets) or explicit ``solar-cf``/
     ``wind-cf`` dataset names.  Returns a
     (:class:`TabularSolarTrace` | None, :class:`WindCapacityTrace` | None)
-    pair — stock types, so the tracecache vectorizes both.
+    pair of stock trace types.
     """
     from repro.energy.solar import TabularSolarTrace
     from repro.energy.wind import WindCapacityTrace

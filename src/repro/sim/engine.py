@@ -20,8 +20,8 @@ tracked batch job has completed.
 
 There is one loop and two paths through it.  ``batched=True`` (the
 default) is the production path: columnar settlement
-(:mod:`repro.core.fleetarrays`), primed signal arrays, and grouped
-upcalls (:mod:`repro.core.upcalls`).  ``batched=False`` is the per-app
+(:mod:`repro.core.fleetarrays`) and grouped upcalls
+(:mod:`repro.core.upcalls`).  ``batched=False`` is the per-app
 object reference path the parity suites compare it against.  Either
 way the loop stamps each phase boundary with ``perf_counter`` and
 records the six durations in ``engine.profiler``
@@ -40,8 +40,6 @@ from __future__ import annotations
 
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.accounting import AppAccount
 from repro.core.api import EcovisorAPI, connect
@@ -111,11 +109,10 @@ class SimulationEngine:
     def batched(self) -> bool:
         """Whether :meth:`run` takes the production or the reference path.
 
-        True (the default) primes the ecovisor's per-tick signal cache
-        for the run, settles through the columnar kernel and delivers
-        upcalls through the vectorized plane.  False runs the per-app
-        object path: the reference the production path is parity-tested
-        against.
+        True (the default) settles through the columnar kernel and
+        delivers upcalls through the vectorized plane.  False runs the
+        per-app object path: the reference the production path is
+        parity-tested against.  Both sample the tick's signals live.
         """
         return self._batched
 
@@ -255,17 +252,7 @@ class SimulationEngine:
         # batched=False remains the per-app reference object path the
         # parity harness compares against.
         ecovisor.columnar = self._batched
-        if self._batched:
-            # Precompute the run's solar/carbon/price signals in one
-            # pass: tick k of this run starts at (start + k) * dt, the
-            # same arithmetic the clock uses, so every lookup hits.
-            clock = self._clock
-            times = (
-                clock.tick_index + np.arange(max_ticks)
-            ) * clock.tick_interval_s
-            ecovisor.prime_signal_cache(clock.tick_index, times)
-        else:
-            ecovisor.clear_signal_cache()
+        if not self._batched:
             # The object path writes what the plane's groups mirror.
             self._plane.reset()
         observers = self._observers

@@ -22,8 +22,8 @@ every fleet is run down both paths and compared on five surfaces:
   columnar path buffers these and flushes lazily), and
 - per-app event journals (battery/solar/share/lifecycle signals in
   publish order, including retired feeds of evicted churn tenants), and
-- the carbon and price signal histories (the primed signal arrays must
-  record exactly the observations live sampling does).
+- the carbon and price signal histories (both paths sample each tick's
+  signals once, live).
 
 Comparison is by SHA-256 over a canonical JSON dump, so "identical"
 means identical down to the float bit patterns (``json.dumps`` emits
@@ -46,6 +46,7 @@ change, and writes nothing back until a store is read.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -78,6 +79,7 @@ from repro.energy.grid import GridConnection
 from repro.energy.solar import SolarArrayEmulator, SolarTrace
 from repro.energy.system import PhysicalEnergySystem
 from repro.policies import CarbonAgnosticPolicy
+from repro.sim import experiment
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import (
     POLICY_MIXES,
@@ -223,9 +225,8 @@ def _capture(params, batched, churn=False, reads=None):
     """Run one fleet down one path; return every observable surface."""
     ecovisor, states = _run(params, batched, churn, reads)
     # The two paths really differed: only the production path settles
-    # columnar and primes its signal cache.
+    # columnar.
     assert ecovisor.columnar is batched
-    assert (ecovisor._signal_cache is not None) is batched
     return collect_surfaces(ecovisor, states)
 
 
@@ -401,6 +402,50 @@ class TestColumnarDifferentialParity:
         """Admit/evict/set_share churn mid-run: rows retire and respawn
         without perturbing a single byte of any surface."""
         _assert_parity(params, churn=True)
+
+
+class TestSolarChangeParity:
+    """Fleets that publish solar changes, compared on every surface.
+
+    The stock 5 W threshold is scaled by each tenant's solar share, so
+    ``build_fleet`` fleets of a few tenants never cross it.  These cases
+    lower it where ``_wire`` builds the ecovisor's config and run past
+    dawn (tick 361 of the seed-2023 trace), so both paths flag the
+    shared tenants on most daylight ticks.
+    """
+
+    THRESHOLD_W = 0.02
+    STATIC = {"apps": 6, "ticks": 420, "seed": 2023, "mix": "balanced"}
+    CHURN = {**STATIC, "admit_rate": 0.3, "evict_rate": 0.3}
+    FIELDS = {field.name for field in dataclasses.fields(SolarChangeEvent)}
+
+    @pytest.fixture(autouse=True)
+    def _low_threshold(self, monkeypatch):
+        monkeypatch.setattr(
+            experiment,
+            "EcovisorConfig",
+            functools.partial(
+                EcovisorConfig, solar_change_threshold_w=self.THRESHOLD_W
+            ),
+        )
+
+    def _assert_solar_parity(self, params, churn):
+        columnar = _capture(params, batched=True, churn=churn)
+        objects = _capture(params, batched=False, churn=churn)
+        _assert_identical(params, churn, columnar, objects)
+        solar_changes = [
+            event
+            for journal in columnar["journals"].values()
+            for event in journal["events"]
+            if event.keys() == self.FIELDS
+        ]
+        assert len(solar_changes) >= 1
+
+    def test_static_fleet_publishes_solar_changes(self):
+        self._assert_solar_parity(self.STATIC, churn=False)
+
+    def test_churn_fleet_publishes_solar_changes(self):
+        self._assert_solar_parity(self.CHURN, churn=True)
 
 
 class TestForcedFlushParity:

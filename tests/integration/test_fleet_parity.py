@@ -60,6 +60,3 @@ class TestBatchedUnbatchedParity:
         (eco_a, _), (eco_b, _) = captures
         assert eco_a.columnar is True
         assert eco_b.columnar is False
-        # The columnar run primed its signal cache; the object run did not.
-        assert eco_a._signal_cache is not None
-        assert eco_b._signal_cache is None

@@ -1,6 +1,5 @@
-"""The ``regional`` scenario: offline determinism, provenance, fast path."""
+"""The ``regional`` scenario: offline determinism, provenance, summary rows."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.figures_regional import regional_summary_rows
@@ -58,61 +57,6 @@ class TestDatasetProvenanceInHashes:
     def test_non_dataset_scenarios_keep_clean_payloads(self):
         spec = scenarios.expand("smoke")[0]
         assert spec.dataset_provenance == {}
-
-
-class TestRegionalFastPath:
-    def test_dataset_backed_hybrid_plant_vectorizes_bit_exactly(self):
-        """Provider-resolved signals ride the tracecache numpy fast path."""
-        from repro.core.config import SolarConfig, WindConfig
-        from repro.core.tracecache import build_signal_cache
-        from repro.energy.grid import GridConnection
-        from repro.energy.solar import SolarArrayEmulator
-        from repro.energy.system import PhysicalEnergySystem
-        from repro.energy.wind import WindPlant
-        from repro.providers.registry import (
-            resolve_carbon_trace,
-            resolve_generation,
-            resolve_price_trace,
-        )
-        from repro.sim.experiment import DEFAULT_CLUSTER, _wire
-
-        solar_trace, wind_trace = resolve_generation("wind+solar")
-        plant = PhysicalEnergySystem(
-            grid=GridConnection(),
-            solar=SolarArrayEmulator(
-                SolarConfig(peak_power_w=100.0), solar_trace
-            ),
-            wind=WindPlant(WindConfig(rated_power_w=100.0), wind_trace),
-        )
-        env = _wire(
-            plant,
-            resolve_carbon_trace("caiso-2022"),
-            DEFAULT_CLUSTER,
-            60.0,
-            resolve_price_trace("caiso-dayahead-2022"),
-        )
-        times = np.arange(400) * 60.0
-        cache = build_signal_cache(
-            env.plant, env.carbon_service, env.price_signal, 0, times
-        )
-        for i, t in enumerate(times):
-            assert cache.carbon[i] == env.carbon_service.intensity_at(float(t))
-            assert cache.price[i] == env.price_signal.price_at(float(t))
-            assert cache.solar_w[i] == env.plant.renewable_power_w(float(t))
-
-    def test_wind_array_builder_engages_for_stock_types(self):
-        from repro.core.config import WindConfig
-        from repro.core.tracecache import _stock_wind_array
-        from repro.energy.wind import WindPlant
-        from repro.providers.registry import resolve_generation
-
-        _, wind_trace = resolve_generation("wind")
-        plant = WindPlant(WindConfig(rated_power_w=100.0), wind_trace)
-        times = np.arange(100) * 60.0
-        vectorized = _stock_wind_array(plant, times)
-        assert vectorized is not None  # fast path, not scalar fallback
-        for i, t in enumerate(times):
-            assert vectorized[i] == plant.available_power_w(float(t))
 
 
 class TestSummaryRows:

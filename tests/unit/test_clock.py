@@ -17,6 +17,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             SimulationClock(-1.0)
 
+    def test_rejects_nan_interval(self):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            SimulationClock(float("nan"))
+
 
 class TestAdvance:
     def test_starts_at_zero(self):

@@ -127,6 +127,19 @@ class TestEcovisorConfig:
         with pytest.raises(ConfigurationError):
             EcovisorConfig(solar_buffer_fraction=0.9).validate()
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "tick_interval_s",
+            "carbon_change_threshold_g_per_kwh",
+            "solar_change_threshold_w",
+            "price_change_threshold_usd_per_kwh",
+        ],
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(ConfigurationError):
+            EcovisorConfig(**{field: float("nan")}).validate()
+
 
 class TestShareConfig:
     def test_defaults_valid(self):
@@ -141,6 +154,11 @@ class TestShareConfig:
     def test_rejects_negative_grid_share(self):
         with pytest.raises(ConfigurationError):
             ShareConfig(grid_power_w=-1.0).validate()
+
+    def test_rejects_nan_grid_share_but_not_infinity(self):
+        with pytest.raises(ConfigurationError):
+            ShareConfig(grid_power_w=float("nan")).validate()
+        ShareConfig(grid_power_w=float("inf")).validate()
 
 
 class TestConfigDigest:

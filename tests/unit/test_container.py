@@ -89,6 +89,10 @@ class TestCapping:
         with pytest.raises(ValueError):
             Container("app", 1).set_power_cap(-1.0, 0.0)
 
+    def test_nan_cap_rejected(self):
+        with pytest.raises(ValueError):
+            Container("app", 1).set_power_cap(float("nan"), 0.0)
+
     def test_demand_clamped_to_unit_interval(self):
         c = Container("app", 1)
         c.set_demand_utilization(1.7)

@@ -48,6 +48,14 @@ class TestLifecycle:
         with pytest.raises(SchedulingError):
             cop.launch_container("app", 0)
 
+    def test_rejects_nan_cores(self, cop):
+        with pytest.raises(SchedulingError, match="cores must be positive"):
+            cop.launch_container("app", float("nan"))
+        c = cop.launch_container("app", 1)
+        with pytest.raises(SchedulingError, match="cores must be positive"):
+            cop.set_container_cores(c.id, float("nan"))
+        assert c.cores == 1
+
 
 class TestHorizontalScaling:
     def test_scale_up(self, cop):

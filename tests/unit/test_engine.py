@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.carbon.service import CarbonIntensityService
+from repro.carbon.traces import make_region_trace
 from repro.core.clock import SimulationClock
 from repro.core.config import ShareConfig
 from repro.core.errors import SimulationError
+from repro.market.prices import make_price_trace
+from repro.market.service import PriceSignal
 from repro.sim.engine import SimulationEngine
+from repro.sim.experiment import grid_environment, solar_battery_environment
 from repro.workloads.base import Application, BatchJob
 from tests.conftest import make_ecovisor
 
@@ -245,14 +250,12 @@ class TestBatchedToggle:
         assert engine.batched is True
         engine.run(3)
         assert ecovisor.columnar is True
-        assert ecovisor._signal_cache is not None
 
     def test_unbatched_clears_cache(self):
         ecovisor = make_ecovisor()
         engine = SimulationEngine(ecovisor, SimulationClock(60.0), batched=False)
         engine.run(3)
         assert ecovisor.columnar is False
-        assert ecovisor._signal_cache is None
 
     def test_toggle_between_runs(self):
         ecovisor = make_ecovisor()
@@ -262,17 +265,85 @@ class TestBatchedToggle:
         engine.batched = False
         engine.run(2)
         assert ecovisor.columnar is False
-        assert ecovisor._signal_cache is None
 
     def test_run_past_primed_window_falls_back_to_live(self):
-        # Priming covers max_ticks; a second run re-primes from the
-        # clock's new position, so signals stay correct either way.
+        # Each run samples its ticks live from the clock's position, so
+        # back-to-back runs record every tick's signals exactly once.
         ecovisor = make_ecovisor(carbon_g_per_kwh=150.0)
         engine = SimulationEngine(ecovisor, SimulationClock(60.0))
         engine.run(2)
         engine.run(2)
         assert ecovisor.current_carbon_g_per_kwh == 150.0
         assert len(ecovisor.carbon_service.history()) == 4
+
+
+class TestSubclassedTraces:
+    """The production path samples a subclassed trace through its
+    override, tick by tick."""
+
+    @staticmethod
+    def _run(env, ticks):
+        """Run ``ticks`` production-path ticks; return their start times."""
+        env.engine.add_application(CountingService(), ShareConfig())
+        env.engine.run(ticks)
+        assert env.ecovisor.columnar is True
+        return [k * 60.0 for k in range(ticks)]
+
+    def test_subclassed_solar_trace_override_is_honored(self):
+        from repro.energy.solar import SolarTrace
+
+        class DeratedTrace(SolarTrace):
+            def irradiance_at(self, time_s):
+                return 0.5 * super().irradiance_at(time_s)
+
+        env = solar_battery_environment(
+            solar_peak_w=60.0, battery_capacity_wh=80.0, days=1, seed=4
+        )
+        stock = [env.plant.solar_power_w(60.0 * k) for k in range(420)]
+        env.plant.solar._trace = DeratedTrace(days=1, seed=4)
+        # 420 ticks run past dawn, so the derating has output to act on.
+        times = self._run(env, 420)
+        sampled = [env.plant.solar_power_w(t) for t in times]
+        assert max(sampled) > 0.0
+        assert sum(sampled) == pytest.approx(0.5 * sum(stock))
+        # The one-tick buffer shows each tick the previous tick's sample.
+        shown = env.ecovisor.database.series("plant.solar_w").values().tolist()
+        assert shown == sampled[:1] + sampled[:-1]
+
+    def test_subclassed_price_trace_override_is_honored(self):
+        from repro.market.prices import PriceTrace
+
+        class SurchargedTrace(PriceTrace):
+            def price_at(self, time_s):
+                return super().price_at(time_s) * 1.25 + 0.01
+
+        base = make_price_trace("realtime", days=1, seed=5)
+        env = grid_environment(
+            trace=make_region_trace("caiso", days=1, seed=5),
+            price_trace=base,
+        )
+        env.price_signal._trace = SurchargedTrace(base.samples, regime=base.regime)
+        times = self._run(env, 100)
+        stock = PriceSignal(env.price_signal.config, trace=base)
+        assert env.price_signal.history() == [
+            (t, stock.price_at(t) * 1.25 + 0.01) for t in times
+        ]
+
+    def test_subclassed_carbon_trace_override_is_honored(self):
+        from repro.carbon.traces import CarbonTrace
+
+        class ShiftedTrace(CarbonTrace):
+            def intensity_at(self, time_s):
+                return super().intensity_at(time_s) + 1.0
+
+        base = make_region_trace("caiso", days=1, seed=5)
+        env = grid_environment(trace=base)
+        env.carbon_service._trace = ShiftedTrace(base.samples, region="caiso")
+        times = self._run(env, 100)
+        stock = CarbonIntensityService(env.carbon_service.config, trace=base)
+        assert env.carbon_service.history() == [
+            (t, stock.intensity_at(t) + 1.0) for t in times
+        ]
 
 
 class TestEveryTickProfiled:

@@ -12,9 +12,6 @@ structural invariants of the struct-of-arrays store itself:
   resize) builds it once, equal to a fresh build,
 - a staged ``set_share`` swaps the dense battery sub-fleet caches at
   the next tick boundary, and
-- ticks past the primed signal-cache horizon fall back to live
-  sampling with identical results (mirroring
-  :mod:`tests.unit.test_tracecache`'s offset-miss rule at fleet level),
 - a buffered tick record holds only ndarrays and the layout objects
   settle shares between ticks, nothing the garbage collector tracks.
 """
@@ -282,40 +279,6 @@ class TestSetShareSwap:
         engine.run(1)
         assert app.ves.battery is None
         assert name not in [a.name for _, a in store.batt_apps]
-
-
-class TestPastHorizonFallback:
-    def test_ticks_past_primed_horizon_fall_back_to_live_sampling(self):
-        """Mirror of test_tracecache's offset-miss rule at fleet level:
-        a signal cache covering only half the run must not change one
-        byte of the telemetry — uncovered ticks sample live."""
-        ticks = 12
-        reference = _small_fleet(ticks=ticks)
-        reference.engine.run(ticks)
-
-        truncated = _small_fleet(ticks=ticks)
-        ecovisor = truncated.engine._ecovisor
-        original = ecovisor.prime_signal_cache
-
-        def half_prime(start_index, times):
-            original(start_index, times[: len(times) // 2])
-
-        ecovisor.prime_signal_cache = half_prime
-        truncated.engine.run(ticks)
-        # The cache really was short: the final tick missed it.
-        assert (
-            ecovisor._signal_cache.offset_for(ticks - 1, (ticks - 1) * 60.0)
-            is None
-        )
-
-        db_a = reference.ecovisor.database
-        db_b = truncated.ecovisor.database
-        assert db_a.series_names() == db_b.series_names()
-        for series in db_a.series_names():
-            assert (
-                db_a.series(series).values().tolist()
-                == db_b.series(series).values().tolist()
-            ), series
 
 
 class TestGcFreeRecords:

@@ -143,7 +143,6 @@ class TestExpositionLint:
         for family in (
             "ticks_begun_total",
             "journal_dropped_total",
-            "trace_cache_hits_total",
             "tick_phase_seconds",
             "tick_total_seconds",
             "slow_ticks_total",

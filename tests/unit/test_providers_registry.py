@@ -144,7 +144,7 @@ class TestProvenance:
 class TestResolvers:
     def test_carbon_dataset_resolves_to_stock_trace(self):
         trace = resolve_carbon_trace("caiso-2022")
-        assert type(trace) is CarbonTrace  # tracecache fast-path contract
+        assert type(trace) is CarbonTrace
         assert trace.region == "caiso"
         np.testing.assert_array_equal(
             np.asarray(trace.samples), load_samples("caiso-2022")

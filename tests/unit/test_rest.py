@@ -1,11 +1,15 @@
 """REST router and the ecovisor's REST surface."""
 
+import math
+
 import pytest
 
+from repro.core.clock import SimulationClock
 from repro.core.config import ShareConfig
 from repro.market.prices import constant_price_trace
 from repro.rest.router import UNMATCHED_ROUTE_LABEL, Router
 from repro.rest.server import API_PREFIX, SSE_ROUTES, EcovisorRestServer
+from repro.sim.engine import SimulationEngine
 from tests.conftest import make_ecovisor, run_ticks
 
 
@@ -241,6 +245,52 @@ class TestBatteryRoutes:
             "POST", "/v1/apps/a/battery/charge_rate", {"watts": -5.0}
         )
         assert response.status == 400
+
+
+#: Writes whose number a domain check refuses when negative, sent a NaN.
+NAN_WRITES = {
+    "admit": ("POST", "/v1/admin/apps", {"name": "x", "grid_power_w": "nan"}),
+    "set_share": ("PATCH", "/v1/admin/apps/a", {"grid_power_w": "nan"}),
+    "charge_rate": ("POST", "/v1/apps/a/battery/charge_rate", {"watts": "nan"}),
+    "max_discharge": ("POST", "/v1/apps/a/battery/max_discharge", {"watts": "nan"}),
+    "powercap": ("POST", "/v1/apps/a/containers/{cid}/powercap", {"watts": "nan"}),
+}
+
+
+def _numbers(value):
+    """Every number in a JSON body, nested containers included."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+class TestNanWrites:
+    """A NaN is refused wherever a negative value is, so none reaches a
+    settlement on the production path."""
+
+    @pytest.mark.parametrize("write", sorted(NAN_WRITES))
+    def test_nan_is_400_and_next_settlement_is_finite(self, write):
+        eco = make_ecovisor(solar_w=10.0, carbon_g_per_kwh=250.0)
+        eco.admit_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+        eco.admit_app("b", ShareConfig())
+        for name in ("a", "b"):
+            eco.launch_container(name, 1).set_demand_utilization(1.0)
+        engine = SimulationEngine(eco, SimulationClock(60.0))
+        engine.run(1)
+        server = EcovisorRestServer(eco)
+        cid = eco.containers_for("a")[0].id
+        method, path, body = NAN_WRITES[write]
+        response = server.request(method, path.format(cid=cid), body)
+        assert response.status == 400, response.body
+        engine.run(2)
+        assert eco.columnar is True
+        assert eco.app_names() == ["a", "b"]
+        for name in eco.app_names():
+            state = server.request("GET", f"/v1/apps/{name}/state").body
+            assert state["settled"] and state["tick_index"] == 2
+            assert all(math.isfinite(x) for x in _numbers(state)), (name, state)
 
 
 class TestV1OnlyRouteTable:

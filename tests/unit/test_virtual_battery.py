@@ -58,6 +58,14 @@ class TestKnobs:
         with pytest.raises(ValueError):
             vb.set_max_discharge(-1.0)
 
+    def test_nan_rates_rejected(self, small_battery_config):
+        vb = VirtualBattery(small_battery_config, 0.5)
+        with pytest.raises(ValueError):
+            vb.set_charge_rate(float("nan"))
+        with pytest.raises(ValueError):
+            vb.set_max_discharge(float("nan"))
+        assert vb.charge_rate_w == 0.0
+
 
 class TestTickOperations:
     def test_discharge_respects_app_cap(self, small_battery_config):
