@@ -81,7 +81,7 @@ class Container:
         container_id: Optional[str] = None,
         role: str = DEFAULT_ROLE,
     ):
-        if cores <= 0:
+        if not cores > 0:
             raise ValueError(f"cores must be positive, got {cores}")
         self._id = container_id or _next_container_id(app_name)
         self._app_name = app_name
@@ -128,7 +128,7 @@ class Container:
 
     def set_cores(self, cores: float) -> None:
         """Vertically scale the container's core allocation (cgroups)."""
-        if cores <= 0:
+        if not cores > 0:
             raise ValueError(f"cores must be positive, got {cores}")
         self._cores = float(cores)
         Container._mutation_epoch += 1

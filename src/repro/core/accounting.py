@@ -91,7 +91,8 @@ class TickSettlement:
 
         Runs once per application per tick on the hot path, so the happy
         path allocates nothing: plain comparisons first, diagnostic
-        structures built only when a check actually fails.
+        structures built only when a check actually fails.  Each check
+        is written so that a NaN fails it.
         """
         tol = _CONSERVATION_TOLERANCE_WH
         checks = (
@@ -108,31 +109,31 @@ class TickSettlement:
             ("demand = served + unmet", self.demand_wh, self.served_wh + self.unmet_wh),
         )
         for label, lhs, rhs in checks:
-            if abs(lhs - rhs) > tol:
+            if not abs(lhs - rhs) <= tol:
                 raise EnergyConservationError(
                     f"{self.app_name} @ {self.time_s:.0f}s: {label} violated "
                     f"({lhs:.9f} != {rhs:.9f})"
                 )
         billed = energy_cost_usd(self.grid_total_wh, self.price_usd_per_kwh)
-        if abs(self.cost_usd - billed) > _BILLING_TOLERANCE_USD:
+        if not abs(self.cost_usd - billed) <= _BILLING_TOLERANCE_USD:
             raise EnergyConservationError(
                 f"{self.app_name} @ {self.time_s:.0f}s: cost = grid x price "
                 f"violated ({self.cost_usd:.12f} != {billed:.12f})"
             )
-        if (
-            self.demand_wh < -tol
-            or self.served_wh < -tol
-            or self.unmet_wh < -tol
-            or self.solar_available_wh < -tol
-            or self.solar_used_wh < -tol
-            or self.solar_to_battery_wh < -tol
-            or self.curtailed_wh < -tol
-            or self.battery_discharge_wh < -tol
-            or self.grid_load_wh < -tol
-            or self.grid_to_battery_wh < -tol
-            or self.carbon_g < -tol
-            or self.price_usd_per_kwh < -_BILLING_TOLERANCE_USD
-            or self.cost_usd < -_BILLING_TOLERANCE_USD
+        if not (
+            self.demand_wh >= -tol
+            and self.served_wh >= -tol
+            and self.unmet_wh >= -tol
+            and self.solar_available_wh >= -tol
+            and self.solar_used_wh >= -tol
+            and self.solar_to_battery_wh >= -tol
+            and self.curtailed_wh >= -tol
+            and self.battery_discharge_wh >= -tol
+            and self.grid_load_wh >= -tol
+            and self.grid_to_battery_wh >= -tol
+            and self.carbon_g >= -tol
+            and self.price_usd_per_kwh >= -_BILLING_TOLERANCE_USD
+            and self.cost_usd >= -_BILLING_TOLERANCE_USD
         ):
             negatives = [
                 name
@@ -149,7 +150,7 @@ class TickSettlement:
                     ("grid_to_battery_wh", self.grid_to_battery_wh),
                     ("carbon_g", self.carbon_g),
                 ]
-                if value < -tol
+                if not value >= -tol
             ]
             negatives += [
                 name
@@ -157,7 +158,7 @@ class TickSettlement:
                     ("price_usd_per_kwh", self.price_usd_per_kwh),
                     ("cost_usd", self.cost_usd),
                 ]
-                if value < -_BILLING_TOLERANCE_USD
+                if not value >= -_BILLING_TOLERANCE_USD
             ]
             raise EnergyConservationError(
                 f"{self.app_name} @ {self.time_s:.0f}s: negative flows {negatives}"

@@ -65,16 +65,16 @@ class ServerConfig:
     has_gpu: bool = False
 
     def validate(self) -> None:
-        if self.cores <= 0:
+        if not self.cores > 0:
             raise ConfigurationError(f"cores must be positive, got {self.cores}")
-        if self.idle_power_w < 0:
+        if not self.idle_power_w >= 0:
             raise ConfigurationError("idle power must be >= 0")
-        if self.max_cpu_power_w <= self.idle_power_w:
+        if not self.max_cpu_power_w > self.idle_power_w:
             raise ConfigurationError(
                 "max CPU power must exceed idle power "
                 f"({self.max_cpu_power_w} <= {self.idle_power_w})"
             )
-        if self.has_gpu and self.max_gpu_power_w <= self.max_cpu_power_w:
+        if self.has_gpu and not self.max_gpu_power_w > self.max_cpu_power_w:
             raise ConfigurationError("max GPU power must exceed max CPU power")
 
 
@@ -124,11 +124,11 @@ class BatteryConfig:
     initial_soc_fraction: float = 0.50
 
     def validate(self) -> None:
-        if self.capacity_wh <= 0:
+        if not self.capacity_wh > 0:
             raise ConfigurationError("battery capacity must be positive")
         if not 0.0 <= self.empty_soc_fraction < 1.0:
             raise ConfigurationError("empty SoC fraction must be in [0, 1)")
-        if self.max_charge_c_rate <= 0 or self.max_discharge_c_rate <= 0:
+        if not (self.max_charge_c_rate > 0 and self.max_discharge_c_rate > 0):
             raise ConfigurationError("C-rates must be positive")
         if not 0.0 < self.charge_efficiency <= 1.0:
             raise ConfigurationError("charge efficiency must be in (0, 1]")
@@ -167,9 +167,9 @@ class SolarConfig:
     panel_efficiency_derating: float = 0.90
 
     def validate(self) -> None:
-        if self.peak_power_w <= 0:
+        if not self.peak_power_w > 0:
             raise ConfigurationError("peak power must be positive")
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ConfigurationError("scale must be >= 0")
         if not 0.0 < self.panel_efficiency_derating <= 1.0:
             raise ConfigurationError("derating must be in (0, 1]")
@@ -189,9 +189,9 @@ class WindConfig:
     scale: float = 1.0
 
     def validate(self) -> None:
-        if self.rated_power_w <= 0:
+        if not self.rated_power_w > 0:
             raise ConfigurationError("rated power must be positive")
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ConfigurationError("scale must be >= 0")
 
 
@@ -203,7 +203,7 @@ class GridConfig:
     net_metering: bool = False
 
     def validate(self) -> None:
-        if self.max_power_w <= 0:
+        if not self.max_power_w > 0:
             raise ConfigurationError("grid max power must be positive")
 
 
@@ -216,7 +216,7 @@ class CarbonServiceConfig:
     seed: int = 2023
 
     def validate(self) -> None:
-        if self.update_interval_s <= 0:
+        if not self.update_interval_s > 0:
             raise ConfigurationError("update interval must be positive")
 
 
@@ -235,7 +235,7 @@ class PriceServiceConfig:
     seed: int = 2023
 
     def validate(self) -> None:
-        if self.update_interval_s <= 0:
+        if not self.update_interval_s > 0:
             raise ConfigurationError("update interval must be positive")
 
 

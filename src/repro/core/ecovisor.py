@@ -74,7 +74,7 @@ from repro.core.events import (
 from repro.core.fleetarrays import FleetArrays, telemetry_frames
 from repro.core.journal import EventJournal, JournalPage
 from repro.core.signals import SignalBus
-from repro.core.state import BatteryState, EnergyState, RowEnergyState
+from repro.core.state import BatteryState, EnergyState
 from repro.core.virtual_battery import VirtualBattery
 from repro.core.virtual_energy_system import VirtualEnergySystem
 from repro.energy.system import PhysicalEnergySystem
@@ -107,14 +107,11 @@ class _RegisteredApp:
     solar_event_threshold_w: float = 0.0
     has_solar_share: bool = False
     telemetry: Optional[Dict[str, Series]] = None
-    # Columnar bookkeeping: the app's persistent array row, its dense
-    # index into the current FleetSnapshot (valid while snap_epoch
-    # matches the fleet's), and the tick phase its cached lazy view was
-    # built for.
-    row: int = -1
+    # Columnar bookkeeping: the app's index in the fleet's layout and
+    # in every FleetSnapshot of it, valid while snap_epoch matches the
+    # layout's epoch.
     snap_index: int = -1
     snap_epoch: int = -1
-    state_stamp: int = -1
 
 
 class Ecovisor:
@@ -157,13 +154,12 @@ class Ecovisor:
         self._carbon_sample_time_s = 0.0
         self._state_builds = 0
         # Columnar hot path (core/fleetarrays.py): fleet state lives in
-        # struct-of-arrays rows, snapshots are lazy RowEnergyState views,
-        # and telemetry/ledger writes buffer until first read.  Off by
-        # default (the object reference path); the engine turns it on
-        # for batched runs.
+        # dense per-tenant columns, each tenant's snapshot is built from
+        # them on the phase's first request, and telemetry/ledger writes
+        # buffer until first read.  Off by default (the object reference
+        # path); the engine turns it on for batched runs.
         self._columnar = False
         self._fleet: Optional[FleetArrays] = None
-        self._phase_stamp = 0
         self._flush_hooks_installed = False
         self._container_carbon_series: Dict[str, Series] = {}
         # Columnar write-back, split by store: tick records the ledger
@@ -293,28 +289,15 @@ class Ecovisor:
         )
         registry.counter_fn(
             "fleet_rows_acquired_total",
-            "Columnar fleet rows handed out (first use + reuse).",
+            "Tenants seeded into the columnar fleet layout from their objects.",
             lambda: self._fleet.rows_acquired if self._fleet else 0,
         )
         registry.counter_fn(
             "fleet_rows_reused_total",
-            "Columnar fleet row acquisitions served from the free list.",
-            lambda: self._fleet.rows_reused if self._fleet else 0,
-        )
-        registry.counter_fn(
-            "fleet_rows_released_total",
-            "Columnar fleet rows returned to the free list.",
-            lambda: self._fleet.rows_released if self._fleet else 0,
-        )
-        registry.counter_fn(
-            "fleet_grow_total",
-            "Columnar fleet capacity-doubling resizes.",
-            lambda: self._fleet.grow_count if self._fleet else 0,
-        )
-        registry.gauge_fn(
-            "fleet_capacity_rows",
-            "Columnar fleet allocated row capacity.",
-            lambda: self._fleet.capacity if self._fleet else 0,
+            "Always 0: the columnar fleet re-lays every tenant out densely "
+            "and keeps no rows to reuse; the counter stays only while "
+            "perfbench reads it.",
+            lambda: 0,
         )
         registry.counter_fn(
             "ledger_write_back_records_total",
@@ -518,10 +501,9 @@ class Ecovisor:
         self._journal.ensure_feed(name)
         if self._in_tick:
             app.state = self._build_state(app)
-            app.state_stamp = self._phase_stamp
         if self._fleet is not None:
-            # The newcomer gets its row (seeded from the live VES) at
-            # the next tick phase's refresh.
+            # The newcomer joins the layout (seeded from the live VES)
+            # at the next tick phase's refresh.
             self._fleet.dirty = True
         self._publish(
             AppAdmittedEvent(
@@ -557,12 +539,8 @@ class Ecovisor:
         )
         del self._apps[name]
         self._upcall_epoch += 1
-        fleet = self._fleet
-        if fleet is not None:
-            if app.row >= 0:
-                fleet.release_row(app.row)
-                app.row = -1
-            fleet.dirty = True
+        if self._fleet is not None:
+            self._fleet.dirty = True
         # Cancel the tenant's signal subscriptions: broadcast signals
         # (carbon/price/tick) bypass app scoping, so stale dispatchers
         # would otherwise fire dead callbacks on the next tick.
@@ -859,17 +837,14 @@ class Ecovisor:
         # Drain both stores (the object path appends straight to cached
         # series handles) and write the array-held per-tick readings back
         # into each app's VirtualEnergySystem so the object path resumes
-        # from identical state.
+        # from identical state; the next columnar phase seeds every
+        # tenant from its objects again.
         self._flush_database()
         for app in self._apps.values():
-            if app.row >= 0:
-                app.ves.restore_tick_state(
-                    float(fleet.solar_w[app.row]), float(fleet.grid_w[app.row])
-                )
-                app.previous_solar_w = float(fleet.prev_solar[app.row])
-                fleet.release_row(app.row)
-                app.row = -1
-            app.snap_index = -1
+            if app.snap_epoch == fleet.epoch:
+                i = app.snap_index
+                app.ves.restore_tick_state(fleet.solar_w.item(i), fleet.grid_w.item(i))
+                app.previous_solar_w = fleet.prev_solar.item(i)
             app.snap_epoch = -1
         fleet.dirty = True
         fleet.current_snap = None
@@ -918,19 +893,15 @@ class Ecovisor:
             self._flush_seconds += perf_counter() - started
 
     def _columnar_state(self, app: _RegisteredApp) -> Optional[EnergyState]:
-        """The app's lazy row view for the current tick phase (cached)."""
-        if app.state is not None and app.state_stamp == self._phase_stamp:
-            return app.state
+        """The app's snapshot for the current tick phase.
+
+        Built by the phase's :class:`FleetSnapshot` when the app is in
+        its layout; otherwise (an admission since the layout was taken,
+        or a re-layout mid-settle) the last snapshot handed out for it.
+        """
         snap = self._fleet.current_snap if self._fleet is not None else None
-        if (
-            snap is not None
-            and app.snap_epoch == snap.epoch
-            and app.snap_index >= 0
-        ):
-            state = RowEnergyState(snap, app.snap_index)
-            app.state = state
-            app.state_stamp = self._phase_stamp
-            return state
+        if snap is not None and app.snap_epoch == snap.epoch:
+            app.state = snap.state(app.snap_index)
         return app.state
 
     # ------------------------------------------------------------------
@@ -1007,14 +978,13 @@ class Ecovisor:
         solar_changes = None
         if self._columnar and self._fleet is not None:
             # Bulk path: one vectorized solar refresh plus a dense
-            # begin-phase snapshot; per-app RowEnergyState views are
-            # materialized lazily but still counted as one build per
-            # app per tick (the parity-pinned invariant).  The solar
+            # begin-phase snapshot; each app's EnergyState is built on
+            # the phase's first request but still counted as one build
+            # per app per tick (the parity-pinned invariant).  The solar
             # changes come back as columns and publish after the other
             # signals, as the object path's events do.
             solar_changes = self._fleet.begin(self, time_s, visible_solar)
             self._state_builds += len(self._apps)
-            self._phase_stamp += 1
         else:
             for app in self._apps.values():
                 new_solar = app.ves.update_solar(visible_solar)
@@ -1069,7 +1039,7 @@ class Ecovisor:
         if not callbacks or app.name not in self._apps:
             return
         # The app handle is already resolved; only fall back to the
-        # name lookup when no columnar row view exists for it yet.
+        # name lookup when no columnar snapshot holds it yet.
         state = self._columnar_state(app) if self._columnar else None
         if state is None:
             state = self.state_for(app.name)
@@ -1092,7 +1062,6 @@ class Ecovisor:
         duration_s = tick.duration_s
         if self._columnar and self._fleet is not None:
             fractions = self._fleet.settle(self, time_s, duration_s)
-            self._phase_stamp += 1
             self._in_tick = False
             return fractions
         fractions: Dict[str, float] = {}

@@ -1,8 +1,8 @@
 """Columnar fleet state: struct-of-arrays over the registered apps.
 
-This module vectorizes the *app* dimension of a tick: one preallocated
-numpy row per registered application for solar allocation, grid draw,
-and the cumulative ledger figures, updated in bulk inside
+This module vectorizes the *app* dimension of a tick: one numpy column
+entry per registered application for solar allocation, grid draw, and
+the cumulative ledger figures, updated in bulk inside
 ``Ecovisor.begin_tick``/``settle`` instead of once per app per tick.
 
 Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
@@ -28,30 +28,35 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
   resize moves the container cache's own key instead); the kernel's
   own write-back does not, because its mirrors already hold what it
   writes.
-- **Array identity.**  Rows live in persistent arrays; admission
-  acquires a row from a free list, eviction releases it, and growth
-  uses ``ndarray.resize`` so the arrays keep their identity.  Snapshots
-  always hold fancy-indexed *copies*, never views, so growth can never
-  dangle a consumer.
-- **Lazy materialization.**  Per-app ``EnergyState`` objects are built
-  only at the observation boundary (``EcovisorAPI.state()``, signal
-  callbacks, REST, telemetry export) as
-  :class:`~repro.core.state.RowEnergyState` views over a
-  :class:`FleetSnapshot`.  Telemetry and ledger writes are buffered as
-  :class:`_TickRecord` objects — the settle kernel's own ndarrays, so
-  the buffer holds nothing the garbage collector has to walk — and
-  written back per store on first read.  A ledger read (admissions,
-  evictions and :meth:`FleetArrays.refresh` make one) adds the records'
-  columns to the account totals and leaves them waiting for the
-  database; the first database read stacks everything waiting into
-  frames (:func:`telemetry_frames`), one block per metric.  Per-tick
-  ``TickSettlement`` objects are built from the retained columns only
-  when an account's settlements are read.
+- **Dense layout.**  The per-tenant columns hold one entry per
+  registered app in registration order.  Any admission, eviction or
+  share change re-lays them out (:meth:`FleetArrays.refresh`): a tenant
+  of the previous layout carries its figures over from its index there,
+  a newcomer is seeded from its objects.  ``begin`` and ``settle`` bind
+  new columns every tick instead of writing in place, so a column a
+  :class:`FleetSnapshot` holds never changes; the snapshot makes it
+  read-only.
+- **Plain snapshots, built on request.**  Per-app ``EnergyState``
+  objects are built only at the observation boundary
+  (``EcovisorAPI.state()``, signal callbacks, REST, telemetry export):
+  :meth:`FleetSnapshot.state` builds one on the phase's first request
+  and keeps it for the rest of the phase, so a snapshot kept past its
+  tick holds its own tick's figures.  Telemetry and ledger writes are
+  buffered as :class:`_TickRecord` objects — the settle kernel's own
+  ndarrays, so the buffer holds nothing the garbage collector has to
+  walk — and written back per store on first read.  A ledger read
+  (admissions, evictions and :meth:`FleetArrays.refresh` make one) adds
+  the records' columns to the account totals and leaves them waiting
+  for the database; the first database read stacks everything waiting
+  into frames (:func:`telemetry_frames`), one block per metric.
+  Per-tick ``TickSettlement`` objects are built from the retained
+  columns only when an account's settlements are read.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,16 +64,13 @@ import numpy as np
 from repro.cluster.container import Container
 from repro.core.accounting import TickSettlement
 from repro.core.events import BatteryEmptyEvent, BatteryFullEvent
+from repro.core.state import BatteryState, EnergyState
 from repro.core.virtual_battery import VirtualBattery
 from repro.energy.battery import Battery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cop import ContainerOrchestrationPlatform
     from repro.core.ecovisor import Ecovisor
-
-#: Initial row capacity; arrays double (in place) when the fleet outgrows it.
-INITIAL_CAPACITY = 64
-
 
 class _ContainerCache:
     """Vectorized view of the platform's container population.
@@ -183,15 +185,16 @@ class _ContainerCache:
 class FleetSnapshot:
     """One tick phase's dense observation of the whole fleet.
 
-    Built twice per tick (post-begin, post-settle); every per-app
-    :class:`~repro.core.state.RowEnergyState` view of the phase indexes
-    into this one object.  All arrays are copies (fancy-indexed out of
-    the persistent rows), so later ticks and row churn cannot mutate a
-    retained snapshot's scalar fields.
+    Built twice per tick (post-begin, post-settle) over the phase's
+    columns, which the snapshot makes read-only: the fleet binds new
+    columns for the next phase instead of writing these.  Each tenant's
+    :class:`~repro.core.state.EnergyState` is built from them by
+    :meth:`state` on the phase's first request.
 
-    Container readings materialize lazily on a begin-phase snapshot
-    (policies rarely read them mid-upcall) and are captured eagerly at
-    settlement, where the readings are already in hand.
+    A begin-phase snapshot takes its container readings at the phase's
+    first :meth:`state` build, not at ``begin_tick`` (policies rarely
+    read them mid-upcall); a settle-phase snapshot carries the readings
+    settle already has in hand.
     """
 
     __slots__ = (
@@ -216,6 +219,7 @@ class FleetSnapshot:
         "platform",
         "_cc",
         "_powers_list",
+        "_states",
     )
 
     def __init__(
@@ -264,23 +268,66 @@ class FleetSnapshot:
         self.platform = platform
         self._cc = cc
         self._powers_list = powers_list
+        self._states: Dict[int, EnergyState] = {}
+        for column in (solar, grid, tot_e, tot_c, tot_cost, knob_target, knob_maxdis):
+            column.setflags(write=False)
 
-    def container_readings_for(
-        self, index: int
-    ) -> Tuple[Tuple[str, ...], List[float]]:
-        """(ids, watts) of one app's running containers for this phase."""
+    def state(self, index: int) -> EnergyState:
+        """Tenant ``index``'s snapshot for this phase.
+
+        Built on the phase's first request and kept, so every consumer
+        of the phase shares one object.  The battery level, state of
+        charge, last rates and full/empty flags are read from the live
+        virtual battery, which only settle moves, so they equal what a
+        build at phase start would have read; the knobs come from the
+        phase's columns.
+        """
+        state = self._states.get(index)
+        if state is not None:
+            return state
         cc = self._cc
         if cc is None:
-            # Begin-phase snapshot: materialize on first access, at
-            # access-time utilizations (the documented lazy-view rule).
+            # Begin phase: the first build reads every container's
+            # power, at that moment's utilizations, for the whole phase.
             cc = self._cc = self.fleet.container_cache(self.platform)
             self._powers_list = cc.powers_list()
         name = self.names[index]
         ids = cc.cont_ids.get(name)
-        if ids is None:
-            return (), []
-        powers = self._powers_list
-        return ids, [powers[p] for p in cc.positions[name]]
+        containers = {}
+        if ids is not None:
+            powers = self._powers_list
+            containers = dict(zip(ids, [powers[p] for p in cc.positions[name]]))
+        battery = self.apps[index].ves.battery
+        if battery is not None:
+            battery = BatteryState(
+                charge_level_wh=battery.usable_wh,
+                capacity_wh=battery.usable_capacity_wh,
+                soc_fraction=battery.soc_fraction,
+                discharge_rate_w=battery.last_discharge_w,
+                charge_rate_w=battery.last_charge_w,
+                max_discharge_w=self.knob_maxdis.item(index),
+                charge_target_w=self.knob_target.item(index),
+                is_full=battery.is_full,
+                is_empty=battery.is_empty,
+            )
+        state = self._states[index] = EnergyState(
+            app_name=name,
+            tick_index=self.tick_index,
+            time_s=self.time_s,
+            duration_s=self.duration_s,
+            solar_power_w=self.solar.item(index),
+            grid_carbon_g_per_kwh=self.carbon,
+            grid_price_usd_per_kwh=self.price,
+            has_market=self.has_market,
+            grid_power_w=self.grid.item(index),
+            battery=battery,
+            container_power_w=MappingProxyType(containers),
+            total_energy_wh=self.tot_e.item(index),
+            total_carbon_g=self.tot_c.item(index),
+            total_cost_usd=self.tot_cost.item(index),
+            settled=self.settled,
+        )
+        return state
 
 
 class _TickRecord:
@@ -517,19 +564,24 @@ def _tenant_metrics(records: List[_TickRecord]):
     return tuple(zip(_TENANT_SERIES, columns))
 
 
+#: The per-tenant columns of :class:`FleetArrays`, in layout order.
+_COLUMNS = ("solar_w", "grid_w", "prev_solar", "tot_e", "tot_c", "tot_cost")
+
+
 class FleetArrays:
-    """Persistent struct-of-arrays fleet state plus the bulk tick kernel.
+    """Struct-of-arrays fleet state plus the bulk tick kernel.
 
-    Row lifecycle: :meth:`acquire_row` (admission) pops from a LIFO free
-    list, :meth:`release_row` (eviction) pushes back — an evict-then-
-    readmit reuses the hottest row.  :meth:`_grow` doubles capacity in
-    place (``ndarray.resize``), preserving array identity.
+    The per-tenant columns (:data:`_COLUMNS`) hold one entry per
+    registered app, in the layout order of ``names``.  ``begin`` and
+    ``settle`` bind new columns each tick (the phase's snapshot holds
+    them read-only).
 
-    ``dirty`` marks the dense per-app caches (row gather indices, solar
-    fractions, thresholds, grid shares) stale; any admission, eviction,
-    or share rebalance sets it and the next tick phase re-derives them
-    in one :meth:`refresh` pass, bumping ``epoch`` so stale snapshots
-    are never indexed with fresh row assignments.
+    ``dirty`` marks the layout and the dense per-app caches (solar
+    fractions, thresholds, grid shares, the battery sub-fleet) stale;
+    any admission, eviction, or share rebalance sets it and the next
+    tick phase re-lays the fleet out in one :meth:`refresh` pass,
+    bumping ``epoch`` so no snapshot of an older layout is indexed with
+    a tenant's new position.
 
     The kernel checks neither of the two invariants it rests on: every
     container the platform lists is running and placed, so the
@@ -538,35 +590,25 @@ class FleetArrays:
     refuses any other), so settle divides by it unguarded.
     """
 
-    def __init__(self, capacity: int = INITIAL_CAPACITY):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.solar_w = np.zeros(capacity)
-        self.grid_w = np.zeros(capacity)
-        self.prev_solar = np.zeros(capacity)
-        self.tot_e = np.zeros(capacity)
-        self.tot_c = np.zeros(capacity)
-        self.tot_cost = np.zeros(capacity)
-        self._free = list(range(capacity - 1, -1, -1))
+    def __init__(self):
+        self.solar_w = np.zeros(0)
+        self.grid_w = np.zeros(0)
+        self.prev_solar = np.zeros(0)
+        self.tot_e = np.zeros(0)
+        self.tot_c = np.zeros(0)
+        self.tot_cost = np.zeros(0)
         self.dirty = True
         self.epoch = 0
-        # Row-lifecycle counters, read by the metrics registry through
-        # collect-time callbacks (no metric objects in this hot path).
-        # "Reused" means the acquired row had been released before —
-        # the free-list recycling an evict-then-readmit churn exercises.
+        # Tenants seeded from their objects by refresh(), read by the
+        # metrics registry through a collect-time callback (no metric
+        # object in this hot path).
         self.rows_acquired = 0
-        self.rows_released = 0
-        self.rows_reused = 0
-        self.grow_count = 0
-        self._released_ever: set = set()
         self.pending: List[_TickRecord] = []
         self.current_snap: Optional[FleetSnapshot] = None
         self._cc: Optional[_ContainerCache] = None
         # Dense per-app caches, rebuilt by refresh() (insertion order).
         self.apps: list = []
         self.names: List[str] = []
-        self.rows = np.zeros(0, dtype=np.intp)
         self.frac_solar = np.zeros(0)
         self.thresh = np.zeros(0)
         self.has_solar = np.zeros(0, dtype=bool)
@@ -602,70 +644,49 @@ class FleetArrays:
         self._plan: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    # Row lifecycle
-    # ------------------------------------------------------------------
-    def acquire_row(self) -> int:
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self.rows_acquired += 1
-        if row in self._released_ever:
-            self.rows_reused += 1
-        return row
-
-    def release_row(self, row: int) -> None:
-        self._free.append(row)
-        self.rows_released += 1
-        self._released_ever.add(row)
-
-    def _grow(self) -> None:
-        self.grow_count += 1
-        new_capacity = self.capacity * 2
-        for arr in (
-            self.solar_w,
-            self.grid_w,
-            self.prev_solar,
-            self.tot_e,
-            self.tot_c,
-            self.tot_cost,
-        ):
-            # In-place growth keeps the ndarray's identity; snapshots
-            # hold copies (never views), so refcheck can stay off.
-            arr.resize(new_capacity, refcheck=False)
-        self._free.extend(range(new_capacity - 1, self.capacity - 1, -1))
-        self.capacity = new_capacity
-
-    # ------------------------------------------------------------------
-    # Dense cache refresh
+    # Layout refresh
     # ------------------------------------------------------------------
     def refresh(self, eco: "Ecovisor") -> None:
-        """Re-derive the dense caches from the registered app table.
+        """Lay the fleet out again from the registered app table.
 
-        Newly admitted apps are assigned rows seeded from their live
-        virtual energy system and (flushed) ledger account; surviving
-        rows keep their accumulated figures untouched.
+        Every column is rebuilt in registration order.  A tenant of the
+        previous layout (``snap_epoch == epoch``) carries its figures
+        over from its index there (``snap_index``); a newcomer is seeded
+        from its live virtual energy system and (flushed) ledger
+        account.
         """
         # The ledger must be current before seeding cumulative columns
         # (and every record it takes shares this layout's names).
         eco._flush_ledger()
         apps = list(eco._apps.values())
-        ledger = eco._ledger
-        for app in apps:
-            if app.row < 0:
-                row = self.acquire_row()
-                app.row = row
-                ves = app.ves
-                self.solar_w[row] = ves.solar_power_w
-                self.grid_w[row] = ves.grid_power_w
-                self.prev_solar[row] = app.previous_solar_w
-                account = ledger.account(app.name)
-                self.tot_e[row] = account.energy_wh
-                self.tot_c[row] = account.carbon_g
-                self.tot_cost[row] = account.cost_usd
         n = len(apps)
+        ledger = eco._ledger
+        epoch = self.epoch
+        columns = [np.empty(n) for _ in _COLUMNS]
+        solar_w, grid_w, prev_solar, tot_e, tot_c, tot_cost = columns
+        kept: List[int] = []
+        kept_from: List[int] = []
+        for i, app in enumerate(apps):
+            if app.snap_epoch == epoch:
+                kept.append(i)
+                kept_from.append(app.snap_index)
+                continue
+            self.rows_acquired += 1
+            ves = app.ves
+            solar_w[i] = ves.solar_power_w
+            grid_w[i] = ves.grid_power_w
+            prev_solar[i] = app.previous_solar_w
+            account = ledger.account(app.name)
+            tot_e[i] = account.energy_wh
+            tot_c[i] = account.carbon_g
+            tot_cost[i] = account.cost_usd
+        index = np.array(kept, dtype=np.intp)
+        source = np.array(kept_from, dtype=np.intp)
+        for name, column in zip(_COLUMNS, columns):
+            column[index] = getattr(self, name)[source]
+            setattr(self, name, column)
         self.apps = apps
         self.names = [app.name for app in apps]
-        self.rows = np.fromiter((app.row for app in apps), dtype=np.intp, count=n)
         self.frac_solar = np.fromiter(
             (app.ves.share.solar_fraction for app in apps), dtype=float, count=n
         )
@@ -708,8 +729,7 @@ class FleetArrays:
         self.batt_maxd = np.fromiter(
             (vb.battery.max_discharge_power_w for vb in vbs), dtype=float, count=m
         )
-        self.epoch += 1
-        epoch = self.epoch
+        self.epoch = epoch = epoch + 1
         for i, app in enumerate(apps):
             app.snap_index = i
             app.snap_epoch = epoch
@@ -830,18 +850,16 @@ class FleetArrays:
         """
         if self.dirty:
             self.refresh(eco)
-        rows = self.rows
         names = self.names
         new = visible_solar * self.frac_solar
-        prev = self.prev_solar[rows]
+        prev = self.prev_solar
         flagged = np.flatnonzero(self.has_solar & (np.abs(new - prev) >= self.thresh))
         changes = (
             [names[i] for i in flagged.tolist()],
             prev[flagged].tolist(),
             new[flagged].tolist(),
         )
-        self.solar_w[rows] = new
-        self.prev_solar[rows] = new
+        self.solar_w = self.prev_solar = new
         # Only the snapshot's knob columns come from the objects, and
         # only after a knob write: settle reads solar from the arrays,
         # so VES-held per-tick solar stays stale in columnar mode (all
@@ -859,10 +877,10 @@ class FleetArrays:
             has_market=eco._price_signal is not None,
             settled=False,
             solar=new,
-            grid=self.grid_w[rows],
-            tot_e=self.tot_e[rows],
-            tot_c=self.tot_c[rows],
-            tot_cost=self.tot_cost[rows],
+            grid=self.grid_w,
+            tot_e=self.tot_e,
+            tot_c=self.tot_c,
+            tot_cost=self.tot_cost,
             knob_target=knob_target,
             knob_maxdis=knob_maxdis,
             fleet=self,
@@ -887,7 +905,6 @@ class FleetArrays:
             self.refresh(eco)
         apps = self.apps
         names = self.names
-        rows = self.rows
         n = len(apps)
         cc = self.container_cache(eco._platform)
         powers = cc.powers()
@@ -908,7 +925,7 @@ class FleetArrays:
         price = eco._current_price
         hrs = duration_s / 3600.0
         demand_wh = demand_arr * hrs
-        solar_wh = self.solar_w[rows] * hrs
+        solar_wh = self.solar_w * hrs
         solar_used = np.minimum(demand_wh, solar_wh)
         deficit = demand_wh - solar_used
         excess = solar_wh - solar_used
@@ -1035,8 +1052,8 @@ class FleetArrays:
             last_grid[bidx] = last_grid_b
 
             # Write the settled battery state back into the objects —
-            # they remain the source of truth between ticks (lazy views,
-            # share rebalances, mode-off restore all read them).  The
+            # they remain the source of truth between ticks (snapshot
+            # builds, share rebalances, mode-off restore all read them).  The
             # accumulator order (discharge, solar charge, grid top-up)
             # matches the object path's call order.
             # Only rows whose battery state actually moved need the
@@ -1128,13 +1145,13 @@ class FleetArrays:
             self._batt_state = (level, delivered, last_charge_b, full_arr, empty_arr)
             self._batt_key = batt_key
 
-        # Scatter the settled figures back into the persistent rows.
-        # Rows are unique, so fancy += accumulates exactly like the
-        # per-tick column adds the ledger write-back will make.
-        self.grid_w[rows] = last_grid
-        self.tot_e[rows] += served
-        self.tot_c[rows] += carbon_g
-        self.tot_cost[rows] += cost
+        # The settled columns: new arrays (the begin snapshot holds the
+        # old ones), summed exactly like the per-tick column adds the
+        # ledger write-back will make.
+        self.grid_w = last_grid
+        self.tot_e = self.tot_e + served
+        self.tot_c = self.tot_c + carbon_g
+        self.tot_cost = self.tot_cost + cost
 
         # Eager container attribution: container objects are live state
         # (policies read cumulative energy/carbon), only the series
@@ -1253,11 +1270,11 @@ class FleetArrays:
             price=price,
             has_market=eco._price_signal is not None,
             settled=True,
-            solar=self.solar_w[rows],
+            solar=self.solar_w,
             grid=last_grid,
-            tot_e=self.tot_e[rows],
-            tot_c=self.tot_c[rows],
-            tot_cost=self.tot_cost[rows],
+            tot_e=self.tot_e,
+            tot_c=self.tot_c,
+            tot_cost=self.tot_cost,
             knob_target=knob_target,
             knob_maxdis=knob_maxdis,
             fleet=self,

@@ -109,19 +109,19 @@ class AppEnergyLibrary:
             self._container_rates_mg_s.pop(container_id, None)
             self._api.set_container_powercap(container_id, None)
             return
-        if rate_mg_per_s < 0:
+        if not rate_mg_per_s >= 0:
             raise ValueError(f"carbon rate must be >= 0, got {rate_mg_per_s}")
         self._container_rates_mg_s[container_id] = rate_mg_per_s
 
     def set_app_carbon_rate(self, rate_mg_per_s: Optional[float]) -> None:
         """Cap the application's total carbon rate across its containers."""
-        if rate_mg_per_s is not None and rate_mg_per_s < 0:
+        if rate_mg_per_s is not None and not rate_mg_per_s >= 0:
             raise ValueError(f"carbon rate must be >= 0, got {rate_mg_per_s}")
         self._app_rate_mg_s = rate_mg_per_s
 
     def set_carbon_budget(self, total_g: Optional[float]) -> None:
         """Set a total carbon budget for the application (None clears it)."""
-        if total_g is not None and total_g < 0:
+        if total_g is not None and not total_g >= 0:
             raise ValueError(f"carbon budget must be >= 0, got {total_g}")
         self._carbon_budget_g = total_g
 

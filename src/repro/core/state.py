@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,103 +236,3 @@ class EnergyState:
             "settled": self.settled,
         }
 
-
-# ----------------------------------------------------------------------
-# Columnar lazy views (core/fleetarrays.py)
-# ----------------------------------------------------------------------
-def _build_battery_view(snap: Any, index: int) -> Optional[BatteryState]:
-    """BatteryState for a row view, mirroring ``Ecovisor._battery_state``.
-
-    The charge-target / max-discharge knobs come from the snapshot's
-    phase-captured arrays; level, state of charge, and last charge /
-    discharge rates read the live virtual battery — which the ecovisor
-    only mutates at settlement, so within a phase the values equal what
-    an eager build at phase start would have captured.  (A consumer
-    that retains the view across ticks reads later battery state — the
-    documented staleness edge of lazy materialization.)
-    """
-    battery = snap.apps[index].ves.battery
-    if battery is None:
-        return None
-    return BatteryState(
-        charge_level_wh=battery.usable_wh,
-        capacity_wh=battery.usable_capacity_wh,
-        soc_fraction=battery.soc_fraction,
-        discharge_rate_w=battery.last_discharge_w,
-        charge_rate_w=battery.last_charge_w,
-        max_discharge_w=float(snap.knob_maxdis[index]),
-        charge_target_w=float(snap.knob_target[index]),
-        is_full=battery.is_full,
-        is_empty=battery.is_empty,
-    )
-
-
-def _build_container_map(snap: Any, index: int) -> Mapping[str, float]:
-    ids, powers = snap.container_readings_for(index)
-    return MappingProxyType(dict(zip(ids, powers)))
-
-
-#: How each EnergyState field materializes from a (FleetSnapshot, row
-#: index) pair.  Array reads are wrapped in float() so no numpy scalar
-#: ever escapes into snapshots, JSON payloads, or equality checks.
-_FIELD_BUILDERS: Dict[str, Callable[[Any, int], Any]] = {
-    "app_name": lambda s, i: s.names[i],
-    "tick_index": lambda s, i: s.tick_index,
-    "time_s": lambda s, i: s.time_s,
-    "duration_s": lambda s, i: s.duration_s,
-    "solar_power_w": lambda s, i: float(s.solar[i]),
-    "grid_carbon_g_per_kwh": lambda s, i: s.carbon,
-    "grid_price_usd_per_kwh": lambda s, i: s.price,
-    "has_market": lambda s, i: s.has_market,
-    "grid_power_w": lambda s, i: float(s.grid[i]),
-    "battery": _build_battery_view,
-    "container_power_w": _build_container_map,
-    "total_energy_wh": lambda s, i: float(s.tot_e[i]),
-    "total_carbon_g": lambda s, i: float(s.tot_c[i]),
-    "total_cost_usd": lambda s, i: float(s.tot_cost[i]),
-    "settled": lambda s, i: s.settled,
-}
-
-
-class RowEnergyState(EnergyState):
-    """An :class:`EnergyState` materialized lazily from one fleet row.
-
-    The columnar hot path stores fleet state in dense arrays
-    (:class:`repro.core.fleetarrays.FleetSnapshot`); this subclass *is*
-    the ``EnergyState`` consumers receive, but each field is computed
-    from ``(snapshot, row index)`` on first attribute access and then
-    cached in the instance's slot.  Because the parent is a frozen
-    slots dataclass, unset slots fall through to ``__getattr__`` and
-    the cache write uses ``object.__setattr__`` — consumers still get
-    frozen semantics (plain assignment raises), dataclass ``repr``/
-    ``eq``/``to_dict`` all work, and a fully accessed view is
-    indistinguishable from an eagerly built snapshot.
-    """
-
-    __slots__ = ("_snap", "_index")
-
-    def __init__(self, snap: Any, index: int):
-        object.__setattr__(self, "_snap", snap)
-        object.__setattr__(self, "_index", index)
-
-    def __getattr__(self, name: str) -> Any:
-        builder = _FIELD_BUILDERS.get(name)
-        if builder is None:
-            raise AttributeError(name)
-        value = builder(self._snap, self._index)
-        object.__setattr__(self, name, value)
-        return value
-
-    def __eq__(self, other: Any) -> bool:
-        # The dataclass-generated __eq__ requires an exact class match;
-        # a lazy view must instead compare equal to the eagerly built
-        # snapshot holding the same values (the parity contract), so
-        # equality is by field value across the EnergyState hierarchy.
-        if not isinstance(other, EnergyState):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in _FIELD_BUILDERS
-        )
-
-    __hash__ = EnergyState.__hash__

@@ -58,7 +58,7 @@ __all__ = ["UpcallPlane", "PolicyRows", "WorkloadRows", "TickSignals"]
 class TickSignals:
     """The tick-global environment signals a policy kernel decides on.
 
-    The same floats every ``RowEnergyState`` exposes as
+    The same floats every tick's ``EnergyState`` carries as
     ``grid_carbon_g_per_kwh`` / ``grid_price_usd_per_kwh`` — threshold
     compares against them branch identically to the scalar path.
     """

@@ -1,7 +1,7 @@
 """Columnar parity: the struct-of-arrays kernel vs the object path.
 
 :mod:`repro.core.fleetarrays` re-implements the per-tick settle and
-snapshot arithmetic over preallocated numpy rows.  Its contract — pinned
+snapshot arithmetic over dense numpy columns.  Its contract — pinned
 here — is that it is an *optimization*, never a semantic change: every
 observable the simulator produces must be **byte-identical** between the
 columnar hot path (``engine.batched = True``) and the per-app object
@@ -13,9 +13,9 @@ price regimes and, through the shared-plant stride, the battery-holding
 subset), and churn schedules, plus committed ``@example`` fleets, and
 every fleet is run down both paths and compared on five surfaces:
 
-- per-app :class:`EnergyState` snapshots at every tick (the lazy
-  :class:`~repro.core.state.RowEnergyState` views must materialize the
-  exact floats the eager objects carry),
+- per-app :class:`EnergyState` snapshots at every tick (the snapshots
+  the columnar path builds from its columns must carry the exact floats
+  the object path's do, also when kept past their tick),
 - per-app settlement ledgers (every ``TickSettlement`` plus the
   cumulative account totals),
 - the full telemetry database (series names, timestamps, values — the
@@ -399,9 +399,55 @@ class TestColumnarDifferentialParity:
         }
     )
     def test_churn_fleet_surfaces_byte_identical(self, params):
-        """Admit/evict/set_share churn mid-run: rows retire and respawn
-        without perturbing a single byte of any surface."""
+        """Admit/evict/set_share churn mid-run: the fleet is laid out
+        again and again without perturbing a single byte of any
+        surface."""
         _assert_parity(params, churn=True)
+
+
+class TestRetainedSnapshots:
+    """A snapshot kept past its tick keeps its own tick's figures.
+
+    ``_observe`` serializes each snapshot inside the observer, while its
+    tick is current.  Here the observer only keeps every live tenant's
+    :class:`EnergyState` object, reading no field, and the snapshots are
+    serialized after the run: a snapshot that resolved a field from live
+    state on first access would show a later tick's battery.
+    """
+
+    STATIC = {"apps": 6, "ticks": 240, "seed": 2023, "mix": "balanced"}
+    CHURN = {**STATIC, "admit_rate": 0.2, "evict_rate": 0.2}
+
+    @staticmethod
+    def _kept(params, batched, churn):
+        fleet = _build(params, batched, churn)
+        ecovisor = fleet.ecovisor
+        kept = []
+        fleet.engine.add_observer(
+            lambda tick: kept.append(
+                {name: ecovisor.state_for(name) for name in ecovisor.app_names()}
+            )
+        )
+        fleet.engine.run(params["ticks"])
+        assert ecovisor.columnar is batched
+        return {
+            "states": [
+                {name: state.to_dict() for name, state in states.items()}
+                for states in kept
+            ]
+        }
+
+    @pytest.mark.parametrize("churn", [False, True], ids=["static", "churn"])
+    def test_kept_snapshots_equal_reference_path(self, churn):
+        params = self.CHURN if churn else self.STATIC
+        columnar = self._kept(params, True, churn)
+        objects = self._kept(params, False, churn)
+        levels = {
+            states["fleet-0000"]["battery"]["charge_level_wh"]
+            for states in objects["states"]
+        }
+        assert len(levels) > 1  # the batteries really move
+        _assert_identical(params, churn, columnar, objects)
 
 
 class TestSolarChangeParity:
@@ -588,7 +634,7 @@ class TestForcedFlushParity:
 
 
 #: Writes a client can make between ticks.  ``FleetArrays.refresh()``
-#: derives rows, solar fractions, solar-change thresholds, grid shares
+#: derives the layout, solar fractions, solar-change thresholds, grid shares
 #: and the battery sub-fleet (capacity, floor, efficiencies, max
 #: rates); only admissions and evictions (``admit``, ``evict``) and
 #: staged share changes (``add_battery``, ``drop_battery``, which also

@@ -8,6 +8,7 @@ import pytest
 from repro.core.accounting import CarbonLedger, TickSettlement
 from repro.core.errors import ConfigurationError, EnergyConservationError
 from repro.core.fleetarrays import _TickRecord
+from repro.core.units import energy_cost_usd
 
 
 def settlement(
@@ -43,6 +44,24 @@ def settlement(
     )
 
 
+#: Every energy, carbon and money flow of a settlement.
+FLOW_FIELDS = (
+    "demand_wh",
+    "served_wh",
+    "unmet_wh",
+    "solar_available_wh",
+    "solar_used_wh",
+    "solar_to_battery_wh",
+    "curtailed_wh",
+    "battery_discharge_wh",
+    "grid_load_wh",
+    "grid_to_battery_wh",
+    "carbon_g",
+    "price_usd_per_kwh",
+    "cost_usd",
+)
+
+
 class TestSettlementValidation:
     def test_balanced_settlement_validates(self):
         settlement().validate()
@@ -61,6 +80,28 @@ class TestSettlementValidation:
     def test_detects_negative_flow(self):
         bad = settlement(carbon=-1.0)
         with pytest.raises(EnergyConservationError):
+            bad.validate()
+
+    @staticmethod
+    def _billed():
+        base = settlement()
+        return dataclasses.replace(
+            base,
+            price_usd_per_kwh=0.2,
+            cost_usd=energy_cost_usd(base.grid_total_wh, 0.2),
+        )
+
+    @pytest.mark.parametrize("field", FLOW_FIELDS)
+    def test_refuses_nan_flow(self, field):
+        billed = self._billed()
+        billed.validate()
+        bad = dataclasses.replace(billed, **{field: float("nan")})
+        with pytest.raises(EnergyConservationError):
+            bad.validate()
+
+    def test_nan_in_no_identity_is_named(self):
+        bad = dataclasses.replace(self._billed(), carbon_g=float("nan"))
+        with pytest.raises(EnergyConservationError, match=r"\['carbon_g'\]"):
             bad.validate()
 
 

@@ -10,9 +10,11 @@ from repro.core.config import (
     ClusterConfig,
     EcovisorConfig,
     GridConfig,
+    PriceServiceConfig,
     ServerConfig,
     ShareConfig,
     SolarConfig,
+    WindConfig,
 )
 from repro.core.errors import ConfigurationError
 
@@ -159,6 +161,37 @@ class TestShareConfig:
         with pytest.raises(ConfigurationError):
             ShareConfig(grid_power_w=float("nan")).validate()
         ShareConfig(grid_power_w=float("inf")).validate()
+
+
+#: (config, field) of every positive or non-negative check outside
+#: :class:`EcovisorConfig` and :class:`ShareConfig`.
+NAN_FIELDS = [
+    (ServerConfig, "cores"),
+    (ServerConfig, "idle_power_w"),
+    (ServerConfig, "max_cpu_power_w"),
+    (ServerConfig, "max_gpu_power_w"),
+    (BatteryConfig, "capacity_wh"),
+    (BatteryConfig, "max_charge_c_rate"),
+    (BatteryConfig, "max_discharge_c_rate"),
+    (SolarConfig, "peak_power_w"),
+    (SolarConfig, "scale"),
+    (WindConfig, "rated_power_w"),
+    (WindConfig, "scale"),
+    (GridConfig, "max_power_w"),
+    (CarbonServiceConfig, "update_interval_s"),
+    (PriceServiceConfig, "update_interval_s"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, field", NAN_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in NAN_FIELDS]
+)
+def test_rejects_nan(config, field):
+    """NaN fails each check as a negative value does (the GPU power
+    check applies only to a GPU server)."""
+    extra = {"has_gpu": True} if field == "max_gpu_power_w" else {}
+    with pytest.raises(ConfigurationError):
+        config(**{field: float("nan")}, **extra).validate()
 
 
 class TestConfigDigest:

@@ -35,6 +35,10 @@ class TestIdentity:
         with pytest.raises(ValueError):
             Container("app", 0)
 
+    def test_rejects_nan_cores(self):
+        with pytest.raises(ValueError):
+            Container("app", float("nan"))
+
 
 class TestLifecycle:
     def test_starts_running(self):
@@ -56,6 +60,10 @@ class TestScaling:
     def test_rejects_nonpositive_cores(self):
         with pytest.raises(ValueError):
             Container("app", 1).set_cores(0)
+
+    def test_rejects_nan_cores(self):
+        with pytest.raises(ValueError):
+            Container("app", 1).set_cores(float("nan"))
 
 
 class TestCapping:

@@ -1,13 +1,13 @@
-"""FleetArrays row lifecycle, array identity, and cache fallbacks.
+"""FleetArrays' dense layout, snapshot columns, and cache fallbacks.
 
 The columnar kernel's semantic parity is pinned by
 :mod:`tests.integration.test_columnar_parity`; this module covers the
 structural invariants of the struct-of-arrays store itself:
 
-- row acquisition/release is LIFO, so an evicted tenant's row is the
-  next admission's row (cache-hot reuse),
-- growth past :data:`~repro.core.fleetarrays.INITIAL_CAPACITY` doubles
-  in place and keeps every array's identity,
+- the per-tenant columns are laid out densely in registration order,
+- every column a :class:`~repro.core.fleetarrays.FleetSnapshot` holds
+  is read-only, and a re-layout carries each surviving tenant's ledger
+  totals over bit for bit,
 - every change of the container cache's key (a launch, a stop, a core
   resize) builds it once, equal to a fresh build,
 - a staged ``set_share`` swaps the dense battery sub-fleet caches at
@@ -24,13 +24,9 @@ import pytest
 from repro.cluster.container import Container, reset_container_id_counter
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.core.config import ClusterConfig, ShareConfig
-from repro.core.fleetarrays import (
-    INITIAL_CAPACITY,
-    FleetArrays,
-    _ContainerCache,
-    _TickRecord,
-)
-from repro.sim.fleet import build_fleet
+from repro.core.events import TickEvent
+from repro.core.fleetarrays import _COLUMNS, FleetArrays, _ContainerCache, _TickRecord
+from repro.sim.fleet import build_churn_fleet, build_fleet
 
 
 def _small_fleet(apps=6, ticks=12, batched=True, seed=2023):
@@ -46,111 +42,94 @@ def _small_fleet(apps=6, ticks=12, batched=True, seed=2023):
     )
 
 
-class TestRowLifecycle:
-    def test_rows_acquire_in_ascending_order(self):
-        fleet = FleetArrays(capacity=4)
-        assert [fleet.acquire_row() for _ in range(4)] == [0, 1, 2, 3]
-
-    def test_release_then_acquire_is_lifo(self):
-        fleet = FleetArrays(capacity=8)
-        rows = [fleet.acquire_row() for _ in range(5)]
-        fleet.release_row(rows[1])
-        fleet.release_row(rows[3])
-        # The hottest (most recently released) row comes back first.
-        assert fleet.acquire_row() == rows[3]
-        assert fleet.acquire_row() == rows[1]
-        # Exhausted the free list's recycled rows; fresh rows follow.
-        assert fleet.acquire_row() == 5
-
-    def test_lifecycle_counters_track_acquire_release_reuse(self):
-        fleet = FleetArrays(capacity=8)
-        rows = [fleet.acquire_row() for _ in range(3)]
-        assert fleet.rows_acquired == 3
-        assert fleet.rows_reused == 0
-        fleet.release_row(rows[2])
-        assert fleet.rows_released == 1
-        fleet.acquire_row()
-        assert fleet.rows_acquired == 4
-        assert fleet.rows_reused == 1
-
-    def test_grow_counter_increments_on_doubling(self):
-        fleet = FleetArrays(capacity=2)
-        for _ in range(3):
-            fleet.acquire_row()
-        assert fleet.grow_count == 1
-        assert fleet.capacity == 4
-
-    def test_evicted_tenant_row_goes_to_next_admission(self):
-        fleet = _small_fleet()
-        engine, ecovisor = fleet.engine, fleet.ecovisor
-        engine.run(3)
-        victim = ecovisor.app_names()[2]
-        victim_row = ecovisor._apps[victim].row
-        assert victim_row >= 0
-        ecovisor.evict_app(victim)
-        assert ecovisor._apps == {
-            n: a for n, a in ecovisor._apps.items() if n != victim
-        }
-        from repro.policies import CarbonAgnosticPolicy
-        from repro.workloads.mltrain import MLTrainingJob
-
-        engine.add_application(
-            MLTrainingJob(name="newcomer", total_work_units=100.0),
-            ShareConfig(grid_power_w=float("inf")),
-            CarbonAgnosticPolicy(workers=1),
-        )
-        engine.run(1)
-        assert ecovisor._apps["newcomer"].row == victim_row
-
-
 class TestGrowth:
-    def test_growth_doubles_and_keeps_array_identity(self):
-        fleet = FleetArrays()
-        assert fleet.capacity == INITIAL_CAPACITY
-        arrays = (
-            fleet.solar_w,
-            fleet.grid_w,
-            fleet.prev_solar,
-            fleet.tot_e,
-            fleet.tot_c,
-            fleet.tot_cost,
-        )
-        for _ in range(INITIAL_CAPACITY):
-            fleet.acquire_row()
-        fleet.solar_w[:] = np.arange(INITIAL_CAPACITY, dtype=float)
-        fleet.tot_e[:] = 7.5
-        overflow = fleet.acquire_row()
-        assert overflow == INITIAL_CAPACITY
-        assert fleet.capacity == 2 * INITIAL_CAPACITY
-        for before, after in zip(
-            arrays,
-            (
-                fleet.solar_w,
-                fleet.grid_w,
-                fleet.prev_solar,
-                fleet.tot_e,
-                fleet.tot_c,
-                fleet.tot_cost,
-            ),
-        ):
-            # ndarray.resize grows in place: same object, new capacity.
-            assert before is after
-            assert len(after) == 2 * INITIAL_CAPACITY
-        assert fleet.solar_w[:INITIAL_CAPACITY].tolist() == [
-            float(i) for i in range(INITIAL_CAPACITY)
-        ]
-        assert np.all(fleet.tot_e[:INITIAL_CAPACITY] == 7.5)
-        assert np.all(fleet.solar_w[INITIAL_CAPACITY:] == 0.0)
-
     def test_fleet_larger_than_initial_capacity_runs_columnar(self):
-        fleet = _small_fleet(apps=INITIAL_CAPACITY + 6, ticks=3)
+        """A 70-tenant fleet runs columnar over a dense layout: each
+        tenant's layout index is its registration position."""
+        fleet = _small_fleet(apps=70, ticks=3)
         engine, ecovisor = fleet.engine, fleet.ecovisor
         engine.run(3)
+        assert ecovisor.columnar
         store = ecovisor._fleet
-        assert store.capacity >= INITIAL_CAPACITY + 6
-        rows = [app.row for app in ecovisor._apps.values()]
-        assert len(set(rows)) == len(rows)
-        assert max(rows) >= INITIAL_CAPACITY
+        apps = list(ecovisor._apps.values())
+        assert len(apps) == 70
+        assert [app.snap_index for app in apps] == list(range(70))
+        assert all(app.snap_epoch == store.epoch for app in apps)
+        assert store.names == [app.name for app in apps]
+        for column in _COLUMNS:
+            assert getattr(store, column).shape == (70,), column
+
+
+class TestDenseLayout:
+    """Snapshots hold the phase's columns read-only, and a re-layout
+    carries every surviving tenant's figures over exactly."""
+
+    SNAPSHOT_COLUMNS = (
+        "solar",
+        "grid",
+        "tot_e",
+        "tot_c",
+        "tot_cost",
+        "knob_target",
+        "knob_maxdis",
+    )
+
+    @pytest.mark.parametrize("phase", ["begin", "settle"])
+    def test_snapshot_columns_are_read_only(self, phase):
+        fleet = _small_fleet()
+        ecovisor = fleet.ecovisor
+        snaps = []
+        if phase == "begin":
+            # TickEvent publishes after the begin-phase snapshot is built.
+            ecovisor.events.subscribe(
+                TickEvent, lambda event: snaps.append(ecovisor._fleet.current_snap)
+            )
+        else:
+            fleet.engine.add_observer(
+                lambda tick: snaps.append(ecovisor._fleet.current_snap)
+            )
+        fleet.engine.run(3)
+        assert len(snaps) == 3 and snaps[-1].settled is (phase == "settle")
+        for snap in snaps:
+            for column in self.SNAPSHOT_COLUMNS:
+                array = getattr(snap, column)
+                assert len(array) == len(snap.names), column
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_settled_totals_equal_ledger_after_every_churn_tick(self):
+        reset_container_id_counter()
+        fleet = build_churn_fleet(
+            {
+                "apps": 8,
+                "ticks": 60,
+                "seed": 2023,
+                "mix": "balanced",
+                "admit_rate": 0.3,
+                "evict_rate": 0.3,
+            }
+        )
+        ecovisor = fleet.ecovisor
+        compared = []
+
+        def observer(tick):
+            for name in ecovisor.app_names():
+                state = ecovisor.state_for(name)
+                account = ecovisor.ledger.account(name)
+                assert state.settled and state.tick_index == tick.index
+                assert state.total_energy_wh.hex() == account.energy_wh.hex(), name
+                assert state.total_carbon_g.hex() == account.carbon_g.hex(), name
+                assert state.total_cost_usd.hex() == account.cost_usd.hex(), name
+                compared.append(name)
+
+        fleet.engine.add_observer(observer)
+        fleet.engine.run(60)
+        assert ecovisor.columnar
+        # Tenants came and went, so the layout was taken many times and
+        # most comparisons read figures carried over from earlier ones.
+        assert len(fleet.engine.evicted_accounts) >= 5
+        assert ecovisor._fleet.epoch >= 10
+        assert len(compared) > 60 * 8
 
 
 def _assert_cache_equal(a, b):

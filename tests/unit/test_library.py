@@ -95,6 +95,23 @@ class TestCarbonRate:
         with pytest.raises(ValueError):
             lib.set_app_carbon_rate(-1.0)
 
+    @pytest.mark.parametrize(
+        "setter",
+        [
+            lambda lib, cid: lib.set_carbon_rate(cid, float("nan")),
+            lambda lib, cid: lib.set_app_carbon_rate(float("nan")),
+            lambda lib, cid: lib.set_carbon_budget(float("nan")),
+        ],
+        ids=["set_carbon_rate", "set_app_carbon_rate", "set_carbon_budget"],
+    )
+    def test_nan_refused_and_ticks_run_on(self, setup, setter):
+        eco, api, lib = setup
+        c = api.launch_container(1)
+        with pytest.raises(ValueError):
+            setter(lib, c.id)
+        run_ticks(eco, 2)
+        assert c.power_cap_w is None
+
 
 class TestCarbonBudget:
     def test_budget_tracking(self, setup):
