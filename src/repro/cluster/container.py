@@ -57,13 +57,13 @@ class Container:
 
     #: Process-wide generation counter, bumped whenever an *existing*
     #: container's core allocation changes (a stop, a core resize).
-    #: Occupancy caches (servers, the scheduler) key on it alone; the
-    #: columnar container cache keys on it together with the platform's
-    #: version, so per-tick knob writes (demand utilization, power caps)
-    #: leave those caches intact.  Creation deliberately does not bump
-    #: it: a new container is invisible until the platform registers it,
+    #: The scheduler's occupancy arrays key on it alone; the columnar
+    #: container cache keys on it together with the platform's version,
+    #: so per-tick knob writes (demand utilization, power caps) leave
+    #: those caches intact.  Creation deliberately does not bump it: a
+    #: new container is invisible until the platform registers it,
     #: which bumps the platform's own version — keeping launches from
-    #: invalidating every server's occupancy cache.
+    #: making the scheduler re-read every server's occupancy.
     _mutation_epoch = 0
 
     #: Bumped whenever a container's attributed power can change without

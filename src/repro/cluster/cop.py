@@ -58,14 +58,17 @@ class ContainerOrchestrationPlatform:
         # historical ordering while dropping from O(all containers) to
         # O(app's).
         self._containers_by_app: Dict[str, Dict[str, Container]] = {}
+        # (app, role) -> that pool's containers in launch order.  A
+        # launch or stop binds a new list for its own pool and never
+        # mutates a published one, so a list handed out keeps what it
+        # held and every other pool's list stays the same object: the
+        # batched tick path re-derives only the pools whose list changed.
+        self._pools: Dict[tuple, List[Container]] = {}
         # Topology generation: bumped on launch/stop, so batched readers
         # can key derived caches on it (with Container._mutation_epoch
         # where core allocations matter) instead of rescanning the
         # container population every tick.
         self._version = 0
-        self._role_cache: Dict[tuple, List[Container]] = {}
-        self._role_index: Optional[Dict[tuple, List[Container]]] = None
-        self._cache_version = -1
         self._baseline_key = (-1, -1)
         self._baseline_w = 0.0
 
@@ -111,59 +114,29 @@ class ContainerOrchestrationPlatform:
         index = self._containers_by_app.get(app_name)
         return list(index.values()) if index else []
 
-    def _sync_generation_caches(self) -> None:
-        # The memoized role views are keyed on the topology version: the
-        # batched tick path asks for every app's worker pool every tick,
-        # while containers come and go orders of magnitude less often.
-        # Resizes (which bump only the mutation epoch) leave these views
-        # untouched.
-        if self._cache_version != self._version:
-            self._role_cache = {}
-            self._role_index = None
-            self._cache_version = self._version
-
     def running_containers_for_role(
         self, app_name: str, role: str
     ) -> List[Container]:
-        """One app's containers of one role, memoized per topology
-        version (policies and workloads consult the worker pool several
-        times per app per tick).
+        """One app's containers of one role, in launch order.
 
-        Returns the cached list itself to keep the fleet hot path
-        allocation-free — callers must treat it as read-only.
+        Returns the pool's list itself to keep the fleet hot path
+        allocation-free — callers must treat it as read-only.  The list
+        never changes: the next launch or stop in the pool binds a new
+        one.
         """
-        self._sync_generation_caches()
-        key = (app_name, role)
-        cached = self._role_cache.get(key)
-        if cached is None:
-            index = self._containers_by_app.get(app_name)
-            cached = [c for c in index.values() if c.role == role] if index else []
-            self._role_cache[key] = cached
-        return cached
+        pool = self._pools.get((app_name, role))
+        return pool if pool is not None else []
 
     def running_role_index(self) -> Dict[tuple, List[Container]]:
         """Every container grouped by ``(app_name, role)``.
 
-        Lists are in launch order (the per-app index order filtered by
-        role), so each entry equals the corresponding
+        Each entry equals the corresponding
         :meth:`running_containers_for_role` result; apps with no
-        containers of a role are simply absent.  Built with one walk
-        over the container population and memoized per topology version
-        — this replaces the O(apps) per-app call storm when the batched
-        upcall plane re-plans a large fleet after a topology change.
-        Returns the cached dict itself; callers must treat it (and its
-        lists) as read-only.
+        containers of a role are simply absent.  Returns the live index
+        itself, which launches and stops update one entry at a time;
+        callers must treat it (and its lists) as read-only.
         """
-        self._sync_generation_caches()
-        index = self._role_index
-        if index is None:
-            index = {}
-            for container in self._containers.values():
-                index.setdefault(
-                    (container._app_name, container._role), []
-                ).append(container)
-            self._role_index = index
-        return index
+        return self._pools
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -184,6 +157,8 @@ class ContainerOrchestrationPlatform:
         self._scheduler.commit(server, container.cores)
         self._containers[container.id] = container
         self._containers_by_app.setdefault(app_name, {})[container.id] = container
+        key = (app_name, role)
+        self._pools[key] = [*self._pools.get(key, ()), container]
         self._version += 1
         return container
 
@@ -194,6 +169,12 @@ class ContainerOrchestrationPlatform:
         container._stop()
         del self._containers[container_id]
         del self._containers_by_app[container.app_name][container_id]
+        key = (container.app_name, container.role)
+        pool = [c for c in self._pools[key] if c is not container]
+        if pool:
+            self._pools[key] = pool
+        else:
+            del self._pools[key]
         self._version += 1
 
     def stop_app(self, app_name: str) -> List[str]:
@@ -213,7 +194,7 @@ class ContainerOrchestrationPlatform:
         container = self.get_container(container_id)
         server = self._servers_by_name[container.server_name]
         if server.can_grow(container, cores):
-            container.set_cores(cores)
+            server.resize(container, cores)
             self._refresh_power_cap(container)
             return
         # Migrate: evict, resize, re-place (stateful LXD migration).

@@ -24,13 +24,11 @@ class Server:
         self._config.validate()
         self._power_model = ServerPowerModel(self._config)
         self._containers: Dict[str, Container] = {}
-        # Occupancy memo: placements/evictions clear it locally, while
-        # in-place core resizes (which don't pass through this server)
-        # invalidate via the global mutation epoch.  Keeps the
-        # fleet-wide scheduler scan from re-walking every server's
-        # containers on every launch.
+        # Occupancy memo, cleared by this server's own place, evict and
+        # resize: the only changes to what it hosts.  Keeps the
+        # fleet-wide scheduler scan and the platform baseline from
+        # re-walking every server's containers after one launch or stop.
         self._occ_cache: tuple | None = None
-        self._occ_epoch = -1
 
     @property
     def name(self) -> str:
@@ -78,7 +76,7 @@ class Server:
         reads.
         """
         cache = self._occ_cache
-        if cache is not None and self._occ_epoch == Container._mutation_epoch:
+        if cache is not None:
             return cache
         # Every hosted container is running: the platform evicts a
         # container in the same call that stops it.
@@ -87,7 +85,6 @@ class Server:
             allocated += container.cores
         cache = (allocated, len(self._containers))
         self._occ_cache = cache
-        self._occ_epoch = Container._mutation_epoch
         return cache
 
     def place(self, container: Container) -> None:
@@ -107,6 +104,16 @@ class Server:
         container.server_name = None
         self._occ_cache = None
         return container
+
+    def resize(self, container: Container, cores: float) -> None:
+        """Vertically scale a hosted container in place (cgroups).
+
+        The one way a hosted container's core allocation changes: the
+        platform migrates a container that does not fit by evicting it
+        first.
+        """
+        container.set_cores(cores)
+        self._occ_cache = None
 
     def hosts(self, container_id: str) -> bool:
         return container_id in self._containers

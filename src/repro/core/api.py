@@ -50,12 +50,6 @@ class EcovisorAPI:
         self._ves = ecovisor.ves_for(app_name)
         self._platform = ecovisor.platform
         self._signals: Optional[SignalBus] = None
-        # Handle-local role-list memo: the workload and policy consult
-        # the worker pool several times per tick, and this handle is
-        # pinned to one app — so a generation-checked dict here answers
-        # repeats without re-entering the platform's shared cache.
-        self._role_lists: dict = {}
-        self._rl_version = -1
 
     @property
     def app_name(self) -> str:
@@ -180,25 +174,12 @@ class EcovisorAPI:
     def list_containers(self, role: Optional[str] = None) -> List[Container]:
         """The application's containers (optionally one role's).
 
-        The role-filtered form returns the platform's memoized list —
+        The role-filtered form returns the platform's own pool list —
         treat it as read-only (every policy and workload consults it
         several times per tick on the fleet hot path).
         """
         if role is not None:
-            platform = self._platform
-            # Private generation reads: this check runs a few thousand
-            # times per tick at fleet scale, where even the property
-            # indirection shows up.
-            version = platform._version
-            if self._rl_version != version:
-                self._role_lists = {}
-                self._rl_version = version
-            cached = self._role_lists.get(role)
-            if cached is None:
-                cached = self._role_lists[role] = (
-                    platform.running_containers_for_role(self._app_name, role)
-                )
-            return cached
+            return self._platform.running_containers_for_role(self._app_name, role)
         return self._platform.running_containers_for(self._app_name)
 
     # ------------------------------------------------------------------

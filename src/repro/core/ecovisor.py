@@ -45,6 +45,8 @@ from time import perf_counter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.carbon.service import CarbonIntensityService
 from repro.cluster.container import Container
 from repro.cluster.cop import ContainerOrchestrationPlatform
@@ -71,7 +73,7 @@ from repro.core.events import (
     event_record,
     solar_change_record,
 )
-from repro.core.fleetarrays import FleetArrays, telemetry_frames
+from repro.core.fleetarrays import FleetArrays, ServedFractions, telemetry_frames
 from repro.core.journal import EventJournal, JournalPage
 from repro.core.signals import SignalBus
 from repro.core.state import BatteryState, EnergyState
@@ -835,16 +837,22 @@ class Ecovisor:
         if fleet is None:
             return
         # Drain both stores (the object path appends straight to cached
-        # series handles) and write the array-held per-tick readings back
-        # into each app's VirtualEnergySystem so the object path resumes
-        # from identical state; the next columnar phase seeds every
-        # tenant from its objects again.
+        # series handles), hand every tenant of the current phase its
+        # snapshot (state_for reads app.state from here on), and write
+        # the array-held per-tick readings back into each app's
+        # VirtualEnergySystem so the object path resumes from identical
+        # state; the next columnar phase seeds every tenant from its
+        # objects again.
         self._flush_database()
+        snap = fleet.current_snap
         for app in self._apps.values():
+            if snap is not None and app.snap_epoch == snap.epoch:
+                app.state = snap.state(app.snap_index)
             if app.snap_epoch == fleet.epoch:
                 i = app.snap_index
-                app.ves.restore_tick_state(fleet.solar_w.item(i), fleet.grid_w.item(i))
-                app.previous_solar_w = fleet.prev_solar.item(i)
+                solar_w = fleet.solar_w.item(i)
+                app.ves.restore_tick_state(solar_w, fleet.grid_w.item(i))
+                app.previous_solar_w = solar_w
             app.snap_epoch = -1
         fleet.dirty = True
         fleet.current_snap = None
@@ -1046,12 +1054,14 @@ class Ecovisor:
         for callback in callbacks:
             callback(tick, state)
 
-    def settle(self, tick: TickInfo) -> Dict[str, float]:
+    def settle(self, tick: TickInfo) -> ServedFractions:
         """Settle every application's tick; returns served-energy fractions.
 
         The fraction is 1.0 when the virtual energy system fully met the
         application's demand, lower when the grid share was insufficient —
         power shortages that applications experience as degraded capacity.
+        Both paths return a read-only :class:`ServedFractions` mapping;
+        ``.get(name, 1.0)`` reads 1.0 for an app this settle did not see.
 
         Settlement also *finalizes* each app's per-tick snapshot with the
         settled battery state, grid power, measured container power, and
@@ -1064,7 +1074,8 @@ class Ecovisor:
             fractions = self._fleet.settle(self, time_s, duration_s)
             self._in_tick = False
             return fractions
-        fractions: Dict[str, float] = {}
+        names: List[str] = []
+        values: List[float] = []
         total_grid_w = 0.0
         total_solar_used_w = 0.0
 
@@ -1101,7 +1112,8 @@ class Ecovisor:
                 containers, settlement, container_readings
             )
             self._publish_battery_events(app, time_s)
-            fractions[app.name] = (
+            names.append(app.name)
+            values.append(
                 settlement.served_wh / settlement.demand_wh
                 if settlement.demand_wh > 1e-12
                 else 1.0
@@ -1131,7 +1143,8 @@ class Ecovisor:
         )
         self._monitor.record_app_count(time_s, len(self._apps))
         self._in_tick = False
-        return fractions
+        values.append(1.0)
+        return ServedFractions(names, np.array(values))
 
     # ------------------------------------------------------------------
     # Settlement helpers

@@ -55,6 +55,8 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import repeat
 from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -79,7 +81,8 @@ class _ContainerCache:
     invariant), so the cache covers the whole population with no masks.
     Built once per change of the structural key — ``(platform.version,
     Container._mutation_epoch)``, which a launch, stop or core resize
-    moves; the per-tick quantities (demand and cap utilizations) behind
+    moves — in one attribute pass over the listed containers; the
+    per-tick quantities (demand and cap utilizations) behind
     :meth:`powers` are re-read only when ``Container._utilization_epoch``
     moved since the last read.
     """
@@ -88,13 +91,12 @@ class _ContainerCache:
         "key",
         "clist",
         "ids",
+        "apps",
         "cf",
         "cf_idle",
         "cpu_range",
         "gpu_range",
         "gpu_mask",
-        "positions",
-        "cont_ids",
         "baseline_w",
         "_powers",
         "_powers_list",
@@ -108,12 +110,13 @@ class _ContainerCache:
         self.key = key
         clist = platform.containers()
         self.clist = clist
-        self.ids = tuple(c.id for c in clist)
         server = platform.config.server
         n = len(clist)
-        cf = np.fromiter(map(attrgetter("cores"), clist), dtype=float, count=n)
+        # Launch-order columns: each container's id, app, cores and gpu.
+        columns = zip(*map(attrgetter("_id", "_app_name", "_cores", "_gpu"), clist))
+        self.ids, self.apps, cores, gpus = tuple(columns) or ((), (), (), ())
         # Same per-element division as the scalar model's core_fraction.
-        cf = cf / server.cores
+        cf = np.fromiter(cores, dtype=float, count=n) / server.cores
         self.cf = cf
         self.cf_idle = cf * server.idle_power_w
         self.cpu_range = server.max_cpu_power_w - server.idle_power_w
@@ -122,22 +125,7 @@ class _ContainerCache:
             if server.has_gpu
             else 0.0
         )
-        self.gpu_mask = np.fromiter(
-            map(attrgetter("has_gpu"), clist), dtype=bool, count=n
-        )
-        # Per-app position/id maps over clist, in launch order.
-        positions: Dict[str, List[int]] = {}
-        cont_ids: Dict[str, List[str]] = {}
-        for p, c in enumerate(clist):
-            name = c._app_name
-            positions.setdefault(name, []).append(p)
-            cont_ids.setdefault(name, []).append(c._id)
-        self.positions: Dict[str, Tuple[int, ...]] = {
-            name: tuple(v) for name, v in positions.items()
-        }
-        self.cont_ids: Dict[str, Tuple[str, ...]] = {
-            name: tuple(v) for name, v in cont_ids.items()
-        }
+        self.gpu_mask = np.fromiter(gpus, dtype=bool, count=n)
         self.baseline_w = platform.baseline_power_w()
 
     def powers(self) -> np.ndarray:
@@ -217,7 +205,7 @@ class FleetSnapshot:
         "knob_maxdis",
         "fleet",
         "platform",
-        "_cc",
+        "_plan",
         "_powers_list",
         "_states",
     )
@@ -244,7 +232,7 @@ class FleetSnapshot:
         knob_maxdis: np.ndarray,
         fleet: "FleetArrays",
         platform: "ContainerOrchestrationPlatform",
-        cc: Optional[_ContainerCache],
+        plan: Optional[_GatherPlan],
         powers_list: Optional[List[float]],
     ):
         self.epoch = epoch
@@ -266,7 +254,7 @@ class FleetSnapshot:
         self.knob_maxdis = knob_maxdis
         self.fleet = fleet
         self.platform = platform
-        self._cc = cc
+        self._plan = plan
         self._powers_list = powers_list
         self._states: Dict[int, EnergyState] = {}
         for column in (solar, grid, tot_e, tot_c, tot_cost, knob_target, knob_maxdis):
@@ -285,18 +273,21 @@ class FleetSnapshot:
         state = self._states.get(index)
         if state is not None:
             return state
-        cc = self._cc
-        if cc is None:
+        plan = self._plan
+        if plan is None:
             # Begin phase: the first build reads every container's
             # power, at that moment's utilizations, for the whole phase.
-            cc = self._cc = self.fleet.container_cache(self.platform)
+            # No re-layout runs before settle, so the fleet's layout is
+            # still this snapshot's.
+            cc = self.fleet.container_cache(self.platform)
+            plan = self._plan = self.fleet._gather_plan(cc)
             self._powers_list = cc.powers_list()
+        lo, hi = plan.bounds[index], plan.bounds[index + 1]
+        powers = self._powers_list
+        containers = dict(
+            zip(plan.ids_flat[lo:hi], [powers[p] for p in plan.flat_pos[lo:hi].tolist()])
+        )
         name = self.names[index]
-        ids = cc.cont_ids.get(name)
-        containers = {}
-        if ids is not None:
-            powers = self._powers_list
-            containers = dict(zip(ids, [powers[p] for p in cc.positions[name]]))
         battery = self.apps[index].ves.battery
         if battery is not None:
             battery = BatteryState(
@@ -328,6 +319,82 @@ class FleetSnapshot:
             settled=self.settled,
         )
         return state
+
+
+class ServedFractions(Mapping):
+    """Settle's served-energy fraction per tenant: a read-only mapping.
+
+    The fraction is 1.0 when a tenant's virtual energy system fully met
+    its demand, lower when its grid share fell short.  ``names`` lists
+    the tenants settle saw, ``index`` maps each to its position, and
+    ``column`` holds one fraction per name plus a trailing 1.0, the
+    fraction of a tenant settle did not see.  Both engine paths return
+    this type; on the columnar path ``names`` and ``index`` are the
+    fleet layout's own objects, so a workload group maps its members to
+    positions once per layout and takes the column
+    (:meth:`repro.core.upcalls.WorkloadRows.served`).
+    """
+
+    __slots__ = ("names", "index", "column")
+
+    def __init__(
+        self,
+        names: List[str],
+        column: np.ndarray,
+        index: Optional[Dict[str, int]] = None,
+    ):
+        self.names = names
+        self.index = dict(zip(names, range(len(names)))) if index is None else index
+        column.flags.writeable = False
+        self.column = column
+
+    def __getitem__(self, name: str) -> float:
+        return self.column.item(self.index[name])
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+class _GatherPlan:
+    """Settle's per-(container cache, layout) map of the containers onto
+    the tenants.
+
+    - ``counts``: per-tenant container counts as floats (the
+      ``app.*.containers`` telemetry values; read-only).
+    - ``flat_pos``/``flat_app``/``ids_flat``: the tenant-major,
+      launch-order container walk the attribution loop follows, as
+      positions in the container cache, tenant indexes and container
+      ids; ``bounds[i]:bounds[i + 1]`` is tenant ``i``'s stretch.  The
+      demand sum rides them too: ``np.bincount`` over ``flat_app``
+      accumulates each tenant's container powers left-to-right from
+      0.0, the exact IEEE sequence of the object path's per-app ``sum``.
+
+    Containers of an app outside the layout take no part.
+    """
+
+    __slots__ = ("cc", "names", "counts", "flat_pos", "flat_app", "ids_flat", "bounds")
+
+    def __init__(self, cc: _ContainerCache, names: List[str], index: Dict[str, int]):
+        self.cc = cc
+        self.names = names
+        n = len(names)
+        codes = np.fromiter(
+            map(index.get, cc.apps, repeat(n)), dtype=np.intp, count=len(cc.apps)
+        )
+        # A stable sort keeps launch order within each tenant; codes of
+        # apps outside the layout (n) sort last and are cut off.
+        order = np.argsort(codes, kind="stable")
+        inside = int(np.count_nonzero(codes < n))
+        self.flat_pos = order[:inside]
+        self.flat_app = codes[self.flat_pos]
+        counts = np.bincount(self.flat_app, minlength=n)
+        self.bounds = [0, *np.cumsum(counts).tolist()]
+        self.counts = counts.astype(float)
+        self.counts.flags.writeable = False
+        self.ids_flat = list(map(cc.ids.__getitem__, self.flat_pos.tolist()))
 
 
 class _TickRecord:
@@ -565,7 +632,7 @@ def _tenant_metrics(records: List[_TickRecord]):
 
 
 #: The per-tenant columns of :class:`FleetArrays`, in layout order.
-_COLUMNS = ("solar_w", "grid_w", "prev_solar", "tot_e", "tot_c", "tot_cost")
+_COLUMNS = ("solar_w", "grid_w", "tot_e", "tot_c", "tot_cost")
 
 
 class FleetArrays:
@@ -593,7 +660,6 @@ class FleetArrays:
     def __init__(self):
         self.solar_w = np.zeros(0)
         self.grid_w = np.zeros(0)
-        self.prev_solar = np.zeros(0)
         self.tot_e = np.zeros(0)
         self.tot_c = np.zeros(0)
         self.tot_cost = np.zeros(0)
@@ -606,9 +672,11 @@ class FleetArrays:
         self.pending: List[_TickRecord] = []
         self.current_snap: Optional[FleetSnapshot] = None
         self._cc: Optional[_ContainerCache] = None
-        # Dense per-app caches, rebuilt by refresh() (insertion order).
+        # Dense per-app caches, rebuilt by refresh() (insertion order);
+        # index maps each name to its position.
         self.apps: list = []
         self.names: List[str] = []
+        self.index: Dict[str, int] = {}
         self.frac_solar = np.zeros(0)
         self.thresh = np.zeros(0)
         self.has_solar = np.zeros(0, dtype=bool)
@@ -636,12 +704,8 @@ class FleetArrays:
         self._batt_state: Optional[tuple] = None
         self._knob_key: Optional[Tuple[int, int]] = None
         self._knobs: Optional[tuple] = None
-        # Per-(container cache, names) gather plan for settle(); see
-        # _gather_plan().  Keyed on the cache's positions dict, the only
-        # part of the cache the plan reads.
-        self._plan_positions: Optional[dict] = None
-        self._plan_names: Optional[List[str]] = None
-        self._plan: Optional[tuple] = None
+        # Settle's gather plan for one (container cache, layout) pair.
+        self._plan: Optional[_GatherPlan] = None
 
     # ------------------------------------------------------------------
     # Layout refresh
@@ -663,7 +727,7 @@ class FleetArrays:
         ledger = eco._ledger
         epoch = self.epoch
         columns = [np.empty(n) for _ in _COLUMNS]
-        solar_w, grid_w, prev_solar, tot_e, tot_c, tot_cost = columns
+        solar_w, grid_w, tot_e, tot_c, tot_cost = columns
         kept: List[int] = []
         kept_from: List[int] = []
         for i, app in enumerate(apps):
@@ -675,7 +739,6 @@ class FleetArrays:
             ves = app.ves
             solar_w[i] = ves.solar_power_w
             grid_w[i] = ves.grid_power_w
-            prev_solar[i] = app.previous_solar_w
             account = ledger.account(app.name)
             tot_e[i] = account.energy_wh
             tot_c[i] = account.carbon_g
@@ -686,7 +749,8 @@ class FleetArrays:
             column[index] = getattr(self, name)[source]
             setattr(self, name, column)
         self.apps = apps
-        self.names = [app.name for app in apps]
+        self.names = names = [app.name for app in apps]
+        self.index = dict(zip(names, range(n)))
         self.frac_solar = np.fromiter(
             (app.ves.share.solar_fraction for app in apps), dtype=float, count=n
         )
@@ -789,51 +853,12 @@ class FleetArrays:
             cc = self._cc = _ContainerCache(platform, key)
         return cc
 
-    def _gather_plan(self, cc: _ContainerCache) -> tuple:
-        """Settle's per-topology gather plan over the container cache.
-
-        Maps the dense app order onto the container cache's positions
-        once per (topology, registration) generation:
-
-        - ``counts``: per-app running-container counts as floats (the
-          ``app.*.containers`` telemetry values; shared read-only array).
-        - ``flat_pos``/``flat_app``/``ids_flat``: the concatenated
-          (app-major, launch-order) container walk the attribution loop
-          follows, as index arrays for vectorized arithmetic.  The
-          demand sum rides them too: ``np.bincount`` over ``flat_app``
-          accumulates each app's container powers left-to-right from
-          0.0, the exact IEEE sequence of the object path's per-app
-          ``sum``.
-        """
-        names = self.names
-        positions = cc.positions
-        if self._plan_positions is positions and self._plan_names is names:
-            return self._plan
-        cont_ids = cc.cont_ids
-        counts: List[int] = []
-        flat_pos: List[int] = []
-        flat_app: List[int] = []
-        ids_flat: List[str] = []
-        for i, name in enumerate(names):
-            pos = positions.get(name)
-            if pos:
-                counts.append(len(pos))
-                flat_pos.extend(pos)
-                flat_app.extend([i] * len(pos))
-                ids_flat.extend(cont_ids[name])
-            else:
-                counts.append(0)
-        counts_arr = np.asarray(counts, dtype=float)
-        counts_arr.flags.writeable = False
-        plan = (
-            counts_arr,
-            np.asarray(flat_pos, dtype=np.intp),
-            np.asarray(flat_app, dtype=np.intp),
-            ids_flat,
-        )
-        self._plan_positions = positions
-        self._plan_names = names
-        self._plan = plan
+    def _gather_plan(self, cc: _ContainerCache) -> _GatherPlan:
+        """Settle's gather plan over the container cache and the layout,
+        built once per (topology, registration) generation."""
+        plan = self._plan
+        if plan is None or plan.cc is not cc or plan.names is not self.names:
+            plan = self._plan = _GatherPlan(cc, self.names, self.index)
         return plan
 
     # ------------------------------------------------------------------
@@ -852,14 +877,14 @@ class FleetArrays:
             self.refresh(eco)
         names = self.names
         new = visible_solar * self.frac_solar
-        prev = self.prev_solar
+        prev = self.solar_w
         flagged = np.flatnonzero(self.has_solar & (np.abs(new - prev) >= self.thresh))
         changes = (
             [names[i] for i in flagged.tolist()],
             prev[flagged].tolist(),
             new[flagged].tolist(),
         )
-        self.solar_w = self.prev_solar = new
+        self.solar_w = new
         # Only the snapshot's knob columns come from the objects, and
         # only after a knob write: settle reads solar from the arrays,
         # so VES-held per-tick solar stays stale in columnar mode (all
@@ -885,14 +910,14 @@ class FleetArrays:
             knob_maxdis=knob_maxdis,
             fleet=self,
             platform=eco._platform,
-            cc=None,
+            plan=None,
             powers_list=None,
         )
         return changes
 
     def settle(
         self, eco: "Ecovisor", time_s: float, duration_s: float
-    ) -> Dict[str, float]:
+    ) -> ServedFractions:
         """Settle the whole fleet in bulk; returns served-energy fractions.
 
         One vectorized pass replays ``VirtualEnergySystem.settle``
@@ -909,7 +934,9 @@ class FleetArrays:
         cc = self.container_cache(eco._platform)
         powers = cc.powers()
         powers_list = cc.powers_list()
-        counts, flat_pos, flat_app, ids_flat = self._gather_plan(cc)
+        plan = self._gather_plan(cc)
+        flat_pos = plan.flat_pos
+        flat_app = plan.flat_app
         # bincount accumulates each app's container powers from 0.0 in
         # launch order — the exact IEEE sequence of the object path's
         # per-app demand sum (an app without containers reads 0.0, as
@@ -1182,13 +1209,9 @@ class FleetArrays:
                 c._energy_wh += energy_l[j]
                 c._carbon_g += carbon_l[j]
 
-        if n:
-            fractions_arr = np.divide(
-                served, demand_wh, out=np.ones(n), where=demand_wh > 1e-12
-            )
-            fractions = dict(zip(names, fractions_arr.tolist()))
-        else:
-            fractions = {}
+        # One entry past the layout: the 1.0 of a tenant settle did not see.
+        column = np.ones(n + 1)
+        np.divide(served, demand_wh, out=column[:n], where=demand_wh > 1e-12)
 
         # Elementwise terms vectorize bit-identically; the running sums
         # stay sequential in app order (their IEEE sequence is the parity
@@ -1232,7 +1255,7 @@ class FleetArrays:
         record.has_market = eco._price_signal is not None
         record.names = names
         record.demand_w = demand_arr
-        record.counts = counts
+        record.counts = plan.counts
         record.demand_wh = demand_wh
         record.served = served
         record.unmet = unmet
@@ -1252,7 +1275,7 @@ class FleetArrays:
         record.batt_power = batt_power
         record.cont_ids = cc.ids
         record.cont_powers = powers
-        record.ids_flat = ids_flat
+        record.ids_flat = plan.ids_flat
         record.cont_carbon = cont_carbon
         # Left to right over every container, as the object path's
         # cluster_power_w sums them.
@@ -1279,7 +1302,7 @@ class FleetArrays:
             knob_maxdis=knob_maxdis,
             fleet=self,
             platform=eco._platform,
-            cc=cc,
+            plan=plan,
             powers_list=powers_list,
         )
-        return fractions
+        return ServedFractions(names, column, self.index)

@@ -46,11 +46,15 @@ path shows at scrape time under the rule that sent it there.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, is_
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.fleetarrays import ServedFractions
 
 __all__ = ["UpcallPlane", "PolicyRows", "WorkloadRows", "TickSignals"]
 
@@ -93,6 +97,7 @@ class PolicyRows:
         "complete",
         "_static",
         "_lists",
+        "_keys",
         "_counts_key",
         "_progress_complete",
         "_totals",
@@ -107,6 +112,7 @@ class PolicyRows:
         self.policies = [m[1] for m in members]
         self.apps = [p._app for p in self.policies]
         self.names = [a.name for a in self.apps]
+        self._keys = [(name, "worker") for name in self.names]
         self.n = len(members)
         self.counts = np.zeros(0, dtype=np.int64)
         self.complete = np.zeros(0, dtype=bool)
@@ -131,13 +137,8 @@ class PolicyRows:
         platform = self.plane.platform
         key = platform._version
         if self._counts_key != key:
-            index = platform.running_role_index()
-            empty = ()
-            self.counts = np.fromiter(
-                (len(index.get((name, "worker"), empty)) for name in self.names),
-                dtype=np.int64,
-                count=self.n,
-            )
+            pools = map(platform.running_role_index().get, self._keys, repeat(()))
+            self.counts = np.fromiter(map(len, pools), dtype=np.int64, count=self.n)
             self._counts_key = key
         if self._progress_complete:
             totals = self._totals
@@ -235,12 +236,19 @@ class PolicyRows:
 class _WorkerPlan:
     """One workload group's running-worker topology, keyed per generation.
 
-    ``lists`` are the platform's memoized per-app worker lists (read
-    only); ``flat``/``flat_member`` concatenate them member-major in
-    launch order for the utilization gather; ``written`` tracks which
-    members' demand was already pushed to exactly these containers (the
-    scalar path rewrites the same value every tick and the container
-    setter no-ops on equality, so skipping the rewrite is unobservable).
+    ``lists`` are the platform's per-app worker pool lists (read only);
+    ``flat``/``flat_member`` concatenate them member-major in launch
+    order for the utilization gather; ``written`` tracks which members'
+    demand was already pushed to exactly these containers (the scalar
+    path rewrites the same value every tick and the container setter
+    no-ops on equality, so skipping the rewrite is unobservable).  A
+    launch or stop builds a new plan, which carries ``written`` over for
+    every member whose pool list survived: the platform binds a new
+    list for each pool it changes and never mutates one.
+
+    ``utils``/``sums`` cache the finish kernel's effective-utilization
+    gather and its per-member sums while ``Container._utilization_epoch``
+    stays at ``util_epoch``.
     """
 
     __slots__ = (
@@ -251,25 +259,28 @@ class _WorkerPlan:
         "flat_member",
         "written",
         "extras",
+        "util_epoch",
+        "utils",
+        "sums",
     )
 
-    def __init__(self, lists: List[list]) -> None:
+    def __init__(self, lists: list, previous: Optional[_WorkerPlan] = None) -> None:
+        n = len(lists)
         self.lists = lists
-        self.counts = np.fromiter(
-            (len(lst) for lst in lists), dtype=np.int64, count=len(lists)
-        )
-        self.offsets = np.concatenate(
-            ([0], np.cumsum(self.counts))
-        ).astype(np.intp)
-        flat: list = []
-        member: List[int] = []
-        for i, lst in enumerate(lists):
-            flat.extend(lst)
-            member.extend([i] * len(lst))
-        self.flat = flat
-        self.flat_member = np.asarray(member, dtype=np.intp)
-        self.written = np.zeros(len(lists), dtype=bool)
+        self.counts = counts = np.fromiter(map(len, lists), dtype=np.int64, count=n)
+        self.offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.flat = list(chain.from_iterable(lists))
+        self.flat_member = np.repeat(np.arange(n, dtype=np.intp), counts)
+        if previous is None:
+            self.written = np.zeros(n, dtype=bool)
+        else:
+            kept = np.fromiter(map(is_, lists, previous.lists), dtype=bool, count=n)
+            self.written = previous.written & kept
         self.extras: Dict[str, np.ndarray] = {}
+        self.util_epoch = -1
+        self.utils: Optional[np.ndarray] = None
+        self.sums: Optional[np.ndarray] = None
 
 
 class WorkloadRows:
@@ -286,8 +297,11 @@ class WorkloadRows:
         "was_running",
         "warmup",
         "_static",
+        "_keys",
         "_plan",
         "_plan_key",
+        "_served_names",
+        "_served_pos",
     )
 
     def __init__(self, cls, apps, platform) -> None:
@@ -313,8 +327,11 @@ class WorkloadRows:
         self.was_running: Optional[np.ndarray] = None
         self.warmup: Optional[np.ndarray] = None
         self._static: Dict[str, np.ndarray] = {}
+        self._keys = [(name, "worker") for name in self.names]
         self._plan: Optional[_WorkerPlan] = None
         self._plan_key = -1
+        self._served_names: Optional[list] = None
+        self._served_pos: Optional[np.ndarray] = None
 
     def col(self, attr: str, dtype=float) -> np.ndarray:
         """Cached column of an immutable per-app attribute."""
@@ -336,13 +353,25 @@ class WorkloadRows:
         platform = self.platform
         key = platform._version
         if self._plan_key != key:
-            index = platform.running_role_index()
-            empty: list = []
-            self._plan = _WorkerPlan(
-                [index.get((name, "worker"), empty) for name in self.names]
-            )
+            pools = map(platform.running_role_index().get, self._keys, repeat(()))
+            self._plan = _WorkerPlan(list(pools), self._plan)
             self._plan_key = key
         return self._plan
+
+    def served(self, fractions) -> np.ndarray:
+        """Every member's served fraction from settle's
+        :class:`~repro.core.fleetarrays.ServedFractions`, 1.0 for a
+        member settle did not see.  Members are mapped to the layout's
+        positions once per layout."""
+        names = fractions.names
+        if self._served_names is not names:
+            self._served_pos = np.fromiter(
+                map(fractions.index.get, self.names, repeat(len(names))),
+                dtype=np.intp,
+                count=self.n,
+            )
+            self._served_names = names
+        return fractions.column[self._served_pos]
 
 
 class _Fallback:
@@ -562,7 +591,7 @@ class UpcallPlane:
                     rows.cls.step_batch(tick, duration_s, rows)
 
     def finish_workloads(
-        self, tick, duration_s: float, fractions: Dict[str, float], apps: list
+        self, tick, duration_s: float, fractions: ServedFractions, apps: list
     ) -> None:
         """``app.finish_tick`` for the snapshot list, kernels where opted in."""
         if apps != self._w_apps:

@@ -23,12 +23,12 @@ the ML-training, BLAST, Spark, and synthetic-parallel models implement.
 from __future__ import annotations
 
 import abc
-from itertools import repeat
 from operator import attrgetter
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.container import Container
 from repro.core.api import EcovisorAPI
 from repro.core.clock import TickInfo
 
@@ -41,6 +41,9 @@ class Application(abc.ABC):
     #: **in its own body** and provides classmethods
     #: ``step_batch(cls, tick, duration_s, rows)`` and
     #: ``finish_tick_batch(cls, tick, duration_s, fractions, rows)``
+    #: (``fractions`` is settle's
+    #: :class:`~repro.core.fleetarrays.ServedFractions`; ``rows.served``
+    #: takes the members' column from it)
     #: lets the batched engine drive all its instances with one grouped
     #: call per class.  The contract: effects must stay app-local (own
     #: containers' demand, own attributes, app-unique telemetry keys),
@@ -338,24 +341,32 @@ class BatchJob(Application):
         prog = runners & ~warm
         if not prog.any():
             return
-        flat = plan.flat
-        m = len(flat)
-        # effective_utilization inlined: plan members are running, so it
-        # is min(demand, cap) — np.minimum matches the scalar min() bit
-        # for bit, and bincount accumulates each member's utils from 0.0
-        # in the same launch order as the scalar per-container sum.
-        demand = np.fromiter(
-            map(attrgetter("_demand_utilization"), flat), dtype=float, count=m
-        )
-        cap = np.fromiter(
-            map(attrgetter("_cap_utilization"), flat), dtype=float, count=m
-        )
-        utils = np.minimum(demand, cap)
-        sums = np.bincount(plan.flat_member, weights=utils, minlength=n)
-        rate = cls._batch_rate(rows, plan, utils, sums)
-        frac = np.fromiter(
-            map(fractions.get, rows.names, repeat(1.0)), dtype=float, count=n
-        )
+        epoch = Container._utilization_epoch
+        if plan.util_epoch != epoch:
+            # Re-gathered only after a demand or cap write: the plan's
+            # containers are fixed, so nothing else moves their utils.
+            flat = plan.flat
+            m = len(flat)
+            # effective_utilization inlined: plan members are running, so
+            # it is min(demand, cap) — np.minimum matches the scalar min()
+            # bit for bit, and bincount accumulates each member's utils
+            # from 0.0 in the same launch order as the scalar
+            # per-container sum.
+            demand = np.fromiter(
+                map(attrgetter("_demand_utilization"), flat), dtype=float, count=m
+            )
+            cap = np.fromiter(
+                map(attrgetter("_cap_utilization"), flat), dtype=float, count=m
+            )
+            utils = np.minimum(demand, cap)
+            sums = np.bincount(plan.flat_member, weights=utils, minlength=n)
+            utils.flags.writeable = False
+            sums.flags.writeable = False
+            plan.utils = utils
+            plan.sums = sums
+            plan.util_epoch = epoch
+        rate = cls._batch_rate(rows, plan, plan.utils, plan.sums)
+        frac = rows.served(fractions)
         done = rate * duration_s * np.maximum(0.0, np.minimum(1.0, frac))
         new_progress = np.minimum(total, progress + done)
         end_s = tick.end_s

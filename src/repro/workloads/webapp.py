@@ -192,8 +192,8 @@ class WebApplication(Application):
     def finish_tick_batch(
         cls, tick: TickInfo, duration_s: float, fractions, rows
     ) -> None:
-        for app in rows.apps:
-            app.finish_tick(tick, duration_s, fractions.get(app.name, 1.0))
+        for app, fraction in zip(rows.apps, rows.served(fractions).tolist()):
+            app.finish_tick(tick, duration_s, fraction)
 
     def workers_needed_for_slo(self, max_workers: int = 64) -> int:
         """Sizing helper: workers needed for the SLO at the current rate."""

@@ -11,7 +11,7 @@ This module is a *differential harness*: hypothesis draws randomized
 fleet sizes, policy mixes, trace seeds (which select the solar/carbon/
 price regimes and, through the shared-plant stride, the battery-holding
 subset), and churn schedules, plus committed ``@example`` fleets, and
-every fleet is run down both paths and compared on five surfaces:
+every fleet is run down both paths and compared on six surfaces:
 
 - per-app :class:`EnergyState` snapshots at every tick (the snapshots
   the columnar path builds from its columns must carry the exact floats
@@ -19,11 +19,14 @@ every fleet is run down both paths and compared on five surfaces:
 - per-app settlement ledgers (every ``TickSettlement`` plus the
   cumulative account totals),
 - the full telemetry database (series names, timestamps, values — the
-  columnar path buffers these and flushes lazily), and
+  columnar path buffers these and flushes lazily),
 - per-app event journals (battery/solar/share/lifecycle signals in
-  publish order, including retired feeds of evicted churn tenants), and
+  publish order, including retired feeds of evicted churn tenants),
 - the carbon and price signal histories (both paths sample each tick's
-  signals once, live).
+  signals once, live), and
+- the workloads' own state (each application's committed progress and
+  ``summary()``), which the finish phase writes from settle's served
+  fractions and the containers' effective utilizations.
 
 Comparison is by SHA-256 over a canonical JSON dump, so "identical"
 means identical down to the float bit patterns (``json.dumps`` emits
@@ -178,12 +181,34 @@ def _read(ecovisor, tenants, stores="ledger+database"):
 
 
 def _build(params, batched, churn=False):
+    """One fleet down one path.
+
+    With a ``grid_w`` parameter every battery-free tenant is rebalanced
+    to that grid share before the first tick (``build_fleet`` gives
+    every tenant an unlimited one), so a small share leaves demand
+    unmet and settle serves fractions below 1.
+    """
     # Container ids embed a process-global counter; reset it so both
     # captures name identical containers identically (ids appear in
     # snapshots, telemetry series names, and journal payloads).
     reset_container_id_counter()
     build = build_churn_fleet if churn else build_fleet
-    return build({**params, "batched": batched})
+    fleet = build({**params, "batched": batched})
+    if "grid_w" in params:
+        ecovisor = fleet.ecovisor
+        for name in ecovisor.app_names():
+            if ecovisor.ves_for(name).battery is None:
+                ecovisor.set_share(name, ShareConfig(grid_power_w=params["grid_w"]))
+    return fleet
+
+
+def fleet_applications(fleet):
+    """The built population and every application still registered,
+    once each: the workloads whose state ``collect_surfaces`` compares."""
+    apps = {app.name: app for app in fleet.applications}
+    for app in fleet.engine.applications:
+        apps.setdefault(app.name, app)
+    return list(apps.values())
 
 
 def _observe(fleet, reads=None):
@@ -213,29 +238,31 @@ def _observe(fleet, reads=None):
 
 
 def _run(params, batched, churn=False, reads=None):
-    """Run one fleet down one path; return its ecovisor and per-tick
+    """Run one fleet down one path; return the fleet and per-tick
     snapshots of every app's :class:`EnergyState`."""
     fleet = _build(params, batched, churn)
     states = _observe(fleet, reads)
     fleet.engine.run(int(params["ticks"]))
-    return fleet.ecovisor, states
+    return fleet, states
 
 
 def _capture(params, batched, churn=False, reads=None):
     """Run one fleet down one path; return every observable surface."""
-    ecovisor, states = _run(params, batched, churn, reads)
+    fleet, states = _run(params, batched, churn, reads)
     # The two paths really differed: only the production path settles
     # columnar.
-    assert ecovisor.columnar is batched
-    return collect_surfaces(ecovisor, states)
+    assert fleet.ecovisor.columnar is batched
+    return collect_surfaces(fleet.ecovisor, states, fleet_applications(fleet))
 
 
-def collect_surfaces(ecovisor, states):
+def collect_surfaces(ecovisor, states, applications=()):
     """Every observable surface of a finished run, JSON-serializable.
 
     Shared with :mod:`tests.integration.test_fallback_parity`, which
     builds its own (partially batch-incompatible) fleets but compares
-    the same five surfaces.
+    the same six surfaces.  ``applications`` are the workloads whose
+    state is compared; the summary's floats compare as hex, so an
+    unfinished job's NaN completion time compares equal.
     """
     ledger = ecovisor.ledger
     accounts = {}
@@ -272,6 +299,14 @@ def collect_surfaces(ecovisor, states):
             "dropped": page.dropped,
         }
 
+    workloads = {
+        app.name: {
+            "progress_units": app.progress_units,
+            "summary": {key: value.hex() for key, value in app.summary().items()},
+        }
+        for app in applications
+    }
+
     price_signal = ecovisor.price_signal
     return {
         "states": states,
@@ -282,6 +317,7 @@ def collect_surfaces(ecovisor, states):
             "carbon": ecovisor.carbon_service.history(),
             "price": price_signal.history() if price_signal else None,
         },
+        "workloads": workloads,
     }
 
 
@@ -383,7 +419,7 @@ class TestColumnarDifferentialParity:
     @example(params={"apps": 20, "ticks": 36, "seed": 2023, "mix": "balanced"})
     @example(params={"apps": 3, "ticks": 5, "seed": 0, "mix": "agnostic"})
     def test_static_fleet_surfaces_byte_identical(self, params):
-        """Randomized static fleets: all five surfaces, both paths."""
+        """Randomized static fleets: all six surfaces, both paths."""
         _assert_parity(params)
 
     @settings(max_examples=5, **_SETTINGS)
@@ -448,6 +484,37 @@ class TestRetainedSnapshots:
         }
         assert len(levels) > 1  # the batteries really move
         _assert_identical(params, churn, columnar, objects)
+
+
+class TestShortfallParity:
+    """Served fractions below 1, compared on every surface.
+
+    ``build_fleet`` gives every tenant an unlimited grid share, so every
+    fraction settle serves there is 1.0 and a finish phase that ignored
+    them would match the reference path.  Here the battery-free tenants
+    hold a 0.5 W grid share (``grid_w``, see ``_build``) and the run
+    ends before dawn (tick 361 of the seed-2023 trace): a 1-core worker
+    draws up to 1.25 W, so its job progresses at a served fraction
+    below 1.
+    """
+
+    STATIC = {"apps": 9, "ticks": 120, "seed": 2023, "mix": "balanced", "grid_w": 0.5}
+    CHURN = {**STATIC, "admit_rate": 0.3, "evict_rate": 0.3}
+
+    @pytest.mark.parametrize("churn", [False, True], ids=["static", "churn"])
+    def test_surfaces_byte_identical(self, churn):
+        params = self.CHURN if churn else self.STATIC
+        columnar = _capture(params, batched=True, churn=churn)
+        objects = _capture(params, batched=False, churn=churn)
+        _assert_identical(params, churn, columnar, objects)
+        short = [
+            name
+            for name, account in columnar["accounts"].items()
+            if account["unmet_wh"] > 0.0
+        ]
+        assert len(short) >= 3, short
+        progress = [w["progress_units"] for w in columnar["workloads"].values()]
+        assert sum(p > 0.0 for p in progress) >= 3
 
 
 class TestSolarChangeParity:
@@ -578,7 +645,7 @@ class TestForcedFlushParity:
                 fleet.engine.batched = batched and not all_objects
                 fleet.engine.run(ticks)
                 assert fleet.ecovisor.columnar is fleet.engine.batched
-            return collect_surfaces(fleet.ecovisor, states)
+            return collect_surfaces(fleet.ecovisor, states, fleet_applications(fleet))
 
         _assert_identical(params, churn, toggled(False), toggled(True), reads)
 
@@ -628,7 +695,7 @@ class TestForcedFlushParity:
             states = _observe(fleet)
             fleet.engine.run(self.STATIC["ticks"])
             assert any(type(e) is BatteryEmptyEvent for e in turned)
-            return collect_surfaces(ecovisor, states)
+            return collect_surfaces(ecovisor, states, fleet_applications(fleet))
 
         _assert_identical(self.STATIC, False, capture(True), capture(False))
 
@@ -764,7 +831,7 @@ def _capture_with_writes(params, mode, plan, churn=False):
         # A policy's scale-up found the little cluster full: a capacity
         # limit of the drawn plan, not a parity property.
         assume(False)
-    capture = collect_surfaces(fleet.ecovisor, states)
+    capture = collect_surfaces(fleet.ecovisor, states, fleet_applications(fleet))
     capture["writes"] = outcomes
     return capture
 
@@ -777,7 +844,10 @@ def _assert_stepwise_parity(params, plan, churn=False):
     return stepwise
 
 
-#: Committed plans that make every kind of write at least once.
+#: Committed plans that make every kind of write at least once.  The
+#: power cap binds: 1.0 W (the smallest value ``_apply_write`` installs)
+#: holds fleet-0002's 1-core worker below its demand, since such a
+#: worker draws up to 1.25 W (0.3375 W idle plus a 0.9125 W range).
 STEPWISE_STATIC = {"apps": 12, "ticks": 30, "seed": 2023, "mix": "balanced"}
 STEPWISE_CHURN = {
     "apps": 8,
@@ -790,7 +860,7 @@ STEPWISE_CHURN = {
 STEPWISE_PLAN = [
     (1, "charge_rate", 0, 25.0),
     (2, "max_discharge", 1, 3.5),
-    (3, "powercap", 2, 9.0),
+    (3, "powercap", 2, 1.0),
     (3, "scale", 4, 2.0),
     (5, "add_battery", 1, 0.0),
     (5, "drop_battery", 0, 10.0),
@@ -938,7 +1008,7 @@ class TestSettleMirrors:
         container = ecovisor.containers_for(holder)[0]
         OBJECT_WRITES[write](vb, container, ecovisor)
         fleet.engine.run(6)
-        return collect_surfaces(ecovisor, states)
+        return collect_surfaces(ecovisor, states, fleet_applications(fleet))
 
     @pytest.mark.parametrize("write", sorted(OBJECT_WRITES))
     def test_object_write_between_runs(self, write):

@@ -43,6 +43,7 @@ from tests.integration.test_columnar_parity import (
     _digest,
     _first_difference,
     collect_surfaces,
+    fleet_applications,
 )
 from tests.unit.test_metrics_exposition import parse_exposition
 
@@ -154,7 +155,7 @@ def _capture(batched):
 
     engine.add_observer(observer)
     engine.run(int(PARAMS["ticks"]))
-    surfaces = collect_surfaces(ecovisor, states)
+    surfaces = collect_surfaces(ecovisor, states, fleet_applications(fleet))
     return surfaces, engine.profiler.phase_totals(), len(binding_ticks)
 
 

@@ -4,9 +4,10 @@ The columnar hot path (``engine.batched = True``) must be an
 *optimization*, not a semantic change.  These tests run the committed
 fleet (24 apps, 50 ticks, seed 2023, balanced mix) down both engine
 paths once and require identical :class:`EnergyState` snapshots at every
-tick, settlement ledgers, telemetry series and signal histories against
-the per-app object reference path (``engine.batched = False``), so a
-failure names the surface that drifted.  Randomized fleets and churn
+tick, settlement ledgers, telemetry series, signal histories and workload
+state against the per-app object reference path
+(``engine.batched = False``), so a failure names the surface that
+drifted.  Randomized fleets and churn
 schedules live in the differential harness,
 :mod:`tests.integration.test_columnar_parity`, whose runner and surface
 collector this module reuses.
@@ -19,6 +20,7 @@ from tests.integration.test_columnar_parity import (
     _first_difference,
     _run,
     collect_surfaces,
+    fleet_applications,
 )
 
 PARAMS = {"apps": 24, "ticks": 50, "seed": 2023, "mix": "balanced"}
@@ -28,7 +30,10 @@ PARAMS = {"apps": 24, "ticks": 50, "seed": 2023, "mix": "balanced"}
 def captures():
     """(ecovisor, surfaces) for the columnar run, then the object run."""
     runs = [_run(PARAMS, batched) for batched in (True, False)]
-    return [(eco, collect_surfaces(eco, states)) for eco, states in runs]
+    return [
+        (fleet.ecovisor, collect_surfaces(fleet.ecovisor, states, fleet_applications(fleet)))
+        for fleet, states in runs
+    ]
 
 
 def _assert_identical(captures, surface):
@@ -55,6 +60,11 @@ class TestBatchedUnbatchedParity:
 
     def test_signal_histories_identical(self, captures):
         _assert_identical(captures, "signal_histories")
+
+    def test_workload_state_identical(self, captures):
+        (_, columnar), _ = captures
+        assert len(columnar["workloads"]) == PARAMS["apps"]
+        _assert_identical(captures, "workloads")
 
     def test_modes_actually_differed(self, captures):
         (eco_a, _), (eco_b, _) = captures

@@ -4,8 +4,9 @@ Under any sequence of launches, stops, scalings, resizes (refused
 migrations included), and cap and demand changes: no server is ever
 over-committed, every listed container is running and placed on exactly
 the server it names, the memoized per-app and role views equal a fresh
-regrouping of the listed containers, and measured power stays within
-the cluster's physical envelope.
+regrouping of the listed containers, an operation replaces only the
+role lists of the pools it acted on and never changes a list it handed
+out, and measured power stays within the cluster's physical envelope.
 """
 
 import hypothesis.strategies as st
@@ -105,6 +106,33 @@ class TestPlacementInvariants:
                     assert cop.running_containers_for_role(app, role) == (
                         groups.get((app, role), [])
                     )
+
+    @given(ops=operations)
+    @settings(max_examples=60, deadline=None)
+    def test_ops_replace_only_their_own_pool_lists(self, ops):
+        # The batched tick path carries per-pool state over for every
+        # pool whose list object survived an operation, so a pool the
+        # operation did not act on must keep its list object, and no
+        # list handed out earlier may change under its holder.
+        cop = ContainerOrchestrationPlatform(CLUSTER)
+        handed_out = []
+        for op in ops:
+            before = dict(cop.running_role_index())
+            handed_out.extend((lst, list(lst)) for lst in before.values())
+            acted = set()
+            containers = cop.containers()
+            if op[0] in ("launch", "scale"):
+                acted.add((op[2], op[3]))
+            elif op[0] == "stop" and containers:
+                victim = containers[op[1] % len(containers)]
+                acted.add((victim.app_name, victim.role))
+            apply_ops(cop, [op])
+            after = cop.running_role_index()
+            for key, lst in before.items():
+                if key not in acted:
+                    assert after.get(key) is lst, (op, key)
+            for lst, held in handed_out:
+                assert lst == held, op
 
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)

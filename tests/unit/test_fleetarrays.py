@@ -9,7 +9,12 @@ structural invariants of the struct-of-arrays store itself:
   is read-only, and a re-layout carries each surviving tenant's ledger
   totals over bit for bit,
 - every change of the container cache's key (a launch, a stop, a core
-  resize) builds it once, equal to a fresh build,
+  resize) builds it once, equal to a fresh build, and the gather plan
+  over it walks each tenant's containers in launch order,
+- settle's served fractions are one read-only mapping type on both
+  engine paths, with equal items every tick,
+- turning the columnar path off hands every tenant its current
+  snapshot,
 - a staged ``set_share`` swaps the dense battery sub-fleet caches at
   the next tick boundary, and
 - a buffered tick record holds only ndarrays and the layout objects
@@ -25,7 +30,14 @@ from repro.cluster.container import Container, reset_container_id_counter
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.core.config import ClusterConfig, ShareConfig
 from repro.core.events import TickEvent
-from repro.core.fleetarrays import _COLUMNS, FleetArrays, _ContainerCache, _TickRecord
+from repro.core.fleetarrays import (
+    _COLUMNS,
+    FleetArrays,
+    ServedFractions,
+    _ContainerCache,
+    _GatherPlan,
+    _TickRecord,
+)
 from repro.sim.fleet import build_churn_fleet, build_fleet
 
 
@@ -133,9 +145,11 @@ class TestDenseLayout:
 
 
 def _assert_cache_equal(a, b):
-    """Field-by-field equality of two `_ContainerCache` builds."""
+    """Field-by-field equality of two `_ContainerCache` builds, whose
+    launch-order columns are each container's own id, app and gpu."""
     assert a.key == b.key
-    assert a.ids == b.ids
+    assert a.ids == b.ids == tuple(c.id for c in a.clist)
+    assert a.apps == b.apps == tuple(c.app_name for c in a.clist)
     assert len(a.clist) == len(b.clist)
     for x, y in zip(a.clist, b.clist):
         assert x is y
@@ -144,8 +158,7 @@ def _assert_cache_equal(a, b):
     assert a.cpu_range == b.cpu_range
     assert a.gpu_range == b.gpu_range
     np.testing.assert_array_equal(a.gpu_mask, b.gpu_mask)
-    assert a.positions == b.positions
-    assert a.cont_ids == b.cont_ids
+    assert a.gpu_mask.tolist() == [c.has_gpu for c in a.clist]
     assert a.baseline_w == b.baseline_w
     np.testing.assert_array_equal(a.powers(), b.powers())
 
@@ -196,6 +209,28 @@ class TestContainerCacheExtension:
         monkeypatch.undo()
         _assert_cache_equal(second, _ContainerCache(platform, second.key))
 
+    def test_gather_plan_walks_each_tenant_in_launch_order(self):
+        platform = self._platform()
+        platform.launch_container("outside", 1.0)
+        platform.launch_container("beta", 1.0, role="coordinator")
+        platform.launch_container("alpha", 2.0)
+        cc = FleetArrays().container_cache(platform)
+        names = ["beta", "gamma", "alpha"]
+        plan = _GatherPlan(cc, names, {name: i for i, name in enumerate(names)})
+        # Reference: each tenant's containers, in layout then launch
+        # order; the app outside the layout takes no part.
+        walk = [
+            (i, p)
+            for i, name in enumerate(names)
+            for p, container in enumerate(cc.clist)
+            if container.app_name == name
+        ]
+        assert plan.flat_app.tolist() == [i for i, _ in walk]
+        assert plan.flat_pos.tolist() == [p for _, p in walk]
+        assert plan.ids_flat == [cc.clist[p].id for _, p in walk]
+        assert plan.counts.tolist() == [2.0, 0.0, 3.0]
+        assert plan.bounds == [0, 2, 2, 5]
+
     def test_stop_forces_full_rebuild(self, monkeypatch):
         platform = self._platform()
         fleet = FleetArrays()
@@ -205,6 +240,75 @@ class TestContainerCacheExtension:
         second = fleet.container_cache(platform)
         assert rebuilds == [1]
         assert len(second.clist) == len(first.clist) - 1
+
+
+def _shortfall_fleet(batched):
+    """Battery-free tenants on a 0.5 W grid share before dawn: their
+    1-core workers (up to 1.25 W) are served fractions below 1."""
+    fleet = _small_fleet(apps=9, ticks=60, batched=batched)
+    ecovisor = fleet.ecovisor
+    for name in ecovisor.app_names():
+        if ecovisor.ves_for(name).battery is None:
+            ecovisor.set_share(name, ShareConfig(grid_power_w=0.5))
+    return fleet
+
+
+class TestServedFractions:
+    @staticmethod
+    def _settled(batched):
+        fleet = _shortfall_fleet(batched)
+        ecovisor = fleet.ecovisor
+        returned = []
+        settle = ecovisor.settle
+
+        def spy(tick):
+            fractions = settle(tick)
+            returned.append(fractions)
+            return fractions
+
+        ecovisor.settle = spy
+        fleet.engine.run(60)
+        return returned
+
+    def test_both_paths_return_equal_items_every_tick(self):
+        columnar = self._settled(True)
+        objects = self._settled(False)
+        assert len(columnar) == len(objects) == 60
+        for a, b in zip(columnar, objects):
+            assert type(a) is type(b) is ServedFractions
+            assert list(a.items()) == list(b.items())
+        assert min(min(f.values()) for f in columnar) < 0.5
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["columnar", "objects"])
+    def test_unseen_name_and_read_only_column(self, batched):
+        fractions = self._settled(batched)[-1]
+        assert len(fractions) == 9 and "nobody" not in fractions
+        assert fractions.get("nobody", 1.0) == 1.0
+        with pytest.raises(KeyError):
+            fractions["nobody"]
+        assert fractions.column.shape == (10,) and fractions.column[-1] == 1.0
+        with pytest.raises(ValueError):
+            fractions.column[0] = 0.5
+
+
+class TestColumnarOff:
+    def test_state_after_turning_off_is_the_current_tick(self):
+        """A tenant read once mid-run, then read again after the mode
+        turns off, shows the last settled tick, as on the reference
+        path, not the snapshot read earlier."""
+
+        def reads(batched):
+            fleet = _small_fleet(apps=6, ticks=40, batched=batched)
+            ecovisor = fleet.ecovisor
+            fleet.engine.run(20)
+            first = ecovisor.state_for("fleet-0001")
+            fleet.engine.run(20)
+            ecovisor.columnar = False
+            return first.to_dict(), ecovisor.state_for("fleet-0001").to_dict()
+
+        columnar, objects = reads(True), reads(False)
+        assert columnar[1]["tick_index"] == 39
+        assert columnar == objects
 
 
 class TestSetShareSwap:
@@ -301,8 +405,8 @@ class TestGcFreeRecords:
         assert record.names is store.names
         assert record.batt_idx is store.batt_idx
         assert record.cont_ids is store._cc.ids
-        counts, _, _, ids_flat = store._plan
-        assert record.counts is counts and record.ids_flat is ids_flat
+        plan = store._plan
+        assert record.counts is plan.counts and record.ids_flat is plan.ids_flat
         for slot in _TickRecord.__slots__:
             if slot not in self.SHARED:
                 assert not gc.is_tracked(getattr(record, slot)), slot
