@@ -3,23 +3,15 @@
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.cluster.power_model import PowerBreakdown, ServerPowerModel
-from repro.cluster.scheduler import (
-    BestFitScheduler,
-    FewestInstancesScheduler,
-    Scheduler,
-    WorstFitScheduler,
-)
+from repro.cluster.scheduler import FewestInstancesScheduler
 from repro.cluster.server import Server
 
 __all__ = [
-    "BestFitScheduler",
     "Container",
     "ContainerOrchestrationPlatform",
     "ContainerState",
     "FewestInstancesScheduler",
     "PowerBreakdown",
-    "Scheduler",
     "Server",
     "ServerPowerModel",
-    "WorstFitScheduler",
 ]

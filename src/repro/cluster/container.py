@@ -55,22 +55,11 @@ class Container:
 
     DEFAULT_ROLE = "worker"
 
-    #: Process-wide generation counter, bumped whenever an *existing*
-    #: container's core allocation changes (a stop, a core resize).
-    #: The scheduler's occupancy arrays key on it alone; the columnar
-    #: container cache keys on it together with the platform's version,
-    #: so per-tick knob writes (demand utilization, power caps) leave
-    #: those caches intact.  Creation deliberately does not bump it: a
-    #: new container is invisible until the platform registers it,
-    #: which bumps the platform's own version — keeping launches from
-    #: making the scheduler re-read every server's occupancy.
-    _mutation_epoch = 0
-
     #: Bumped whenever a container's attributed power can change without
     #: a placement change: a demand utilization that moved, a power cap.
     #: The columnar settle kernel keeps every container's power from one
-    #: settle to the next until this (or its cache key, which a launch,
-    #: stop or resize moves) moves.
+    #: settle to the next until this (or the platform's version, which a
+    #: launch, stop or resize moves) moves.
     _utilization_epoch = 0
 
     def __init__(
@@ -127,11 +116,16 @@ class Container:
         return self._gpu
 
     def set_cores(self, cores: float) -> None:
-        """Vertically scale the container's core allocation (cgroups)."""
+        """Vertically scale the container's core allocation (cgroups).
+
+        For a placed container this is a step of
+        :meth:`~repro.cluster.cop.ContainerOrchestrationPlatform.set_container_cores`,
+        which moves the platform's topology version; called directly it
+        leaves the platform's derived views stale.
+        """
         if not cores > 0:
             raise ValueError(f"cores must be positive, got {cores}")
         self._cores = float(cores)
-        Container._mutation_epoch += 1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -151,7 +145,6 @@ class Container:
         self._state = ContainerState.STOPPED
         self._demand_utilization = 0.0
         self._last_power_w = 0.0
-        Container._mutation_epoch += 1
 
     # ------------------------------------------------------------------
     # Power capping and utilization

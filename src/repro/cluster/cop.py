@@ -14,6 +14,12 @@ restores the container to its host before raising.  Every derived view
 (per-app and role lists, occupancy, power readings, the columnar
 container cache) relies on this and filters nothing.
 
+Each platform keeps its own topology generation
+(:attr:`~ContainerOrchestrationPlatform.version`), which every launch,
+stop and core resize moves and nothing else does; the views derived
+from the population key on it alone.  The scheduler hears of every
+place, evict and resize as it happens and re-reads only that server.
+
 The ecovisor wraps this platform (it has privileged access to these
 functions); applications reach it only through the ecovisor API.
 """
@@ -23,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.cluster.container import Container
-from repro.cluster.scheduler import FewestInstancesScheduler, Scheduler
+from repro.cluster.scheduler import FewestInstancesScheduler
 from repro.cluster.server import Server
 from repro.core.config import ClusterConfig
 from repro.core.errors import (
@@ -36,14 +42,9 @@ from repro.core.errors import (
 class ContainerOrchestrationPlatform:
     """Cluster-wide container lifecycle, placement, and capping."""
 
-    def __init__(
-        self,
-        config: ClusterConfig | None = None,
-        scheduler: Scheduler | None = None,
-    ):
+    def __init__(self, config: ClusterConfig | None = None):
         self._config = config or ClusterConfig()
         self._config.validate()
-        self._scheduler = scheduler or FewestInstancesScheduler()
         self._servers = [
             Server(f"server-{i}", self._config.server)
             for i in range(self._config.num_servers)
@@ -51,6 +52,9 @@ class ContainerOrchestrationPlatform:
         self._servers_by_name: Dict[str, Server] = {
             server.name: server for server in self._servers
         }
+        # Told of every place, evict and resize below (commit), so its
+        # occupancy arrays never need a full re-read.
+        self._scheduler = FewestInstancesScheduler(self._servers)
         self._containers: Dict[str, Container] = {}
         # Per-application index of the same containers.  Each inner dict
         # preserves launch order, which equals the global insertion order
@@ -64,12 +68,14 @@ class ContainerOrchestrationPlatform:
         # held and every other pool's list stays the same object: the
         # batched tick path re-derives only the pools whose list changed.
         self._pools: Dict[tuple, List[Container]] = {}
-        # Topology generation: bumped on launch/stop, so batched readers
-        # can key derived caches on it (with Container._mutation_epoch
-        # where core allocations matter) instead of rescanning the
-        # container population every tick.
+        # Topology generation: bumped on every launch, stop and core
+        # resize, and on nothing else, so derived views (the baseline
+        # memo, role counts, worker plans, the columnar container cache)
+        # key on it alone instead of rescanning the container
+        # population every tick.  Per platform: one site's changes
+        # leave another site's views in place.
         self._version = 0
-        self._baseline_key = (-1, -1)
+        self._baseline_key = -1
         self._baseline_w = 0.0
 
     # ------------------------------------------------------------------
@@ -81,7 +87,8 @@ class ContainerOrchestrationPlatform:
 
     @property
     def version(self) -> int:
-        """Topology generation; changes whenever containers come or go."""
+        """Topology generation; changes whenever a container comes, goes
+        or changes its core allocation."""
         return self._version
 
     @property
@@ -152,9 +159,9 @@ class ContainerOrchestrationPlatform:
         if not cores > 0:
             raise SchedulingError(f"cores must be positive, got {cores}")
         container = Container(app_name, cores, gpu=gpu, role=role)
-        server = self._scheduler.select(self._servers, cores)
+        server = self._scheduler.select(cores)
         server.place(container)
-        self._scheduler.commit(server, container.cores)
+        self._scheduler.commit(server)
         self._containers[container.id] = container
         self._containers_by_app.setdefault(app_name, {})[container.id] = container
         key = (app_name, role)
@@ -165,7 +172,9 @@ class ContainerOrchestrationPlatform:
     def stop_container(self, container_id: str) -> None:
         """Evict, stop and deregister a container, releasing its resources."""
         container = self.get_container(container_id)
-        self._servers_by_name[container.server_name].evict(container_id)
+        server = self._servers_by_name[container.server_name]
+        server.evict(container_id)
+        self._scheduler.commit(server)
         container._stop()
         del self._containers[container_id]
         del self._containers_by_app[container.app_name][container_id]
@@ -193,22 +202,29 @@ class ContainerOrchestrationPlatform:
             raise SchedulingError(f"cores must be positive, got {cores}")
         container = self.get_container(container_id)
         server = self._servers_by_name[container.server_name]
+        # Moved up front, so a refused migration moves it too: the
+        # container returns to the end of its host's table, and the
+        # host's occupancy re-sums in that order.
+        self._version += 1
         if server.can_grow(container, cores):
             server.resize(container, cores)
+            self._scheduler.commit(server)
             self._refresh_power_cap(container)
             return
         # Migrate: evict, resize, re-place (stateful LXD migration).
         server.evict(container_id)
+        self._scheduler.commit(server)
         old_cores = container.cores
         container.set_cores(cores)
         try:
-            target = self._scheduler.select(self._servers, cores)
+            target = self._scheduler.select(cores)
         except InsufficientResourcesError:
             container.set_cores(old_cores)
             server.place(container)
+            self._scheduler.commit(server)
             raise
         target.place(container)
-        self._scheduler.commit(target, container.cores)
+        self._scheduler.commit(target)
         self._refresh_power_cap(container)
 
     def _refresh_power_cap(self, container: Container) -> None:
@@ -315,11 +331,11 @@ class ContainerOrchestrationPlatform:
     def baseline_power_w(self) -> float:
         """Idle power of unallocated cores (the platform's own footprint).
 
-        Memoized on the (topology version, container mutation epoch)
-        generation: occupancy only moves when containers come, go, or
-        resize, while the settle path asks every tick.
+        Memoized on the topology version: occupancy only moves when
+        containers come, go, or resize, while the settle path asks every
+        tick.
         """
-        key = (self._version, Container._mutation_epoch)
+        key = self._version
         if self._baseline_key != key:
             # Fused form of sum(s.baseline_idle_power_w() for s in
             # self._servers): identical per-term arithmetic and

@@ -25,9 +25,10 @@ class Server:
         self._power_model = ServerPowerModel(self._config)
         self._containers: Dict[str, Container] = {}
         # Occupancy memo, cleared by this server's own place, evict and
-        # resize: the only changes to what it hosts.  Keeps the
-        # fleet-wide scheduler scan and the platform baseline from
-        # re-walking every server's containers after one launch or stop.
+        # resize: the only changes to what it hosts.  The scheduler's
+        # commit copies it, and the platform baseline re-reads it, so
+        # neither re-walks every server's containers after one launch
+        # or stop.
         self._occ_cache: tuple | None = None
 
     @property
@@ -69,11 +70,12 @@ class Server:
     def occupancy(self) -> tuple:
         """(allocated cores, running instances), memoized between changes.
 
-        The scheduler consults both per candidate server on every
-        launch; deriving them together halves the scan the separate
+        The scheduler copies both after every change to this server;
+        deriving them together halves the scan the separate
         ``allocated_cores``/``instance_count`` computations would do,
-        and the memo turns the steady-state consult into two attribute
-        reads.
+        and the memo turns every later read into two attribute reads.
+        The allocated cores re-sum in insertion order, so a memo equals
+        a fresh read.
         """
         cache = self._occ_cache
         if cache is not None:

@@ -19,23 +19,26 @@ hold by construction.
 Tick protocol (driven by :class:`~repro.sim.engine.SimulationEngine`):
 
 1. :meth:`begin_tick` — sample solar and carbon, refresh each app's
-   virtual solar (with the one-tick solar buffer of Section 3.1), build
-   each app's immutable :class:`~repro.core.state.EnergyState` snapshot,
-   then publish change events (so event subscribers observe the fresh
-   snapshot).
+   virtual solar (with the one-tick solar buffer of Section 3.1), take
+   the phase's immutable :class:`~repro.core.state.EnergyState`
+   snapshots, then publish change events (so event subscribers observe
+   the fresh snapshot).
 2. :meth:`invoke_app_ticks` — deliver the ``tick()`` upcall to every
    registered application callback as ``(tick, state)``, where ``state``
-   is the snapshot built in step 1.
+   is the app's snapshot of step 1.
 3. (the engine steps workloads, which set container utilization demands)
 4. :meth:`settle` — measure per-app power, settle each virtual energy
-   system, attribute carbon to apps and containers, finalize each app's
-   snapshot with the settled figures, persist telemetry from the
-   snapshot, publish battery full/empty events.
+   system, attribute carbon to apps and containers, take each app's
+   settled snapshot, persist telemetry, publish battery full/empty
+   events.
 
-Each application's snapshot is *built* exactly once per tick (the
-``state_builds`` counter) and *finalized* in place by settlement — every
-consumer (policies, library, REST, telemetry) shares it by reference
-instead of re-polling live getters.
+Every consumer of a phase (policies, library, REST, telemetry) shares
+one snapshot per app by reference instead of re-polling live getters,
+and the ``state_builds`` counter reads ``ticks x apps`` on both paths.
+The object reference path builds every app's snapshot in
+:meth:`begin_tick` and builds its settled successor in :meth:`settle`;
+the columnar path (:attr:`Ecovisor.columnar`) builds an app's snapshot
+from the phase's columns on the phase's first request for it.
 """
 
 from __future__ import annotations
@@ -158,11 +161,9 @@ class Ecovisor:
         # Columnar hot path (core/fleetarrays.py): fleet state lives in
         # dense per-tenant columns, each tenant's snapshot is built from
         # them on the phase's first request, and telemetry/ledger writes
-        # buffer until first read.  Off by default (the object reference
-        # path); the engine turns it on for batched runs.
-        self._columnar = False
+        # buffer until first read.  None on the object reference path;
+        # the engine turns it on for batched runs, once (see columnar).
         self._fleet: Optional[FleetArrays] = None
-        self._flush_hooks_installed = False
         self._container_carbon_series: Dict[str, Series] = {}
         # Columnar write-back, split by store: tick records the ledger
         # has taken (_flush_ledger) wait here for the first database
@@ -405,10 +406,10 @@ class Ecovisor:
     def state_builds(self) -> int:
         """How many per-tick :class:`EnergyState` snapshots have been built.
 
-        Exactly ``ticks x apps`` over an engine run: settlement
-        finalizes the existing snapshot instead of building a new one,
-        and on-demand bootstrap snapshots (pre-first-tick ``state()``
-        reads) are not counted.
+        Exactly ``ticks x apps`` over an engine run: the settled
+        snapshot each tick ends with is not counted, and neither are
+        on-demand bootstrap snapshots (pre-first-tick ``state()``
+        reads).
         """
         return self._state_builds
 
@@ -683,7 +684,7 @@ class Ecovisor:
         changes stay visible to the next read).
         """
         app = self._app(name)
-        if self._columnar:
+        if self._fleet is not None:
             state = self._columnar_state(app)
             if state is not None:
                 return state
@@ -809,53 +810,28 @@ class Ecovisor:
     # ------------------------------------------------------------------
     @property
     def columnar(self) -> bool:
-        """Whether tick phases run the struct-of-arrays fleet kernel."""
-        return self._columnar
+        """Whether tick phases run the struct-of-arrays fleet kernel.
+
+        The switch only turns on.  Turning it on lays the fleet out in
+        columns at the next tick phase, which seeds every tenant from
+        its objects as it seeds an admission, so an object-path stretch
+        may precede it; a columnar ecovisor stays columnar.  Turning it
+        off is a no-op on the object path and raises
+        :class:`ConfigurationError` once columnar.
+        """
+        return self._fleet is not None
 
     @columnar.setter
     def columnar(self, enabled: bool) -> None:
-        if enabled:
-            # No dirty mark here: a new FleetArrays starts dirty and the
-            # off branch below marks it, so enabling an already columnar
-            # ecovisor (every engine.run call does) keeps its layout and
-            # its buffered telemetry until a membership or share change.
-            if self._fleet is None:
-                self._fleet = FleetArrays()
-            if not self._flush_hooks_installed:
-                # Installed once and left in place: with no pending
-                # records a hook is two attribute checks per read, so
-                # toggling the mode off does not need to tear them down.
-                self._db.set_flush_hook(self._flush_database)
-                self._ledger.set_flush_hook(self._flush_ledger)
-                self._flush_hooks_installed = True
-            self._columnar = True
-            return
-        if not self._columnar:
-            return
-        self._columnar = False
-        fleet = self._fleet
-        if fleet is None:
-            return
-        # Drain both stores (the object path appends straight to cached
-        # series handles), hand every tenant of the current phase its
-        # snapshot (state_for reads app.state from here on), and write
-        # the array-held per-tick readings back into each app's
-        # VirtualEnergySystem so the object path resumes from identical
-        # state; the next columnar phase seeds every tenant from its
-        # objects again.
-        self._flush_database()
-        snap = fleet.current_snap
-        for app in self._apps.values():
-            if snap is not None and app.snap_epoch == snap.epoch:
-                app.state = snap.state(app.snap_index)
-            if app.snap_epoch == fleet.epoch:
-                i = app.snap_index
-                solar_w = fleet.solar_w.item(i)
-                app.ves.restore_tick_state(solar_w, fleet.grid_w.item(i))
-                app.previous_solar_w = solar_w
-            app.snap_epoch = -1
-        fleet.dirty = True
-        fleet.current_snap = None
+        if enabled and self._fleet is None:
+            self._fleet = FleetArrays()
+            self._db.set_flush_hook(self._flush_database)
+            self._ledger.set_flush_hook(self._flush_ledger)
+        elif not enabled and self._fleet is not None:
+            raise ConfigurationError(
+                "a columnar ecovisor stays columnar: choose the object "
+                "reference path before its first columnar tick"
+            )
 
     def _flush_ledger(self) -> None:
         """Write buffered tick records back into the carbon ledger only.
@@ -907,7 +883,7 @@ class Ecovisor:
         its layout; otherwise (an admission since the layout was taken,
         or a re-layout mid-settle) the last snapshot handed out for it.
         """
-        snap = self._fleet.current_snap if self._fleet is not None else None
+        snap = self._fleet.current_snap
         if snap is not None and app.snap_epoch == snap.epoch:
             app.state = snap.state(app.snap_index)
         return app.state
@@ -984,7 +960,7 @@ class Ecovisor:
 
         self._carbon_sample_time_s = time_s
         solar_changes = None
-        if self._columnar and self._fleet is not None:
+        if self._fleet is not None:
             # Bulk path: one vectorized solar refresh plus a dense
             # begin-phase snapshot; each app's EnergyState is built on
             # the phase's first request but still counted as one build
@@ -1048,7 +1024,7 @@ class Ecovisor:
             return
         # The app handle is already resolved; only fall back to the
         # name lookup when no columnar snapshot holds it yet.
-        state = self._columnar_state(app) if self._columnar else None
+        state = self._columnar_state(app) if self._fleet is not None else None
         if state is None:
             state = self.state_for(app.name)
         for callback in callbacks:
@@ -1070,7 +1046,7 @@ class Ecovisor:
         """
         time_s = tick.start_s
         duration_s = tick.duration_s
-        if self._columnar and self._fleet is not None:
+        if self._fleet is not None:
             fractions = self._fleet.settle(self, time_s, duration_s)
             self._in_tick = False
             return fractions

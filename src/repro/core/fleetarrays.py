@@ -79,12 +79,11 @@ class _ContainerCache:
 
     Every listed container is running and placed (the platform's
     invariant), so the cache covers the whole population with no masks.
-    Built once per change of the structural key — ``(platform.version,
-    Container._mutation_epoch)``, which a launch, stop or core resize
-    moves — in one attribute pass over the listed containers; the
-    per-tick quantities (demand and cap utilizations) behind
-    :meth:`powers` are re-read only when ``Container._utilization_epoch``
-    moved since the last read.
+    Built once per ``platform.version`` — which a launch, stop or core
+    resize on that platform moves — in one attribute pass over the
+    listed containers; the per-tick quantities (demand and cap
+    utilizations) behind :meth:`powers` are re-read only when
+    ``Container._utilization_epoch`` moved since the last read.
     """
 
     __slots__ = (
@@ -103,9 +102,7 @@ class _ContainerCache:
         "_powers_epoch",
     )
 
-    def __init__(
-        self, platform: "ContainerOrchestrationPlatform", key: Tuple[int, int]
-    ):
+    def __init__(self, platform: "ContainerOrchestrationPlatform", key: int):
         self._powers_epoch = -1
         self.key = key
         clist = platform.containers()
@@ -717,7 +714,9 @@ class FleetArrays:
         previous layout (``snap_epoch == epoch``) carries its figures
         over from its index there (``snap_index``); a newcomer is seeded
         from its live virtual energy system and (flushed) ledger
-        account.
+        account.  The first refresh finds no previous layout and seeds
+        every tenant that way, which is how a columnar run picks up
+        after an object-path stretch.
         """
         # The ledger must be current before seeding cumulative columns
         # (and every record it takes shares this layout's names).
@@ -847,7 +846,7 @@ class FleetArrays:
     def container_cache(
         self, platform: "ContainerOrchestrationPlatform"
     ) -> _ContainerCache:
-        key = (platform.version, Container._mutation_epoch)
+        key = platform.version
         cc = self._cc
         if cc is None or cc.key != key:
             cc = self._cc = _ContainerCache(platform, key)
@@ -887,8 +886,8 @@ class FleetArrays:
         self.solar_w = new
         # Only the snapshot's knob columns come from the objects, and
         # only after a knob write: settle reads solar from the arrays,
-        # so VES-held per-tick solar stays stale in columnar mode (all
-        # apps alike) and is re-synced if the mode turns off.
+        # so VES-held per-tick solar stays stale on a columnar ecovisor
+        # (all apps alike), which never returns to the object path.
         knob_target, knob_maxdis = self._knob_cache()[2:]
         self.current_snap = FleetSnapshot(
             epoch=self.epoch,
@@ -1080,9 +1079,9 @@ class FleetArrays:
 
             # Write the settled battery state back into the objects —
             # they remain the source of truth between ticks (snapshot
-            # builds, share rebalances, mode-off restore all read them).  The
-            # accumulator order (discharge, solar charge, grid top-up)
-            # matches the object path's call order.
+            # builds and share rebalances read them).  The accumulator
+            # order (discharge, solar charge, grid top-up) matches the
+            # object path's call order.
             # Only rows whose battery state actually moved need the
             # object write-back: for an idle battery every write below
             # is value-identical (level round-trips through identity

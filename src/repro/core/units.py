@@ -76,7 +76,7 @@ def energy_wh(power_w: float, duration_s: float) -> float:
 
 def power_w(energy_wh_value: float, duration_s: float) -> float:
     """Average power (W) that delivers ``energy_wh_value`` Wh in ``duration_s``."""
-    if duration_s <= 0.0:
+    if not duration_s > 0.0:
         raise ValueError(f"duration must be positive, got {duration_s}")
     return energy_wh_value / seconds_to_hours(duration_s)
 

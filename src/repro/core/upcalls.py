@@ -419,11 +419,6 @@ def _policy_route(reg):
     return policy, "opted_in"
 
 
-def _batchable_policy(reg):
-    """The policy to batch ``reg`` under, or None for the fallback path."""
-    return _policy_route(reg)[0]
-
-
 def _batchable_workload(cls) -> bool:
     return bool(
         cls.__dict__.get("batch_compatible", False)
@@ -457,18 +452,6 @@ class UpcallPlane:
             labelnames=("path", "reason"),
         )
         self._routes_seen: set = set()
-
-    def reset(self) -> None:
-        """Drop every grouping, and with them the kernels' mirrors.
-
-        The engine calls this before it runs ticks on the object path:
-        their per-app bodies write the state the groups mirror
-        (``WorkloadRows.updated_progress``, ``was_running``,
-        ``warmup``) behind the plane's back, so the next grouped tick
-        regroups and gathers from the objects again.
-        """
-        self._p_epoch = -1
-        self._w_apps = None
 
     # -- policy upcalls -------------------------------------------------
     def invoke_policies(self, tick) -> float:

@@ -85,17 +85,6 @@ class VirtualEnergySystem:
         self._current_solar_w = physical_solar_w * self._share.solar_fraction
         return self._current_solar_w
 
-    def restore_tick_state(self, solar_power_w: float, grid_power_w: float) -> None:
-        """Reinstate per-tick readings computed outside :meth:`settle`.
-
-        The columnar tick path keeps virtual solar and last grid draw in
-        fleet-wide arrays; when an app leaves that path (mode switch,
-        eviction restore) this writes the array values back so the
-        object path resumes from identical state.
-        """
-        self._current_solar_w = float(solar_power_w)
-        self._last_grid_power_w = float(grid_power_w)
-
     def set_share(
         self, share: ShareConfig, virtual_battery: Optional[VirtualBattery]
     ) -> None:
@@ -126,8 +115,12 @@ class VirtualEnergySystem:
         capped by container power caps).  ``price_usd_per_kwh`` is the
         grid price in force this tick (zero when no market is attached);
         grid energy — load plus grid-supplemented battery charging — is
-        billed at it.  Returns the validated settlement.
+        billed at it.  Returns the validated settlement.  ``duration_s``
+        must be positive (a NaN is refused with the rest), as every
+        :class:`~repro.core.clock.TickInfo` is.
         """
+        if not duration_s > 0:
+            raise ValueError(f"duration must be positive, got {duration_s}")
         if demand_w < 0:
             raise ValueError(f"demand must be >= 0, got {demand_w}")
         demand_wh = energy_wh(demand_w, duration_s)
@@ -168,15 +161,13 @@ class VirtualEnergySystem:
                 grid_headroom_wh = max(0.0, grid_capacity_wh - grid_load_wh)
                 top_up_w = min(
                     target_rate_w - solar_charge_w,
-                    power_w(grid_headroom_wh, duration_s) if duration_s > 0 else 0.0,
+                    power_w(grid_headroom_wh, duration_s),
                 )
                 if top_up_w > 0:
                     accepted_w = self._battery.charge_for_tick(top_up_w, duration_s)
                     grid_to_battery_wh = energy_wh(accepted_w, duration_s)
             self._battery.note_tick_charge(
                 power_w(solar_to_battery_wh + grid_to_battery_wh, duration_s)
-                if duration_s > 0
-                else 0.0
             )
 
         # 5. Whatever solar the battery could not absorb is curtailed.
@@ -186,9 +177,7 @@ class VirtualEnergySystem:
         grid_total_wh = grid_load_wh + grid_to_battery_wh
         carbon_g = carbon_grams(grid_total_wh, carbon_intensity_g_per_kwh)
         cost_usd = energy_cost_usd(grid_total_wh, price_usd_per_kwh)
-        self._last_grid_power_w = (
-            power_w(grid_total_wh, duration_s) if duration_s > 0 else 0.0
-        )
+        self._last_grid_power_w = power_w(grid_total_wh, duration_s)
 
         settlement = TickSettlement(
             app_name=self._app_name,

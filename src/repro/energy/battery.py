@@ -126,7 +126,7 @@ class Battery:
         """
         if requested_power_w < 0:
             raise ValueError(f"charge power must be >= 0, got {requested_power_w}")
-        if duration_s <= 0:
+        if not duration_s > 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
         accepted_w = min(requested_power_w, self.max_charge_power_w)
         input_wh = energy_wh(accepted_w, duration_s)
@@ -152,7 +152,7 @@ class Battery:
         """
         if requested_power_w < 0:
             raise ValueError(f"discharge power must be >= 0, got {requested_power_w}")
-        if duration_s <= 0:
+        if not duration_s > 0:
             raise ValueError(f"duration must be positive, got {duration_s}")
         deliverable_w = min(requested_power_w, self.max_discharge_power_w)
         output_wh = energy_wh(deliverable_w, duration_s)

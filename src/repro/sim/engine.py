@@ -113,6 +113,9 @@ class SimulationEngine:
         delivers upcalls through the vectorized plane.  False runs the
         per-app object path: the reference the production path is
         parity-tested against.  Both sample the tick's signals live.
+        The reference path is chosen before the first batched run: once
+        the ecovisor is columnar, a ``run`` with False raises
+        :class:`~repro.core.errors.ConfigurationError` before any tick.
         """
         return self._batched
 
@@ -250,11 +253,10 @@ class SimulationEngine:
         ecovisor = self._ecovisor
         # The columnar struct-of-arrays kernel rides the batched toggle;
         # batched=False remains the per-app reference object path the
-        # parity harness compares against.
+        # parity harness compares against.  The switch only turns on, so
+        # an engine set back to batched=False after a batched run raises
+        # here, before any tick.
         ecovisor.columnar = self._batched
-        if not self._batched:
-            # The object path writes what the plane's groups mirror.
-            self._plane.reset()
         observers = self._observers
         profiler = self.profiler
         plane = self._plane if self._batched else None

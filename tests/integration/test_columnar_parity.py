@@ -636,7 +636,8 @@ class TestForcedFlushParity:
     @staticmethod
     def _assert_toggle_parity(params, churn, chunks, reads=None):
         """Running ``chunks`` of (batched, ticks) is byte-identical to
-        the same ticks on the object path throughout."""
+        the same ticks on the object path throughout.  The switch only
+        turns on, so every object-path chunk comes first."""
 
         def toggled(all_objects):
             fleet = _build(params, batched=not all_objects, churn=churn)
@@ -649,23 +650,26 @@ class TestForcedFlushParity:
 
         _assert_identical(params, churn, toggled(False), toggled(True), reads)
 
-    def test_batched_toggle_matches_object_run(self):
-        """batched True -> False -> True, reading in between, is
-        byte-identical to the same run on the object path throughout."""
+    def test_object_then_columnar_churn(self):
+        """The object path, then columnar, reading in between, is
+        byte-identical to the same run on the object path throughout:
+        the first columnar refresh seeds every tenant from its objects,
+        as it seeds an admission."""
         self._assert_toggle_parity(
             {**self.CHURN, "ticks": 30},
             True,
-            [(True, 8), (False, 10), (True, 12)],
+            [(False, 10), (True, 20)],
             {"at": [3, 9, 10, 17, 25], "tenants": [0, 2, 5]},
         )
 
-    def test_batched_toggle_static_fleet(self):
-        """The static twin: no admission or eviction regroups the
-        upcall plane, so only the object-path stretch itself can tell
-        the plane (and the settle kernel's mirrors) that the workload
-        and battery state moved under them."""
+    def test_object_then_columnar_static(self):
+        """The static twin: no admission or eviction re-lays the fleet
+        out after the first columnar refresh, so that refresh alone
+        carries the object path's battery, workload and ledger state
+        into the columns, the settle kernel's mirrors and the upcall
+        plane's groups."""
         self._assert_toggle_parity(
-            {**self.STATIC, "ticks": 60}, False, [(True, 20), (False, 20), (True, 20)]
+            {**self.STATIC, "ticks": 30}, False, [(False, 10), (True, 20)]
         )
 
     def test_battery_event_subscriber_turns_own_knobs(self):

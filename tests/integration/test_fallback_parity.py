@@ -33,7 +33,7 @@ from repro.core.clock import TickInfo
 from repro.core.config import ShareConfig
 from repro.core.library import AppEnergyLibrary
 from repro.core.state import EnergyState
-from repro.core.upcalls import _batchable_policy
+from repro.core.upcalls import _policy_route
 from repro.policies import SuspendResumePolicy
 from repro.policies.base import Policy
 from repro.sim.fleet import build_fleet
@@ -167,16 +167,17 @@ class TestFallbackParity:
         assert "batch_compatible" not in PeriodicStepPolicy.__dict__
 
     def test_routing_per_tenant(self):
-        """Both fallback reasons route to None; a stock tenant batches."""
+        """Both fallback reasons route to None, each under its own rule;
+        a stock tenant batches."""
         apps = _build(batched=True).ecovisor._apps
         stock = apps["fleet-0000"]
-        assert _batchable_policy(stock) is stock.tick_callbacks[0].__self__
-        assert _batchable_policy(apps["shadow-suspend"]) is None
-        assert _batchable_policy(apps["stepper-static"]) is None
+        assert _policy_route(stock) == (stock.tick_callbacks[0].__self__, "opted_in")
+        assert _policy_route(apps["shadow-suspend"]) == (None, "not_opted_in")
+        assert _policy_route(apps["stepper-static"]) == (None, "not_opted_in")
         two = apps["two-callbacks"]
         assert len(two.tick_callbacks) == 2
         assert type(two.tick_callbacks[0].__self__) is SuspendResumePolicy
-        assert _batchable_policy(two) is None
+        assert _policy_route(two) == (None, "callback_count")
 
     def test_routing_gauge_counts_tenants_per_route(self):
         """A scrape shows each fallback tenant under its reason and every

@@ -4,13 +4,15 @@ Under any sequence of launches, stops, scalings, resizes (refused
 migrations included), and cap and demand changes: no server is ever
 over-committed, every listed container is running and placed on exactly
 the server it names, the memoized per-app and role views equal a fresh
-regrouping of the listed containers, an operation replaces only the
-role lists of the pools it acted on and never changes a list it handed
-out, and measured power stays within the cluster's physical envelope.
+regrouping of the listed containers, the scheduler's per-server
+occupancy arrays equal a fresh read of every server, an operation
+replaces only the role lists of the pools it acted on and never changes
+a list it handed out, and measured power stays within the cluster's
+physical envelope.
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.core.config import ClusterConfig, ServerConfig
@@ -106,6 +108,30 @@ class TestPlacementInvariants:
                     assert cop.running_containers_for_role(app, role) == (
                         groups.get((app, role), [])
                     )
+
+    @given(ops=operations)
+    @settings(max_examples=60, deadline=None)
+    # A migration that succeeds: server-0 hosts 2 + 2 cores, and
+    # growing the first container to 3 moves it to server-1.
+    @example(ops=[("launch", 2, "app", "worker")] + [("launch", 1, "app", "worker")] * 3
+             + [("launch", 2, "app", "worker"), ("resize", 0, 3)])
+    def test_scheduler_arrays_equal_a_fresh_read(self, ops):
+        # The platform commits each server it placed on, evicted from
+        # or resized on; checked after every operation, so a commit it
+        # skipped leaves the arrays wrong at the next check.
+        cop = ContainerOrchestrationPlatform(CLUSTER)
+        scheduler = cop._scheduler
+        for op in ops:
+            apply_ops(cop, [op])
+            cores, counts = [], []
+            for server in scheduler._servers:
+                allocated = 0.0
+                for container in server.containers:
+                    allocated += container.cores
+                cores.append(allocated)
+                counts.append(float(len(server.containers)))
+            assert scheduler._alloc.tolist() == cores, op
+            assert scheduler._counts.tolist() == counts, op
 
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)

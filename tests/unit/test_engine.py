@@ -6,7 +6,7 @@ from repro.carbon.service import CarbonIntensityService
 from repro.carbon.traces import make_region_trace
 from repro.core.clock import SimulationClock
 from repro.core.config import ShareConfig
-from repro.core.errors import SimulationError
+from repro.core.errors import ConfigurationError, SimulationError
 from repro.market.prices import make_price_trace
 from repro.market.service import PriceSignal
 from repro.sim.engine import SimulationEngine
@@ -257,14 +257,22 @@ class TestBatchedToggle:
         engine.run(3)
         assert ecovisor.columnar is False
 
-    def test_toggle_between_runs(self):
+    def test_unbatched_run_after_batched_raises_before_any_tick(self):
+        """The columnar switch only turns on: an engine set back to the
+        reference path after a batched run refuses its next run before
+        it begins a tick, and the ecovisor stays columnar."""
         ecovisor = make_ecovisor()
         engine = SimulationEngine(ecovisor, SimulationClock(60.0))
+        begun = ecovisor.metrics.get("ticks_begun_total")
         engine.run(2)
-        assert ecovisor.columnar is True
         engine.batched = False
-        engine.run(2)
-        assert ecovisor.columnar is False
+        with pytest.raises(ConfigurationError, match="stays columnar"):
+            engine.run(2)
+        assert engine.clock.current_tick().index == 2
+        assert [value for _, _, value in begun.samples()] == [2]
+        assert ecovisor.columnar is True
+        engine.batched = True
+        assert engine.run(1) == 1
 
     def test_run_past_primed_window_falls_back_to_live(self):
         # Each run samples its ticks live from the clock's position, so

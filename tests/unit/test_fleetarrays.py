@@ -8,13 +8,14 @@ structural invariants of the struct-of-arrays store itself:
 - every column a :class:`~repro.core.fleetarrays.FleetSnapshot` holds
   is read-only, and a re-layout carries each surviving tenant's ledger
   totals over bit for bit,
-- every change of the container cache's key (a launch, a stop, a core
-  resize) builds it once, equal to a fresh build, and the gather plan
-  over it walks each tenant's containers in launch order,
+- every change of the container cache's key (its platform's version,
+  which a launch, a stop or a core resize there moves) builds it once,
+  equal to a fresh build, and the gather plan over it walks each
+  tenant's containers in launch order,
 - settle's served fractions are one read-only mapping type on both
   engine paths, with equal items every tick,
-- turning the columnar path off hands every tenant its current
-  snapshot,
+- the columnar switch only turns on: turning a columnar ecovisor off
+  raises and leaves its fleet settling in columns,
 - a staged ``set_share`` swaps the dense battery sub-fleet caches at
   the next tick boundary, and
 - a buffered tick record holds only ndarrays and the layout objects
@@ -26,9 +27,10 @@ import gc
 import numpy as np
 import pytest
 
-from repro.cluster.container import Container, reset_container_id_counter
+from repro.cluster.container import reset_container_id_counter
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.core.config import ClusterConfig, ShareConfig
+from repro.core.errors import ConfigurationError
 from repro.core.events import TickEvent
 from repro.core.fleetarrays import (
     _COLUMNS,
@@ -166,9 +168,9 @@ def _assert_cache_equal(a, b):
 class TestContainerCacheExtension:
     """How the container cache follows the platform's population.
 
-    Every change of its key — a launch, a stop, a core resize — builds
-    the cache once, from scratch, equal field by field to a fresh build;
-    an unchanged key reuses it.
+    Every change of its key — a launch, a stop or a core resize on its
+    own platform — builds the cache once, from scratch, equal field by
+    field to a fresh build; an unchanged key reuses it.
     """
 
     def _platform(self):
@@ -204,7 +206,7 @@ class TestContainerCacheExtension:
             platform.set_container_cores(first.clist[1].id, 3.0)
         second = fleet.container_cache(platform)
         assert rebuilds == [1]
-        assert second.key == (platform.version, Container._mutation_epoch)
+        assert second.key == platform.version
         assert fleet.container_cache(platform) is second
         monkeypatch.undo()
         _assert_cache_equal(second, _ContainerCache(platform, second.key))
@@ -235,11 +237,26 @@ class TestContainerCacheExtension:
         platform = self._platform()
         fleet = FleetArrays()
         first = fleet.container_cache(platform)
-        platform.stop_container(first.clist[0].id)  # bumps the epoch
+        platform.stop_container(first.clist[0].id)  # moves the version
         rebuilds = self._count_builds(monkeypatch)
         second = fleet.container_cache(platform)
         assert rebuilds == [1]
         assert len(second.clist) == len(first.clist) - 1
+
+    @pytest.mark.parametrize("change", ["stop", "resize"])
+    def test_other_platforms_change_keeps_this_cache(self, change):
+        """Each platform has its own topology generation: a stop or a
+        resize on one site's platform leaves another site's cache in
+        place."""
+        here, there = self._platform(), self._platform()
+        fleet = FleetArrays()
+        cache = fleet.container_cache(here)
+        victim = there.containers()[0]
+        if change == "stop":
+            there.stop_container(victim.id)
+        else:
+            there.set_container_cores(victim.id, 2.0)
+        assert fleet.container_cache(here) is cache
 
 
 def _shortfall_fleet(batched):
@@ -291,24 +308,33 @@ class TestServedFractions:
             fractions.column[0] = 0.5
 
 
-class TestColumnarOff:
-    def test_state_after_turning_off_is_the_current_tick(self):
-        """A tenant read once mid-run, then read again after the mode
-        turns off, shows the last settled tick, as on the reference
-        path, not the snapshot read earlier."""
-
-        def reads(batched):
-            fleet = _small_fleet(apps=6, ticks=40, batched=batched)
-            ecovisor = fleet.ecovisor
-            fleet.engine.run(20)
-            first = ecovisor.state_for("fleet-0001")
-            fleet.engine.run(20)
+class TestColumnarSwitch:
+    def test_turning_a_columnar_ecovisor_off_raises(self):
+        """The refused switch changes nothing: the same store settles
+        the next tick in columns and buffers its record."""
+        fleet = _small_fleet(apps=6, ticks=4)
+        ecovisor = fleet.ecovisor
+        fleet.engine.run(2)
+        store = ecovisor._fleet
+        pending = len(store.pending)
+        with pytest.raises(ConfigurationError, match="stays columnar"):
             ecovisor.columnar = False
-            return first.to_dict(), ecovisor.state_for("fleet-0001").to_dict()
+        assert ecovisor.columnar is True and ecovisor._fleet is store
+        ecovisor.columnar = True  # already on: keeps the store
+        assert ecovisor._fleet is store
+        fleet.engine.run(1)
+        assert len(store.pending) == pending + 1
+        snap = store.current_snap
+        assert snap.settled and snap.tick_index == 2
+        assert ecovisor.state_for("fleet-0001") is snap.state(1)
 
-        columnar, objects = reads(True), reads(False)
-        assert columnar[1]["tick_index"] == 39
-        assert columnar == objects
+    def test_turning_off_on_the_object_path_is_a_no_op(self):
+        fleet = _small_fleet(apps=6, ticks=4, batched=False)
+        ecovisor = fleet.ecovisor
+        ecovisor.columnar = False
+        fleet.engine.run(2)
+        ecovisor.columnar = False
+        assert ecovisor.columnar is False and ecovisor._fleet is None
 
 
 class TestSetShareSwap:

@@ -1,10 +1,14 @@
 """Virtual energy system settlement: the paper's fixed routing order."""
 
+import math
+
 import pytest
 
 from repro.core.config import BatteryConfig, ShareConfig
+from repro.core.units import power_w
 from repro.core.virtual_battery import VirtualBattery
 from repro.core.virtual_energy_system import VirtualEnergySystem
+from repro.energy.battery import Battery
 
 HOUR = 3600.0
 
@@ -174,3 +178,36 @@ class TestBookkeeping:
         ves = make_ves()
         with pytest.raises(ValueError):
             ves.settle(-1.0, 200.0, 0.0, HOUR)
+
+
+
+class TestTickDuration:
+    """Each entry point that divides by a tick's duration refuses a NaN
+    one, as :class:`~repro.core.clock.TickInfo` does, instead of
+    answering NaN; settle refuses a zero one up front too, which a
+    battery-free tenant used to settle to zeros."""
+
+    @pytest.mark.parametrize(
+        "entry, duration_s",
+        [
+            ("power_w", math.nan),
+            ("charge", math.nan),
+            ("discharge", math.nan),
+            ("settle", math.nan),
+            ("settle", 0.0),
+        ],
+    )
+    def test_refused(self, entry, duration_s):
+        battery = Battery(BatteryConfig(capacity_wh=100.0))
+        calls = {
+            "power_w": lambda: power_w(1.0, duration_s),
+            "charge": lambda: battery.charge(1.0, duration_s),
+            "discharge": lambda: battery.discharge(1.0, duration_s),
+            "settle": lambda: make_ves(battery_fraction=0.0).settle(
+                5.0, 200.0, 0.0, duration_s
+            ),
+        }
+        with pytest.raises(ValueError, match="duration must be positive"):
+            calls[entry]()
+        assert battery.level_wh == 50.0
+        assert battery.total_charged_wh == battery.total_discharged_wh == 0.0
