@@ -146,12 +146,7 @@ class Ecovisor:
         self._allocated_solar = 0.0
         self._allocated_battery = 0.0
         self._current_carbon = 0.0
-        self._previous_carbon: Optional[float] = None
         self._current_price = 0.0
-        self._previous_price: Optional[float] = None
-        # Tracked explicitly (not via `or None` as for carbon) because a
-        # 0.0 price is legitimate — real-time prices floor at zero.
-        self._price_sampled = False
         self._physical_solar_now_w = 0.0
         self._buffered_solar_w: Optional[float] = None
         self._current_tick_index = 0
@@ -921,39 +916,40 @@ class Ecovisor:
         # ``state()`` inside its callback observes this tick's view.
         pending_events: List[Event] = share_events
 
-        self._previous_carbon = self._current_carbon or None
+        # Both signals hold a previous sample from the second tick on (the
+        # price signal is fixed for the ecovisor's lifetime); a 0.0 sample
+        # is a real reading, so it is compared like any other.
+        sampled_before = self._ticks_begun > 1
+        previous_carbon = self._current_carbon
         self._current_carbon = self._carbon_service.observe(time_s)
         self._monitor.record_carbon_intensity(time_s, self._current_carbon)
 
         if (
-            self._previous_carbon is not None
-            and abs(self._current_carbon - self._previous_carbon)
+            sampled_before
+            and abs(self._current_carbon - previous_carbon)
             >= self._config.carbon_change_threshold_g_per_kwh
         ):
             pending_events.append(
                 CarbonChangeEvent(
                     time_s=time_s,
-                    previous_g_per_kwh=self._previous_carbon,
+                    previous_g_per_kwh=previous_carbon,
                     current_g_per_kwh=self._current_carbon,
                 )
             )
 
         if self._price_signal is not None:
-            self._previous_price = (
-                self._current_price if self._price_sampled else None
-            )
+            previous_price = self._current_price
             self._current_price = self._price_signal.observe(time_s)
-            self._price_sampled = True
             self._monitor.record_grid_price(time_s, self._current_price)
             if (
-                self._previous_price is not None
-                and abs(self._current_price - self._previous_price)
+                sampled_before
+                and abs(self._current_price - previous_price)
                 >= self._config.price_change_threshold_usd_per_kwh
             ):
                 pending_events.append(
                     PriceChangeEvent(
                         time_s=time_s,
-                        previous_usd_per_kwh=self._previous_price,
+                        previous_usd_per_kwh=previous_price,
                         current_usd_per_kwh=self._current_price,
                     )
                 )

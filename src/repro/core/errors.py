@@ -96,14 +96,10 @@ class UnknownTraceNameError(TraceError, ValueError):
 class DatasetIntegrityError(TraceError):
     """A bundled dataset's bytes did not match its registered checksum.
 
-    Provider-backed runs are only reproducible if the data they read is
+    Dataset-backed runs are only reproducible if the data they read is
     exactly the data the registry promises; a mismatch means a corrupted
     or locally edited file, and the run must not proceed on it.
     """
-
-
-class ProviderError(EcovisorError):
-    """A signal provider could not produce a value (fetch or parse failure)."""
 
 
 class ScenarioError(EcovisorError):

@@ -9,7 +9,10 @@ threshold every ``refresh_interval_s`` from a
 exactly like :class:`~repro.policies.wait_and_scale.WaitAndScalePolicy`.
 
 The imperfect-foresight cost is quantified in
-``benchmarks/bench_ablation_forecast.py``.
+``benchmarks/bench_ablation_forecast.py``.  The compared signal is named
+by two class attributes, so
+:class:`~repro.policies.price_threshold.PriceThresholdPolicy` runs the
+same rule against the grid price.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ class ForecastWaitAndScalePolicy(Policy):
     """Suspend above a forecast-percentile threshold; scale below it."""
 
     batch_compatible = True
+    #: The :class:`EnergyState` field :meth:`on_tick` compares, and the
+    #: :class:`~repro.core.upcalls.TickSignals` column the batch kernel
+    #: compares: the same signal, read per app and per class.
+    state_field = "grid_carbon_g_per_kwh"
+    tick_signal = "carbon"
 
     def __init__(
         self,
@@ -82,9 +90,9 @@ class ForecastWaitAndScalePolicy(Policy):
             if self.current_worker_count() > 0:
                 self.scale_workers(0, self._cores)
             return
-        intensity = state.grid_carbon_g_per_kwh
+        value = getattr(state, self.state_field)
         assert self._threshold is not None  # set by _maybe_refresh
-        target = 0 if intensity > self._threshold else self.scaled_workers
+        target = 0 if value > self._threshold else self.scaled_workers
         if self.current_worker_count() != target:
             self.scale_workers(target, self._cores)
 
@@ -103,6 +111,8 @@ class ForecastWaitAndScalePolicy(Policy):
             (p._threshold for p in rows.policies), dtype=float, count=rows.n
         )
         targets = np.where(
-            signals.carbon > thresholds, 0, rows.col_int("scaled_workers")
+            getattr(signals, cls.tick_signal) > thresholds,
+            0,
+            rows.col_int("scaled_workers"),
         )
         rows.stage_scale(targets)

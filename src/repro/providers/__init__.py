@@ -1,14 +1,5 @@
-"""Pluggable signal providers: historical datasets, synthetic, HTTP."""
+"""The bundled-dataset registry: named, checksum-verified signal data."""
 
-from repro.providers.base import ProviderMetadata, SignalProvider
-from repro.providers.historical import HistoricalProvider
-from repro.providers.http import (
-    HTTPProvider,
-    HTTPResponse,
-    MockTransport,
-    TransportTimeout,
-    UrllibTransport,
-)
 from repro.providers.registry import (
     DATASETS,
     DatasetDescriptor,
@@ -21,20 +12,10 @@ from repro.providers.registry import (
     resolve_price_trace,
     validate_all,
 )
-from repro.providers.synthetic import SyntheticProvider
 
 __all__ = [
     "DATASETS",
     "DatasetDescriptor",
-    "HTTPProvider",
-    "HTTPResponse",
-    "HistoricalProvider",
-    "MockTransport",
-    "ProviderMetadata",
-    "SignalProvider",
-    "SyntheticProvider",
-    "TransportTimeout",
-    "UrllibTransport",
     "dataset_provenance",
     "descriptor",
     "generation_datasets",

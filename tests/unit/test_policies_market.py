@@ -4,13 +4,16 @@ import pytest
 
 from repro.carbon.forecast import OracleForecaster
 from repro.carbon.service import CarbonIntensityService
-from repro.carbon.traces import CarbonTrace
+from repro.carbon.traces import CarbonTrace, make_region_trace
+from repro.cluster.container import reset_container_id_counter
 from repro.core.clock import SimulationClock
 from repro.core.config import CarbonServiceConfig, ShareConfig
-from repro.market.prices import PriceTrace, constant_price_trace
+from repro.core.upcalls import _policy_route
+from repro.market.prices import PriceTrace, constant_price_trace, make_price_trace
 from repro.market.service import PriceSignal
 from repro.policies import (
     CarbonCostPolicy,
+    ForecastWaitAndScalePolicy,
     PriceThresholdPolicy,
     blended_index,
     blended_threshold,
@@ -87,6 +90,77 @@ class TestPriceThresholdPolicy:
             PriceThresholdPolicy(forecaster, 50.0, 3600.0, 0, 2.0)
         with pytest.raises(ValueError):
             PriceThresholdPolicy(forecaster, 50.0, 3600.0, 2, 0.5)
+
+
+class TestForecastThresholdBatchParity:
+    """The carbon and price forms of the forecast-threshold policy give
+    the same run through the batch kernel as through per-app upcalls."""
+
+    TENANTS, TICKS = 6, 400
+
+    def _run(self, cls, batched):
+        reset_container_id_counter()
+        eco = make_ecovisor(
+            solar_w=0.0,
+            num_servers=10,
+            price_trace=make_price_trace("realtime", days=1, seed=7),
+        )
+        eco._carbon_service = CarbonIntensityService(
+            CarbonServiceConfig(region="caiso"),
+            trace=make_region_trace("caiso", days=1, seed=7),
+        )
+        signal = (
+            eco.carbon_service
+            if cls is ForecastWaitAndScalePolicy
+            else eco.price_signal
+        )
+        engine = SimulationEngine(eco, SimulationClock(60.0), batched=batched)
+        jobs, policies = [], []
+        for i in range(self.TENANTS):
+            job = MLTrainingJob(
+                name=f"job-{i}", total_work_units=1e6, warmup_ticks_on_resume=1
+            )
+            policy = cls(
+                OracleForecaster(signal),
+                percentile=20.0 + 12.0 * i,
+                window_s=3600.0 * (2 + i),
+                base_workers=1 + i % 3,
+                scale_factor=2.0,
+            )
+            engine.add_application(job, ShareConfig(), policy)
+            jobs.append(job)
+            policies.append(policy)
+        engine.run(self.TICKS)
+        routes = [_policy_route(app)[1] for app in eco._apps.values()]
+        ledger = eco.ledger
+        outcome = {
+            "progress": [j.progress_units for j in jobs],
+            "suspended": [j.suspended_ticks for j in jobs],
+            "running": [j.running_ticks for j in jobs],
+            "thresholds": [p.current_threshold for p in policies],
+            "ledger": [
+                (a.energy_wh, a.carbon_g, a.cost_usd)
+                for a in (ledger.account(j.name) for j in jobs)
+            ],
+            "totals": (
+                ledger.total_energy_wh(),
+                ledger.total_carbon_g(),
+                ledger.total_cost_usd(),
+            ),
+        }
+        return outcome, routes
+
+    @pytest.mark.parametrize(
+        "cls", [ForecastWaitAndScalePolicy, PriceThresholdPolicy]
+    )
+    def test_batched_run_equals_per_app_run(self, cls):
+        batched, routes = self._run(cls, batched=True)
+        reference, _ = self._run(cls, batched=False)
+        assert routes == ["opted_in"] * self.TENANTS
+        assert batched == reference
+        # The signal crossed every tenant's threshold both ways.
+        assert all(n > 0 for n in reference["suspended"])
+        assert all(n > 0 for n in reference["running"])
 
 
 class TestBlendedIndex:
