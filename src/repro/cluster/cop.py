@@ -17,8 +17,9 @@ container cache) relies on this and filters nothing.
 Each platform keeps its own topology generation
 (:attr:`~ContainerOrchestrationPlatform.version`), which every launch,
 stop and core resize moves and nothing else does; the views derived
-from the population key on it alone.  The scheduler hears of every
-place, evict and resize as it happens and re-reads only that server.
+from the population key on it alone.  The scheduler and the idle
+baseline hear of every place, evict and resize as it happens and
+re-read only that server.
 
 The ecovisor wraps this platform (it has privileged access to these
 functions); applications reach it only through the ecovisor API.
@@ -27,6 +28,8 @@ functions); applications reach it only through the ecovisor API.
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.cluster.container import Container
 from repro.cluster.scheduler import FewestInstancesScheduler
@@ -37,6 +40,7 @@ from repro.core.errors import (
     SchedulingError,
     UnknownContainerError,
 )
+from repro.core.units import sequential_sum
 
 
 class ContainerOrchestrationPlatform:
@@ -52,9 +56,16 @@ class ContainerOrchestrationPlatform:
         self._servers_by_name: Dict[str, Server] = {
             server.name: server for server in self._servers
         }
-        # Told of every place, evict and resize below (commit), so its
-        # occupancy arrays never need a full re-read.
+        # Told of every place, evict and resize below (_commit), as is
+        # each server's idle-baseline term, so neither ever re-reads
+        # every server.
         self._scheduler = FewestInstancesScheduler(self._servers)
+        self._server_pos = {
+            server.name: i for i, server in enumerate(self._servers)
+        }
+        self._baseline_terms = np.array(
+            [server.baseline_idle_power_w() for server in self._servers]
+        )
         self._containers: Dict[str, Container] = {}
         # Per-application index of the same containers.  Each inner dict
         # preserves launch order, which equals the global insertion order
@@ -161,7 +172,7 @@ class ContainerOrchestrationPlatform:
         container = Container(app_name, cores, gpu=gpu, role=role)
         server = self._scheduler.select(cores)
         server.place(container)
-        self._scheduler.commit(server)
+        self._commit(server)
         self._containers[container.id] = container
         self._containers_by_app.setdefault(app_name, {})[container.id] = container
         key = (app_name, role)
@@ -174,7 +185,7 @@ class ContainerOrchestrationPlatform:
         container = self.get_container(container_id)
         server = self._servers_by_name[container.server_name]
         server.evict(container_id)
-        self._scheduler.commit(server)
+        self._commit(server)
         container._stop()
         del self._containers[container_id]
         del self._containers_by_app[container.app_name][container_id]
@@ -208,12 +219,12 @@ class ContainerOrchestrationPlatform:
         self._version += 1
         if server.can_grow(container, cores):
             server.resize(container, cores)
-            self._scheduler.commit(server)
+            self._commit(server)
             self._refresh_power_cap(container)
             return
         # Migrate: evict, resize, re-place (stateful LXD migration).
         server.evict(container_id)
-        self._scheduler.commit(server)
+        self._commit(server)
         old_cores = container.cores
         container.set_cores(cores)
         try:
@@ -221,11 +232,19 @@ class ContainerOrchestrationPlatform:
         except InsufficientResourcesError:
             container.set_cores(old_cores)
             server.place(container)
-            self._scheduler.commit(server)
+            self._commit(server)
             raise
         target.place(container)
-        self._scheduler.commit(target)
+        self._commit(target)
         self._refresh_power_cap(container)
+
+    def _commit(self, server: Server) -> None:
+        """Re-read ``server`` after it placed, evicted or resized a
+        container: its scheduler entry and its idle-baseline term."""
+        self._scheduler.commit(server)
+        self._baseline_terms[self._server_pos[server.name]] = (
+            server.baseline_idle_power_w()
+        )
 
     def _refresh_power_cap(self, container: Container) -> None:
         """Re-derive a capped container's utilization clamp after resize.
@@ -316,39 +335,30 @@ class ContainerOrchestrationPlatform:
         }
 
     def app_power_w(self, app_name: str) -> float:
-        """Summed attributed power of an application's containers."""
-        return sum(
-            self._container_power(c) for c in self.running_containers_for(app_name)
+        """Summed attributed power of an application's containers, in
+        launch order."""
+        return sequential_sum(
+            map(self._container_power, self.running_containers_for(app_name))
         )
 
     def cluster_power_w(self) -> float:
         """Attributed power of all containers plus unallocated idle power."""
-        attributed = sum(
-            self._container_power(c) for c in self._containers.values()
+        attributed = sequential_sum(
+            map(self._container_power, self._containers.values())
         )
         return attributed + self.baseline_power_w()
 
     def baseline_power_w(self) -> float:
         """Idle power of unallocated cores (the platform's own footprint).
 
-        Memoized on the topology version: occupancy only moves when
-        containers come, go, or resize, while the settle path asks every
-        tick.
+        The per-server terms are kept current by every commit, so a
+        topology change re-sums them (in server order, in C) but reads
+        no server.  Memoized on the topology version: occupancy only
+        moves when containers come, go, or resize, while the settle
+        path asks every tick.
         """
         key = self._version
         if self._baseline_key != key:
-            # Fused form of sum(s.baseline_idle_power_w() for s in
-            # self._servers): identical per-term arithmetic and
-            # summation order, without the per-server property/genexpr
-            # machinery — the settle path re-sums every topology
-            # generation, which at fleet scale is a hot loop.
-            acc = 0.0
-            for server in self._servers:
-                config = server._config
-                cores = config.cores
-                acc += (
-                    (cores - server.occupancy()[0]) / cores
-                ) * config.idle_power_w
-            self._baseline_w = acc
+            self._baseline_w = sequential_sum(self._baseline_terms)
             self._baseline_key = key
         return self._baseline_w

@@ -8,9 +8,8 @@ platform places every container with it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import List
-
-import numpy as np
 
 from repro.cluster.server import Server
 from repro.core.errors import InsufficientResourcesError
@@ -20,24 +19,32 @@ class FewestInstancesScheduler:
     """LXD's default policy: fewest running instances first.
 
     The selection key is ``(running instances, server name)``.  Built
-    once over the platform's server list, the scheduler keeps per-server
-    allocated cores and instance counts in name-ordered numpy arrays, so
-    a placement is one vectorized scan.  The platform calls
-    :meth:`commit` after every place, evict and resize, and a commit
-    copies that one server's occupancy memo into the arrays: the memo
-    re-sums in insertion order, so the arrays always hold exactly what a
-    fresh read of every server would give.
+    once over the platform's server list, the scheduler keeps each
+    server's room (``cores - allocated + 1e-9``, the fit test's left
+    side) and instance count, and one group of servers per instance
+    count, each group in name order.  A placement walks the groups from
+    the lowest count and takes the first server with room, which is the
+    lowest key among the servers that fit.
+
+    The platform calls :meth:`commit` after every place, evict and
+    resize, and a commit copies that one server's occupancy memo (which
+    re-sums in insertion order, so the state always holds exactly what
+    a fresh read of every server would give).  A server changes group
+    only when its instance count changed.
     """
 
     def __init__(self, servers: List[Server]):
         self._servers = sorted(servers, key=lambda s: s.name)
         self._pos = {s.name: i for i, s in enumerate(self._servers)}
         n = len(self._servers)
-        self._caps = np.fromiter(
-            (s.total_cores for s in self._servers), dtype=float, count=n
-        )
-        self._alloc = np.zeros(n)
-        self._counts = np.zeros(n)
+        self._caps = [float(s.total_cores) for s in self._servers]
+        self._room = [0.0] * n
+        self._counts = [0] * n
+        # _groups[c]: positions (into the name-ordered servers) of the
+        # servers hosting c instances, ascending.
+        self._groups: List[List[int]] = [list(range(n))]
+        # Every server starts in group 0; each commit sets its room and
+        # moves it to the group for its count.
         for server in self._servers:
             self.commit(server)
 
@@ -46,19 +53,28 @@ class FewestInstancesScheduler:
 
         Raises :class:`InsufficientResourcesError` when no server fits.
         """
-        fit = self._caps - self._alloc + 1e-9 >= cores
-        if not fit.any():
-            raise InsufficientResourcesError(
-                f"no server can host a {cores:g}-core container"
-            )
-        # argmin returns the first occurrence of the minimum count, and
-        # the arrays are name-ordered, so ties break exactly like the
-        # scalar (count, name) key.
-        candidates = np.where(fit, self._counts, np.inf)
-        return self._servers[int(np.argmin(candidates))]
+        room = self._room
+        for group in self._groups:
+            for pos in group:
+                if room[pos] >= cores:
+                    return self._servers[pos]
+        raise InsufficientResourcesError(
+            f"no server can host a {cores:g}-core container"
+        )
 
     def commit(self, server: Server) -> None:
         """Re-read ``server``'s occupancy after it placed, evicted or
         resized a container."""
         pos = self._pos[server.name]
-        self._alloc[pos], self._counts[pos] = server.occupancy()
+        allocated, count = server.occupancy()
+        self._room[pos] = self._caps[pos] - allocated + 1e-9
+        old = self._counts[pos]
+        if count == old:
+            return
+        self._counts[pos] = count
+        groups = self._groups
+        group = groups[old]
+        del group[bisect_left(group, pos)]
+        while len(groups) <= count:
+            groups.append([])
+        insort(groups[count], pos)

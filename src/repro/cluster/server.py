@@ -135,9 +135,14 @@ class Server:
         return sum(c.last_power_w for c in self._containers.values())
 
     def baseline_idle_power_w(self) -> float:
-        """Idle power of cores not allocated to any container."""
-        free_fraction = self.free_cores / self.total_cores
-        return free_fraction * self._config.idle_power_w
+        """Idle power of cores not allocated to any container.
+
+        Read from the occupancy memo: the platform refreshes its idle
+        baseline with this after every change to the server.
+        """
+        config = self._config
+        cores = config.cores
+        return ((cores - self.occupancy()[0]) / cores) * config.idle_power_w
 
     def __repr__(self) -> str:
         return (

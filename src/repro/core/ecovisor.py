@@ -80,6 +80,7 @@ from repro.core.fleetarrays import FleetArrays, ServedFractions, telemetry_frame
 from repro.core.journal import EventJournal, JournalPage
 from repro.core.signals import SignalBus
 from repro.core.state import BatteryState, EnergyState
+from repro.core.units import sequential_sum
 from repro.core.virtual_battery import VirtualBattery
 from repro.core.virtual_energy_system import VirtualEnergySystem
 from repro.energy.system import PhysicalEnergySystem
@@ -1102,7 +1103,7 @@ class Ecovisor:
         if self._plant.has_renewable and total_solar_used_w > 0:
             self._plant.deliver_renewable(total_solar_used_w, duration_s, time_s)
 
-        aggregate_battery_wh = sum(
+        aggregate_battery_wh = sequential_sum(
             app.ves.battery.battery.level_wh
             for app in self._apps.values()
             if app.ves.has_battery
@@ -1202,7 +1203,9 @@ class Ecovisor:
         application's measured power, the same resource-usage-based
         attribution as the prototype [48, 60].
         """
-        total_power = sum(container_readings.get(c.id, 0.0) for c in containers)
+        total_power = sequential_sum(
+            container_readings.get(c.id, 0.0) for c in containers
+        )
         carbon_series = self._container_carbon_series
         for container in containers:
             power = container_readings.get(container.id, 0.0)

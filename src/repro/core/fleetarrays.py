@@ -67,6 +67,7 @@ from repro.cluster.container import Container
 from repro.core.accounting import TickSettlement
 from repro.core.events import BatteryEmptyEvent, BatteryFullEvent
 from repro.core.state import BatteryState, EnergyState
+from repro.core.units import sequential_sum
 from repro.core.virtual_battery import VirtualBattery
 from repro.energy.battery import Battery
 
@@ -367,7 +368,8 @@ class _GatherPlan:
       ids; ``bounds[i]:bounds[i + 1]`` is tenant ``i``'s stretch.  The
       demand sum rides them too: ``np.bincount`` over ``flat_app``
       accumulates each tenant's container powers left-to-right from
-      0.0, the exact IEEE sequence of the object path's per-app ``sum``.
+      0.0, the exact IEEE sequence of the object path's per-app
+      :func:`~repro.core.units.sequential_sum`.
 
     Containers of an app outside the layout take no part.
     """
@@ -938,8 +940,9 @@ class FleetArrays:
         flat_app = plan.flat_app
         # bincount accumulates each app's container powers from 0.0 in
         # launch order — the exact IEEE sequence of the object path's
-        # per-app demand sum (an app without containers reads 0.0, as
-        # the object path's int 0 does once telemetry stores it).
+        # per-app demand sum, ``app_power_w`` (an app without
+        # containers reads 0.0, as the object path's int 0 does once
+        # telemetry stores it).
         if len(flat_app):
             demand_arr = np.bincount(
                 flat_app, weights=powers[flat_pos], minlength=n
@@ -1228,10 +1231,10 @@ class FleetArrays:
         if plant.has_renewable and total_solar_used_w > 0:
             plant.deliver_renewable(total_solar_used_w, duration_s, time_s)
 
-        # Same accumulation (order, operand values) as the genexpr
-        # sum over app.ves.battery.battery.level_wh, reading the slots
-        # the property chain forwards to — ~1.5k property hops per tick
-        # on a battery-heavy fleet otherwise.
+        # Same accumulation (order, operand values) as the object
+        # path's sequential_sum over app.ves.battery.battery.level_wh,
+        # reading the slots the property chain forwards to — ~1.5k
+        # property hops per tick on a battery-heavy fleet otherwise.
         aggregate_battery_wh = 0.0
         for vb in self.batt_vbs:
             aggregate_battery_wh += vb._battery._level_wh
@@ -1278,7 +1281,7 @@ class FleetArrays:
         record.cont_carbon = cont_carbon
         # Left to right over every container, as the object path's
         # cluster_power_w sums them.
-        record.cluster_power = sum(powers_list) + cc.baseline_w
+        record.cluster_power = sequential_sum(powers) + cc.baseline_w
         self.pending.append(record)
 
         self.current_snap = FleetSnapshot(

@@ -17,6 +17,10 @@ two for display and for API parity.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
+
+import numpy as np
 
 SECONDS_PER_MINUTE = 60.0
 SECONDS_PER_HOUR = 3600.0
@@ -128,6 +132,23 @@ def clamp(value: float, low: float, high: float) -> float:
     if low > high:
         raise ValueError(f"empty clamp interval [{low}, {high}]")
     return max(low, min(high, value))
+
+
+def sequential_sum(values):
+    """``values`` added one by one, left to right, starting from int ``0``.
+
+    The columnar kernels replay the object path's running sums in the
+    same IEEE order, so those sums must not be builtin ``sum``: since
+    Python 3.12 it adds floats with Neumaier compensation, which can
+    round differently.  This keeps the order (and the bits) that
+    ``sum`` gave through 3.11, including int ``0`` for an empty input.
+    An ndarray is accumulated in C: ``np.add.accumulate`` is a
+    sequential scan, and adding the final ``0`` maps an all ``-0.0``
+    input to ``0.0``, as starting from ``0`` does.
+    """
+    if isinstance(values, np.ndarray):
+        return np.add.accumulate(values)[-1].item() + 0 if values.size else 0
+    return reduce(add, values, 0)
 
 
 def format_duration(seconds: float) -> str:

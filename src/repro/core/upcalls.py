@@ -242,9 +242,10 @@ class _WorkerPlan:
     demand was already pushed to exactly these containers (the scalar
     path rewrites the same value every tick and the container setter
     no-ops on equality, so skipping the rewrite is unobservable).  A
-    launch or stop builds a new plan, which carries ``written`` over for
-    every member whose pool list survived: the platform binds a new
-    list for each pool it changes and never mutates one.
+    launch or stop builds a new plan, which carries ``written`` and the
+    :meth:`count_column` columns over for every member whose pool list
+    survived (``kept``): the platform binds a new list for each pool it
+    changes and never mutates one.
 
     ``utils``/``sums`` cache the finish kernel's effective-utilization
     gather and its per-member sums while ``Container._utilization_epoch``
@@ -258,7 +259,9 @@ class _WorkerPlan:
         "flat",
         "flat_member",
         "written",
-        "extras",
+        "kept",
+        "columns",
+        "_carried",
         "util_epoch",
         "utils",
         "sums",
@@ -272,15 +275,46 @@ class _WorkerPlan:
         np.cumsum(counts, out=self.offsets[1:])
         self.flat = list(chain.from_iterable(lists))
         self.flat_member = np.repeat(np.arange(n, dtype=np.intp), counts)
+        self.columns: Dict[str, np.ndarray] = {}
         if previous is None:
             self.written = np.zeros(n, dtype=bool)
+            self.kept: Optional[np.ndarray] = None
+            self._carried: Dict[str, np.ndarray] = {}
         else:
-            kept = np.fromiter(map(is_, lists, previous.lists), dtype=bool, count=n)
-            self.written = previous.written & kept
-        self.extras: Dict[str, np.ndarray] = {}
+            self.kept = np.fromiter(
+                map(is_, lists, previous.lists), dtype=bool, count=n
+            )
+            self.written = previous.written & self.kept
+            self._carried = previous.columns
         self.util_epoch = -1
         self.utils: Optional[np.ndarray] = None
         self.sums: Optional[np.ndarray] = None
+
+    def count_column(self, name: str, apps: list, derive) -> np.ndarray:
+        """The float column ``derive(app, worker count)`` over the
+        members, derived once per plan.
+
+        ``derive`` must be pure in the member and its worker count.  A
+        column the previous plan derived under ``name`` is carried over
+        for every member whose pool list survived, so a storm derives
+        only the members whose pools changed.
+        """
+        column = self.columns.get(name)
+        if column is None:
+            carried = self._carried.get(name)
+            if carried is None:
+                column = np.fromiter(
+                    map(derive, apps, self.counts.tolist()),
+                    dtype=float,
+                    count=len(apps),
+                )
+            else:
+                column = carried.copy()
+                counts = self.counts
+                for k in np.flatnonzero(~self.kept).tolist():
+                    column[k] = derive(apps[k], int(counts[k]))
+            self.columns[name] = column
+        return column
 
 
 class WorkloadRows:

@@ -26,7 +26,6 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import DatasetIntegrityError, UnknownTraceNameError
-from repro.obs.metrics import default_registry
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -127,24 +126,6 @@ DATASETS: Dict[str, DatasetDescriptor] = {d.name: d for d in _DESCRIPTORS}
 #: Loaded sample arrays by dataset name (files never change mid-process).
 _SAMPLE_CACHE: Dict[str, np.ndarray] = {}
 
-_registry = default_registry()
-_DATASET_LOADS = _registry.counter(
-    "provider_dataset_loads_total",
-    "Bundled dataset files read and checksum-verified, by dataset.",
-    labelnames=("dataset",),
-)
-_DATASET_CACHE_HITS = _registry.counter(
-    "provider_dataset_cache_hits_total",
-    "Dataset resolutions served from the in-process sample cache.",
-    labelnames=("dataset",),
-)
-_DATASET_CHECKSUM_FAILURES = _registry.counter(
-    "provider_dataset_checksum_failures_total",
-    "Dataset loads rejected because the file bytes did not match the "
-    "registered SHA-256.",
-    labelnames=("dataset",),
-)
-
 
 def descriptor(name: str) -> DatasetDescriptor:
     """The descriptor for a dataset name; raises listing known names."""
@@ -156,18 +137,15 @@ def descriptor(name: str) -> DatasetDescriptor:
 def load_samples(name: str, verify: bool = True) -> np.ndarray:
     """The dataset's sample array (read-only view), checksum-verified.
 
-    Files are parsed once per process; subsequent loads hit the cache
-    (and count as cache hits in the obs registry).
+    Files are parsed once per process; subsequent loads hit the cache.
     """
     if name in _SAMPLE_CACHE:
-        _DATASET_CACHE_HITS.labels(dataset=name).inc()
         return _SAMPLE_CACHE[name]
     desc = descriptor(name)
     payload = desc.path.read_bytes()
     if verify:
         digest = hashlib.sha256(payload).hexdigest()
         if digest != desc.sha256:
-            _DATASET_CHECKSUM_FAILURES.labels(dataset=name).inc()
             raise DatasetIntegrityError(
                 f"dataset {name!r} failed checksum verification: "
                 f"expected sha256 {desc.sha256}, file has {digest}; "
@@ -177,7 +155,6 @@ def load_samples(name: str, verify: bool = True) -> np.ndarray:
     samples = _parse_csv(name, payload.decode("utf-8"))
     samples.flags.writeable = False
     _SAMPLE_CACHE[name] = samples
-    _DATASET_LOADS.labels(dataset=name).inc()
     return samples
 
 

@@ -350,8 +350,8 @@ class BatchJob(Application):
             # effective_utilization inlined: plan members are running, so
             # it is min(demand, cap) — np.minimum matches the scalar min()
             # bit for bit, and bincount accumulates each member's utils
-            # from 0.0 in the same launch order as the scalar
-            # per-container sum.
+            # from 0.0 in launch order, as the scalar models'
+            # sequential_sum does.
             demand = np.fromiter(
                 map(attrgetter("_demand_utilization"), flat), dtype=float, count=m
             )

@@ -27,6 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.units import sequential_sum
 from repro.workloads.base import BatchJob
 
 DEFAULT_WORKER_RATE_UNITS_PER_S = 1.0
@@ -167,25 +168,18 @@ class MLTrainingJob(BatchJob):
         rest is stall spin.  Power caps clamp total utilization, scaling
         productive work proportionally.
         """
-        n = len(effective_utilizations)
-        if n == 0:
+        productive_share = self._productive_share(len(effective_utilizations))
+        if productive_share == 0.0:
             return 0.0
-        productive_share = self._share_by_n.get(n)
-        if productive_share is None:
-            demand = self.demand_utilization(n)
-            if demand <= 0:
-                return 0.0
-            productive_share = self._share_by_n[n] = (
-                self.busy_fraction(n) / demand
-            )
-        return self._worker_rate * sum(effective_utilizations) * productive_share
+        return (
+            self._worker_rate
+            * sequential_sum(effective_utilizations)
+            * productive_share
+        )
 
     def _productive_share(self, num_workers: int) -> float:
-        """The ``busy/demand`` share :meth:`throughput_units_per_s` uses.
-
-        Mirrors its memo behavior exactly, including *not* caching the
-        degenerate ``demand <= 0`` case.
-        """
+        """The ``busy/demand`` share of ``num_workers`` workers, memoized
+        per count; 0.0 for no workers or no demand (not memoized)."""
         if num_workers == 0:
             return 0.0
         productive_share = self._share_by_n.get(num_workers)
@@ -204,19 +198,10 @@ class MLTrainingJob(BatchJob):
 
         Operand order matches :meth:`throughput_units_per_s`; members
         with zero workers get share 0.0, reproducing its early return.
-        The share column is pure in the (fixed) per-plan worker counts,
-        so it is cached on the plan and dies with it.
+        The share column is pure in the per-plan worker counts, so it
+        is a count column of the plan.
         """
-        shares = plan.extras.get("ml_share")
-        if shares is None:
-            shares = plan.extras["ml_share"] = np.fromiter(
-                (
-                    app._productive_share(count)
-                    for app, count in zip(rows.apps, plan.counts.tolist())
-                ),
-                dtype=float,
-                count=rows.n,
-            )
+        shares = plan.count_column("ml_share", rows.apps, cls._productive_share)
         return rows.col("_worker_rate") * sums * shares
 
     def _natural_throughput(self, num_workers: int) -> float:

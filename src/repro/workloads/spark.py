@@ -25,6 +25,7 @@ from typing import List
 import numpy as np
 
 from repro.core.clock import TickInfo
+from repro.core.units import sequential_sum
 from repro.workloads.base import BatchJob
 
 DEFAULT_CHECKPOINT_INTERVAL_S = 1800.0
@@ -118,14 +119,14 @@ class SparkJob(BatchJob):
         n = len(effective_utilizations)
         if n == 0:
             return 0.0
-        denom = self._denom_by_n.get(n)
-        if denom is None:
-            denom = self._denom_by_n[n] = 1.0 + self._sync_overhead * (n - 1)
-        raw = self._worker_rate * sum(effective_utilizations)
-        return raw / denom
+        raw = self._worker_rate * sequential_sum(effective_utilizations)
+        return raw / self._sync_denom(n)
 
     def _sync_denom(self, num_workers: int) -> float:
-        """The memoized coordination denominator (``num_workers >= 1``)."""
+        """The memoized coordination denominator; 1.0 for no workers
+        (a member the batch kernel gives no progress anyway)."""
+        if not num_workers:
+            return 1.0
         denom = self._denom_by_n.get(num_workers)
         if denom is None:
             denom = self._denom_by_n[num_workers] = 1.0 + self._sync_overhead * (
@@ -154,19 +155,10 @@ class SparkJob(BatchJob):
     def _batch_rate(cls, rows, plan, utils, sums):
         """Vectorized throughput: ``(rate * sum) / denom`` per member.
 
-        The denominator column is pure in the (fixed) per-plan worker
-        counts, so it is cached on the plan and dies with it.
+        The denominator column is pure in the per-plan worker counts,
+        so it is a count column of the plan.
         """
-        denoms = plan.extras.get("spark_denom")
-        if denoms is None:
-            denoms = plan.extras["spark_denom"] = np.fromiter(
-                (
-                    app._sync_denom(count) if count else 1.0
-                    for app, count in zip(rows.apps, plan.counts.tolist())
-                ),
-                dtype=float,
-                count=rows.n,
-            )
+        denoms = plan.count_column("spark_denom", rows.apps, cls._sync_denom)
         raw = rows.col("_worker_rate") * sums
         return raw / denoms
 

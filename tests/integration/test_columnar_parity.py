@@ -48,11 +48,13 @@ costs: a step re-lays the fleet out only after a membership or share
 change, and writes nothing back until a store is read.
 """
 
+import builtins
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -92,6 +94,8 @@ from repro.sim.fleet import (
     run_fleet,
 )
 from repro.workloads.mltrain import MLTrainingJob
+from repro.workloads.spark import SparkJob
+from tests.conftest import make_ecovisor, run_ticks
 
 # Small-but-varied fleets: large enough to mix all policy kinds, both
 # workload classes, and battery holders vs grid-only tenants; small
@@ -515,6 +519,121 @@ class TestShortfallParity:
         assert len(short) >= 3, short
         progress = [w["progress_units"] for w in columnar["workloads"].values()]
         assert sum(p > 0.0 for p in progress) >= 3
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 computes it: exact floats are
+    added with Neumaier compensation, everything else as before."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+        else:
+            return total
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int):
+                total += float(item)
+                continue
+            if c and math.isfinite(c):
+                total += c
+            total = total + item
+            break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in items:
+        total = total + item
+    return total
+
+
+class TestCompensatedSumParity:
+    """Byte parity holds whatever builtin ``sum`` does with floats.
+
+    The columnar kernels add left to right (``np.bincount``, ``+=``
+    loops, ``np.add.accumulate``), and the object path's running sums
+    go through :func:`repro.core.units.sequential_sum`.  Here builtin
+    ``sum`` is swapped for Python 3.12's compensated algorithm on any
+    interpreter, so a reference-path sum that still called it would
+    round differently and show as a difference: the fleet cases catch
+    the plant's battery level, the bare-ecovisor case the per-app
+    demand, the attribution and the cluster power, and the last case
+    the ML and Spark throughput models.
+    """
+
+    STATIC = {"apps": 24, "ticks": 50, "seed": 2023, "mix": "balanced"}
+    CHURN = {**STATIC, "apps": 8, "admit_rate": 0.8, "evict_rate": 0.25}
+
+    def test_the_swap_is_compensated(self):
+        assert compensated_sum([1e16, 1.0, -1e16] * 3) == 3.0
+        assert compensated_sum([1, 2, 3]) == 6
+        assert compensated_sum([[1], [2]], []) == [1, 2]
+
+    @pytest.mark.parametrize("churn", [False, True], ids=["static", "churn"])
+    def test_surfaces_byte_identical(self, churn, monkeypatch):
+        params = self.CHURN if churn else self.STATIC
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        columnar = _capture(params, batched=True, churn=churn)
+        objects = _capture(params, batched=False, churn=churn)
+        _assert_identical(params, churn, columnar, objects)
+
+    #: Every worker of the fleets above runs at utilization 1.0 (1.25 W),
+    #: whose sums round alike either way; these do not.
+    UTILS = {
+        "a": [(2 * i + 1) / 20 for i in range(10)],
+        "b": [(i + 1) / 10 for i in range(10)],
+    }
+
+    def test_uneven_container_powers(self, monkeypatch):
+        # Per-app demand, per-container attribution (the grid carbon a
+        # 3 W solar share leaves) and cluster power over two tenants of
+        # ten unequal containers, on the bare ecovisor down both paths.
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        add_up = functools.partial(functools.reduce, operator.add)
+        captures = []
+        for columnar in (True, False):
+            reset_container_id_counter()
+            eco = make_ecovisor(num_servers=6)
+            eco.columnar = columnar
+            for name, utils in self.UTILS.items():
+                eco.admit_app(name, ShareConfig(solar_fraction=0.3))
+                for u in utils:
+                    eco.launch_container(name, 1).set_demand_utilization(u)
+            platform = eco.platform
+            app = list(platform.app_container_powers("a").values())
+            assert compensated_sum(app) != add_up(app, 0)
+            every = list(platform.container_powers().values())
+            base = platform.baseline_power_w()
+            assert compensated_sum(every) + base != add_up(every, 0) + base
+            run_ticks(eco, 5)
+            captures.append(collect_surfaces(eco, []))
+        assert captures[0]["accounts"]["a"]["carbon_g"] > 0.0
+        _assert_identical(self.UTILS, False, *captures)
+
+    def test_throughput_models(self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        utils = [0.1] * 10
+        total = functools.reduce(operator.add, utils, 0)
+        assert compensated_sum(utils) != total
+        ml = MLTrainingJob()
+        assert ml.throughput_units_per_s(utils) == (
+            ml.worker_rate_units_per_s * total * ml._productive_share(10)
+        )
+        spark = SparkJob()
+        assert spark.throughput_units_per_s(utils) == (1.0 * total) / spark._sync_denom(10)
 
 
 class TestSolarChangeParity:

@@ -4,11 +4,12 @@ Under any sequence of launches, stops, scalings, resizes (refused
 migrations included), and cap and demand changes: no server is ever
 over-committed, every listed container is running and placed on exactly
 the server it names, the memoized per-app and role views equal a fresh
-regrouping of the listed containers, the scheduler's per-server
-occupancy arrays equal a fresh read of every server, an operation
-replaces only the role lists of the pools it acted on and never changes
-a list it handed out, and measured power stays within the cluster's
-physical envelope.
+regrouping of the listed containers, the scheduler's per-server state
+equals a fresh read of every server and its pick equals a fresh
+``(instances, name)`` scan, the idle baseline equals a walk over every
+server, an operation replaces only the role lists of the pools it acted
+on and never changes a list it handed out, and measured power stays
+within the cluster's physical envelope.
 """
 
 import hypothesis.strategies as st
@@ -19,6 +20,9 @@ from repro.core.config import ClusterConfig, ServerConfig
 from repro.core.errors import InsufficientResourcesError, UnknownContainerError
 
 CLUSTER = ClusterConfig(num_servers=4, server=ServerConfig())
+# Twelve servers: name order ("server-10" before "server-2") differs
+# from the platform's index order.
+WIDE = ClusterConfig(num_servers=12, server=ServerConfig(cores=2))
 APPS = ("app", "other")
 ROLES = ("worker", "coordinator")
 
@@ -46,6 +50,21 @@ MIGRATION = (
     [("launch", 2, "app", "worker")] + [("launch", 1, "app", "worker")] * 3
     + [("launch", 2, "app", "worker"), ("resize", 0, 3)]
 )
+
+# The two lowest-count servers are full, so a 2-core launch skips their
+# whole instance-count group for the next one.
+NEAR_FULL = (
+    [("launch", 4, "app", "worker")] * 2 + [("launch", 1, "app", "worker")] * 4
+    + [("launch", 2, "other", "worker")]
+)
+
+
+def fresh_allocated(server) -> float:
+    """A server's allocated cores, re-summed in insertion order."""
+    allocated = 0.0
+    for container in server.containers:
+        allocated += container.cores
+    return allocated
 
 
 def apply_ops(cop: ContainerOrchestrationPlatform, ops) -> None:
@@ -122,23 +141,68 @@ class TestPlacementInvariants:
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)
     @example(ops=MIGRATION)
-    def test_scheduler_arrays_equal_a_fresh_read(self, ops):
+    def test_scheduler_state_is_a_fresh_read(self, ops):
         # The platform commits each server it placed on, evicted from
         # or resized on; checked after every operation, so a commit it
-        # skipped leaves the arrays wrong at the next check.
+        # skipped leaves the state wrong at the next check.  Each server
+        # sits in the group for its instance count, groups in name order.
         cop = ContainerOrchestrationPlatform(CLUSTER)
         scheduler = cop._scheduler
         for op in ops:
             apply_ops(cop, [op])
-            cores, counts = [], []
-            for server in scheduler._servers:
-                allocated = 0.0
-                for container in server.containers:
-                    allocated += container.cores
-                cores.append(allocated)
-                counts.append(float(len(server.containers)))
-            assert scheduler._alloc.tolist() == cores, op
-            assert scheduler._counts.tolist() == counts, op
+            servers = scheduler._servers
+            assert [s.name for s in servers] == sorted(s.name for s in cop.servers)
+            counts = [len(server.containers) for server in servers]
+            groups = {}
+            for pos, count in enumerate(counts):
+                groups.setdefault(count, []).append(pos)
+            room = [s.total_cores - fresh_allocated(s) + 1e-9 for s in servers]
+            assert scheduler._room == room, op
+            assert scheduler._counts == counts, op
+            kept = {c: group for c, group in enumerate(scheduler._groups) if group}
+            assert kept == groups, op
+
+    @given(ops=operations, cluster=st.sampled_from([CLUSTER, WIDE]))
+    @settings(max_examples=60, deadline=None)
+    @example(ops=MIGRATION, cluster=CLUSTER)
+    @example(ops=NEAR_FULL, cluster=CLUSTER)
+    def test_select_picks_the_fewest_instances_by_name(self, ops, cluster):
+        # After every operation and for every request width, the pick
+        # is what a fresh (instances, name) scan over the servers with
+        # room picks, and select raises exactly when none has room.
+        cop = ContainerOrchestrationPlatform(cluster)
+        for op in ops:
+            apply_ops(cop, [op])
+            for cores in (1, 2, 3, 4):
+                fits = [
+                    server
+                    for server in cop.servers
+                    if server.total_cores - fresh_allocated(server) + 1e-9 >= cores
+                ]
+                try:
+                    chosen = cop._scheduler.select(cores)
+                except InsufficientResourcesError:
+                    assert not fits, (op, cores)
+                    continue
+                expected = min(fits, key=lambda s: (len(s.containers), s.name))
+                assert chosen is expected, (op, cores)
+
+    @given(ops=operations, cluster=st.sampled_from([CLUSTER, WIDE]))
+    @settings(max_examples=60, deadline=None)
+    @example(ops=MIGRATION, cluster=CLUSTER)
+    def test_baseline_equals_a_walk_over_every_server(self, ops, cluster):
+        # The platform refreshes one server's idle term per commit; the
+        # sum must keep the bits of a left-to-right walk in server order.
+        cop = ContainerOrchestrationPlatform(cluster)
+        for op in ops:
+            apply_ops(cop, [op])
+            walk = 0.0
+            for server in cop.servers:
+                cores = server.config.cores
+                walk += (
+                    (cores - fresh_allocated(server)) / cores
+                ) * server.config.idle_power_w
+            assert cop.baseline_power_w() == walk, op
 
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)

@@ -1,7 +1,11 @@
 """Unit conversions: the foundation everything else computes with."""
 
 import math
+import random
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pytest
 
 from repro.core import units
@@ -97,6 +101,39 @@ class TestClamp:
     def test_clamp_empty_interval(self):
         with pytest.raises(ValueError):
             units.clamp(0.5, 1.0, 0.0)
+
+
+class TestSequentialSum:
+    """Left to right from int 0: the bits builtin ``sum`` gave through
+    Python 3.11, on every interpreter."""
+
+    def test_no_compensation(self):
+        # Compensated summation (``sum`` on 3.12+) gives 3.0 here.
+        values = [1e16, 1.0, -1e16] * 3
+        assert units.sequential_sum(values) == 0.0
+        assert units.sequential_sum(np.array(values)) == 0.0
+
+    def test_empty_is_int_zero(self):
+        for empty in ([], iter(()), np.zeros(0)):
+            result = units.sequential_sum(empty)
+            assert result == 0 and type(result) is int
+
+    def test_array_accumulate_matches_the_loop(self):
+        rng = random.Random(2023)
+        for _ in range(2000):
+            values = [
+                rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 17)
+                for _ in range(rng.randint(1, 60))
+            ]
+            expected = reduce(add, values, 0)
+            for got in (units.sequential_sum(values), units.sequential_sum(np.array(values))):
+                assert got == expected and type(got) is float
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    def test_negative_zeros_sum_to_zero(self):
+        for values in ([-0.0], [-0.0, -0.0]):
+            for form in (values, np.array(values)):
+                assert math.copysign(1.0, units.sequential_sum(form)) == 1.0
 
 
 class TestFormatDuration:
