@@ -3,32 +3,36 @@
 
 Two Wikipedia-style web applications run for 48 simulated hours under a
 static carbon rate limit (system policy) and under dynamic carbon
-budgeting (application policy).  The dynamic policy banks carbon credits
-during quiet periods and spends them to hold its latency SLO through
-simultaneous high-carbon/high-load evenings.
+budgeting (application policy) -- the ``fig06_web_budgeting`` scenario.
+The dynamic policy banks carbon credits during quiet periods and spends
+them to hold its latency SLO through simultaneous high-carbon/high-load
+evenings.
 
 Run:  python examples/web_carbon_budgeting.py
 """
 
-from repro.analysis.figures_web import fig06_07_web_budgeting
+from repro.sim.runner import run_sweep
 
 
 def main() -> None:
-    out = fig06_07_web_budgeting()
+    rows = {row["policy"]: row for row in run_sweep("fig06_web_budgeting").rows_ok()}
     print("48 h of two web apps under carbon policies\n")
-    print(f"{'policy':16s} {'app':10s} {'SLO':>6s} {'violations':>11s} "
-          f"{'worst p95':>10s} {'carbon':>9s}")
-    for r in out["results"]:
-        print(
-            f"{r.policy_label:16s} {r.app_name:10s} {r.slo_ms:4.0f}ms "
-            f"{r.violation_fraction * 100:9.2f} % "
-            f"{r.worst_p95_ms:8.0f}ms {r.carbon_g:7.2f} g"
-        )
-    st1, st2, dy1, dy2 = out["results"]
+    print(f"{'policy':9s} {'app':10s} {'violations':>11s} {'worst p95':>10s} {'carbon':>9s}")
+    for policy, row in rows.items():
+        for app in ("webapp1", "webapp2"):
+            print(
+                f"{policy:9s} {app:10s} "
+                f"{row[f'{app}_violation_fraction'] * 100:9.2f} % "
+                f"{row[f'{app}_worst_p95_ms']:8.0f}ms {row[f'{app}_carbon_g']:7.2f} g"
+            )
+    cuts = [
+        (rows["static"][f"{app}_carbon_g"] - rows["dynamic"][f"{app}_carbon_g"])
+        / rows["static"][f"{app}_carbon_g"] * 100
+        for app in ("webapp1", "webapp2")
+    ]
     print(
         f"\ncarbon reduction (dynamic vs static): "
-        f"{(st1.carbon_g - dy1.carbon_g) / st1.carbon_g * 100:.1f}% (app1), "
-        f"{(st2.carbon_g - dy2.carbon_g) / st2.carbon_g * 100:.1f}% (app2)"
+        f"{cuts[0]:.1f}% (app1), {cuts[1]:.1f}% (app2)"
     )
     print(
         "\nTakeaway: the static rate limit cannot add capacity when carbon\n"

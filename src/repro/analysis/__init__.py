@@ -1,51 +1,6 @@
-"""Per-figure experiment builders and metric helpers.
+"""Per-figure scenario runs, metric helpers and the paper's claims.
 
-One function per paper figure; the benchmarks in ``benchmarks/`` wrap
-these and print the same rows/series the paper reports.
+Each figure's experiment is one run function here, registered as a
+scenario in :mod:`repro.sim.catalog`; :mod:`repro.analysis.claims` sets
+the paper's numbers beside the scenarios' metrics and checks them.
 """
-
-from repro.analysis.figures_batch import (
-    fig01_carbon_traces,
-    fig04a_ml_training,
-    fig04b_blast,
-    fig05_multitenancy,
-)
-from repro.analysis.figures_battery import fig08_09_battery_policies
-from repro.analysis.figures_market import (
-    extension_market_table,
-    market_pareto_rows,
-    run_market_case,
-)
-from repro.analysis.figures_solar import (
-    fig10_day_series,
-    fig10_solar_caps,
-    fig11_straggler_mitigation,
-)
-from repro.analysis.figures_web import fig06_07_web_budgeting
-from repro.analysis.metrics import (
-    carbon_reduction_pct,
-    energy_efficiency_per_joule,
-    percentile,
-    runtime_improvement_pct,
-    slo_violation_fraction,
-)
-
-__all__ = [
-    "carbon_reduction_pct",
-    "energy_efficiency_per_joule",
-    "fig01_carbon_traces",
-    "fig04a_ml_training",
-    "fig04b_blast",
-    "fig05_multitenancy",
-    "extension_market_table",
-    "fig06_07_web_budgeting",
-    "fig08_09_battery_policies",
-    "fig10_day_series",
-    "fig10_solar_caps",
-    "fig11_straggler_mitigation",
-    "market_pareto_rows",
-    "percentile",
-    "run_market_case",
-    "runtime_improvement_pct",
-    "slo_violation_fraction",
-]

@@ -33,7 +33,6 @@ from repro.policies import (
 )
 from repro.policies.base import worker_power_w
 from repro.sim.experiment import solar_battery_environment
-from repro.sim.results import SeriesBundle, ServiceRunResult
 from repro.workloads.spark import SparkJob
 from repro.workloads.traces import daytime_request_trace
 from repro.workloads.webapp import WebApplication
@@ -149,90 +148,3 @@ def run_battery_policy_case(policy: str, seed: int = 2023) -> Dict[str, float]:
         np.abs(socs["spark"][:n] - socs["web-monitor"][:n]).max()
     )
     return metrics
-
-
-def fig08_09_battery_policies(seed: int = 2023) -> Dict[str, object]:
-    """Figures 8-9: static vs dynamic virtual-battery policies.
-
-    Returns Spark runtimes (and the dynamic runtime reduction), web SLO
-    results for both policies, and the Figure 8/9 time series (solar,
-    workload, workers, latency, battery SoC, and signed battery power).
-    """
-    static = _run("static", seed)
-    dynamic = _run("dynamic", seed)
-
-    spark_static: SparkJob = static["spark"]
-    spark_dynamic: SparkJob = dynamic["spark"]
-    runtime_static = spark_static.completion_time_s or float("inf")
-    runtime_dynamic = spark_dynamic.completion_time_s or float("inf")
-    runtime_reduction_pct = (
-        (runtime_static - runtime_dynamic) / runtime_static * 100.0
-        if runtime_static not in (0.0, float("inf"))
-        else float("nan")
-    )
-
-    web_results = []
-    for label, run in (("System Policy", static), ("Dynamic", dynamic)):
-        web: WebApplication = run["web"]
-        account = run["env"].ecovisor.ledger.account(web.name)
-        web_results.append(
-            ServiceRunResult(
-                policy_label=label,
-                app_name=web.name,
-                slo_ms=web.slo_ms,
-                ticks=web.tick_count,
-                violation_ticks=web.violation_ticks,
-                mean_p95_ms=web.mean_latency_ms,
-                worst_p95_ms=web.worst_latency_ms,
-                carbon_g=account.carbon_g,
-                energy_wh=account.energy_wh,
-            )
-        )
-
-    bundle = SeriesBundle(title="Figs 8-9: battery policies")
-    for run, prefix in ((static, "static"), (dynamic, "dynamic")):
-        db = run["env"].ecovisor.database
-        for app_name in ("spark", "web-monitor"):
-            workers = db.series(f"app.{app_name}.containers")
-            bundle.add(
-                f"{prefix}.{app_name}.workers",
-                list(workers.times()),
-                list(workers.values()),
-            )
-        latency = db.series("app.web-monitor.p95_ms")
-        bundle.add(
-            f"{prefix}.web-monitor.p95_ms",
-            list(latency.times()),
-            list(latency.values()),
-        )
-    dynamic_db = dynamic["env"].ecovisor.database
-    solar = dynamic_db.series("plant.solar_w")
-    bundle.add("solar_w", list(solar.times()), list(solar.values()))
-    workload = dynamic_db.series("app.web-monitor.request_rate_rps")
-    bundle.add("web_workload_rps", list(workload.times()), list(workload.values()))
-    for app_name in ("spark", "web-monitor"):
-        soc = dynamic_db.series(f"app.{app_name}.battery_soc")
-        bundle.add(f"dynamic.{app_name}.soc", list(soc.times()), list(soc.values()))
-        power = dynamic_db.series(f"app.{app_name}.battery_power_w")
-        bundle.add(
-            f"dynamic.{app_name}.battery_power_w",
-            list(power.times()),
-            list(power.values()),
-        )
-
-    return {
-        "bundle": bundle,
-        "spark_runtime_static_s": runtime_static,
-        "spark_runtime_dynamic_s": runtime_dynamic,
-        "spark_runtime_reduction_pct": runtime_reduction_pct,
-        "spark_lost_units_dynamic": spark_dynamic.lost_units_total,
-        "web_results": web_results,
-        "zero_carbon": {
-            "static_spark_g": static["env"].ecovisor.ledger.app_carbon_g("spark"),
-            "dynamic_spark_g": dynamic["env"].ecovisor.ledger.app_carbon_g("spark"),
-            "static_web_g": static["env"].ecovisor.ledger.app_carbon_g("web-monitor"),
-            "dynamic_web_g": dynamic["env"].ecovisor.ledger.app_carbon_g(
-                "web-monitor"
-            ),
-        },
-    }

@@ -20,9 +20,9 @@ recomputation from the raw settlements (it must be ~0 by construction).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.core.units import energy_cost_usd
+from repro.core.units import energy_cost_usd, sequential_sum
 
 # Frozen calibration for the market sweep (kept scenario-overridable).
 MARKET_DAYS = 2
@@ -112,7 +112,7 @@ def run_market_case(
     env.engine.run(max_ticks, stop_when_batch_complete=True)
 
     account = env.ecovisor.ledger.account(job.name)
-    recomputed = sum(
+    recomputed = sequential_sum(
         energy_cost_usd(s.grid_total_wh, s.price_usd_per_kwh)
         for s in account.settlements
     )
@@ -179,31 +179,3 @@ def market_pareto_rows(table: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         )
     rows.sort(key=lambda r: (r["regime"], r["carbon_g"], r["policy_point"]))
     return rows
-
-
-def extension_market_table(
-    jobs: int = 1,
-    regimes: Optional[Sequence[str]] = None,
-    lams: Optional[Sequence[float]] = None,
-    seed: int = 2023,
-) -> List[Dict[str, Any]]:
-    """Run the ``extension_market`` sweep and return its Pareto rows.
-
-    Executes on the scenario runner (``jobs>=2`` fans the matrix over
-    worker processes; serial and parallel tables are byte-identical).
-    """
-    from repro.sim.runner import run_sweep
-
-    overrides: Dict[str, Any] = {"seed": int(seed)}
-    if regimes is not None:
-        overrides["regime"] = list(regimes)
-    if lams is not None:
-        overrides["lam"] = list(lams)
-    sweep = run_sweep("extension_market", overrides=overrides, jobs=jobs)
-    failures = sweep.failures()
-    if failures:
-        raise RuntimeError(
-            f"extension_market sweep had {len(failures)} failed runs: "
-            + "; ".join(f"{r.spec.label()}: {r.error}" for r in failures)
-        )
-    return market_pareto_rows(sweep.rows_ok())

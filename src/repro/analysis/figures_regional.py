@@ -17,7 +17,7 @@ SHA-256 so a results table is self-describing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 # Frozen calibration for the regional sweep (scenario-overridable).
 REGIONAL_DAYS = 2
@@ -132,34 +132,6 @@ def run_regional_case(
             DATASETS[carbon_dataset].sha256 if carbon_dataset else ""
         ),
     }
-
-
-def regional_grids_table(
-    jobs: int = 1,
-    regions: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    seed: int = 2023,
-) -> List[Dict[str, Any]]:
-    """Run the ``regional`` sweep and return its tidy rows.
-
-    Executes on the scenario runner (``jobs>=2`` fans the matrix over
-    worker processes; serial and parallel tables are byte-identical).
-    """
-    from repro.sim.runner import run_sweep
-
-    overrides: Dict[str, Any] = {"seed": int(seed)}
-    if regions is not None:
-        overrides["region"] = list(regions)
-    if policies is not None:
-        overrides["policy"] = list(policies)
-    sweep = run_sweep("regional", overrides=overrides, jobs=jobs)
-    failures = sweep.failures()
-    if failures:
-        raise RuntimeError(
-            f"regional sweep had {len(failures)} failed runs: "
-            + "; ".join(f"{r.spec.label()}: {r.error}" for r in failures)
-        )
-    return regional_summary_rows(sweep.rows_ok())
 
 
 def regional_summary_rows(

@@ -21,8 +21,8 @@ Methodology notes (documented deviations):
 - The paper sweeps a scaled solar *day*; completing a multi-hour job
   across day boundaries quantizes runtimes by whole nights at our scale,
   so the sweeps here hold solar constant at the swept fraction of the
-  job's maximum draw.  :func:`fig10_day_series` still reproduces the
-  Figure 10(a)/(b) time-series view over the real solar day.
+  job's maximum draw.  :func:`run_solar_day_case` still runs the
+  Figure 10(a)/(b) view over the real solar day.
 - A lower-idle server profile (0.25 W idle, 5 W peak) keeps the static
   policy's equal split above the idle floor at 10% solar, matching the
   paper's operating range.
@@ -30,7 +30,7 @@ Methodology notes (documented deviations):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -68,7 +68,6 @@ from repro.policies import (
 )
 from repro.policies.base import worker_power_w
 from repro.sim.engine import SimulationEngine
-from repro.sim.results import SeriesBundle
 from repro.workloads.parallel import ParallelJob
 
 NUM_TASKS = 10
@@ -267,99 +266,77 @@ def solar_cap_rows(table: List[Dict[str, float]]) -> List[Dict[str, float]]:
     return rows
 
 
-def fig10_solar_caps(
-    percentages: Tuple[int, ...] = (10, 20, 30, 40, 50, 60, 70, 80, 90),
-    seed: int = 2023,
-    jobs: int = 1,
-) -> List[Dict[str, float]]:
-    """Figure 10(c): runtime improvement and energy-efficiency vs solar %.
+def run_solar_day_case(seed: int = 2023) -> Dict[str, float]:
+    """Figures 10(a)/(b): the dynamic caps over a real (rolled) solar day.
 
-    One row per percentage: the dynamic policy's runtime improvement over
-    the static policy, and the dynamic run's energy-efficiency (work per
-    joule).  No stragglers are injected; round-to-round task-size variance
-    supplies the imbalance (the paper's first configuration).
-
-    Executes on the scenario runner: ``jobs<=1`` is the deterministic
-    serial fallback, ``jobs>=2`` fans the (solar %, policy) matrix out
-    over worker processes.  Both orderings produce identical rows.
-    """
-    from repro.sim.runner import run_sweep
-
-    sweep = run_sweep(
-        "fig10_solar_caps",
-        overrides={
-            # dict.fromkeys dedupes while preserving order: a repeated
-            # point would otherwise collide in the pivot.
-            "solar_pct": list(dict.fromkeys(float(p) for p in percentages)),
-            "seed": int(seed),
-        },
-        jobs=jobs,
-    )
-    failures = sweep.failures()
-    if failures:
-        raise RuntimeError(
-            f"fig10 sweep had {len(failures)} failed runs: "
-            + "; ".join(f"{r.spec.label()}: {r.error}" for r in failures)
-        )
-    return solar_cap_rows(sweep.rows_ok())
-
-
-def fig10_day_series(seed: int = 2023) -> SeriesBundle:
-    """Figures 10(a)/(b): solar day and dynamic per-container power caps.
-
-    Runs the dynamic policy over the real (rolled) solar day and returns
-    the solar series, the per-container power-cap series, and the static
-    equal-split center line.
+    Reports what the two panels show: how many per-container cap series
+    the run recorded, the solar and application power peaks, and the
+    share of ticks in which the application drew more than half a watt
+    above the solar supply (the dynamic caps keep demand within it).
     """
     run = _run_parallel(
         _day_solar(1.0, seed), "dynamic", seed, 0.0,
         FIG10_ROUNDS, FIG10_MEAN_WORK, FIG10_WORK_CV,
     )
-    engine: SimulationEngine = run["engine"]
-    db = engine.ecovisor.database
-    bundle = SeriesBundle(title="Fig 10(a)/(b): solar day and dynamic caps")
-    solar = db.series("plant.solar_w")
-    bundle.add("solar_w", list(solar.times()), list(solar.values()))
-    app_power = db.series("app.parallel.power_w")
-    bundle.add("application_power_w", list(app_power.times()), list(app_power.values()))
-    for name in db.series_names():
-        if name.startswith("container.") and name.endswith(".power_w"):
-            series = db.series(name)
-            bundle.add(name, list(series.times()), list(series.values()))
-    return bundle
+    db = run["engine"].ecovisor.database
+    solar_series = db.series("plant.solar_w")
+    app_series = db.series("app.parallel.power_w")
+    solar = dict(zip(solar_series.times(), solar_series.values()))
+    app = dict(zip(app_series.times(), app_series.values()))
+    overdraws = sum(1 for t in app if t in solar and app[t] > solar[t] + 0.5)
+    return {
+        "runtime_s": float(run["runtime_s"]),
+        "completed": float(run["completed"]),
+        "container_cap_series": float(
+            sum(
+                1
+                for name in db.series_names()
+                if name.startswith("container.") and name.endswith(".power_w")
+            )
+        ),
+        "peak_solar_w": float(max(solar.values())),
+        "peak_app_power_w": float(max(app.values())),
+        "ticks": float(len(app)),
+        "overdraw_fraction": overdraws / len(app),
+    }
 
 
-def fig11_straggler_mitigation(
-    percentages: Tuple[int, ...] = (100, 110, 120, 130, 140, 150, 160, 170, 180, 190, 200),
-    seed: int = 2023,
-    jobs: int = 1,
-) -> List[Dict[str, float]]:
-    """Figure 11: replica-based straggler mitigation under excess solar.
+def run_solar_buffer_case(buffer: bool, seed: int = 11) -> Dict[str, float]:
+    """Ablation: the one-tick solar buffer under fast-moving clouds.
 
-    One row per percentage of available renewable power (>= 100% of the
-    job's maximum draw): runtime improvement of the replica policy over
-    the identical configuration with replicas disabled, and the replica
-    run's energy-efficiency.
-
-    Executes on the scenario runner (``fig11_stragglers``): ``jobs<=1``
-    is the deterministic serial fallback, ``jobs>=2`` fans the
-    (solar %, policy) matrix out over worker processes.  Both orderings
-    produce identical rows.
+    A solar-tracking parallel job with the ecovisor's one-tick solar
+    buffer on (the paper's design, Section 3.1) or off (a
+    perfect-knowledge upper bound the design trades away for
+    predictability).
     """
-    from repro.sim.runner import run_sweep
-
-    sweep = run_sweep(
-        "fig11_stragglers",
-        overrides={
-            "solar_pct": list(dict.fromkeys(float(p) for p in percentages)),
-            "seed": int(seed),
-        },
-        jobs=jobs,
+    days = 4
+    solar = SolarArrayEmulator(
+        SolarConfig(peak_power_w=12.5, panel_efficiency_derating=1.0),
+        SolarTrace(days=days, seed=seed, cloudiness=0.6),  # very cloudy: fast swings
     )
-    failures = sweep.failures()
-    if failures:
-        raise RuntimeError(
-            f"fig11 sweep had {len(failures)} failed runs: "
-            + "; ".join(f"{r.spec.label()}: {r.error}" for r in failures)
-        )
-    return straggler_rows(sweep.rows_ok())
+    plant = PhysicalEnergySystem(grid=GridConnection(), solar=solar)
+    carbon = CarbonIntensityService(
+        CarbonServiceConfig(region="constant"),
+        trace=constant_trace(200.0, days=days),
+    )
+    platform = ContainerOrchestrationPlatform(
+        ClusterConfig(num_servers=8, server=ServerConfig(cores=4, idle_power_w=0.25))
+    )
+    ecovisor = Ecovisor(
+        plant, platform, carbon, EcovisorConfig(solar_buffer_enabled=bool(buffer))
+    )
+    engine = SimulationEngine(ecovisor, SimulationClock(60.0))
+    job = ParallelJob(
+        name="parallel", num_tasks=10, num_rounds=6, mean_task_work_units=600.0, seed=seed
+    )
+    engine.add_application(
+        job, ShareConfig(solar_fraction=1.0, grid_power_w=0.0), DynamicSolarCapPolicy()
+    )
+    engine.run(days * 24 * 60, stop_when_batch_complete=True)
+    account = ecovisor.ledger.account("parallel")
+    return {
+        "runtime_s": job.completion_time_s or float("inf"),
+        "unmet_wh": float(account.unmet_wh),
+        "energy_wh": float(account.energy_wh),
+        "completed": 1.0 if job.is_complete else 0.0,
+    }

@@ -18,14 +18,13 @@ slack at night.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.carbon.traces import CarbonTrace, make_region_trace
+from repro.carbon.traces import make_region_trace
 from repro.core.config import ShareConfig
 from repro.policies import CarbonRateLimitPolicy, DynamicCarbonBudgetPolicy
 from repro.policies.base import worker_power_w
 from repro.sim.experiment import DEFAULT_CLUSTER, grid_environment
-from repro.sim.results import SeriesBundle, ServiceRunResult
 from repro.workloads.traces import diurnal_request_trace
 from repro.workloads.webapp import WebApplication
 
@@ -53,89 +52,50 @@ def _web_apps(seed: int) -> Tuple[WebApplication, WebApplication]:
     return app1, app2
 
 
-def _run(
-    policy_kind: str,
-    carbon_trace: Optional[CarbonTrace],
-    seed: int,
-) -> Dict[str, object]:
-    if carbon_trace is None:
-        carbon_trace = make_region_trace("caiso", days=2, seed=seed)
-    env = grid_environment(trace=carbon_trace)
-    app1, app2 = _web_apps(seed)
-    per_worker_w = worker_power_w(DEFAULT_CLUSTER, cores=1.0)
-    for app in (app1, app2):
-        if policy_kind == "static":
-            policy = CarbonRateLimitPolicy(
-                TARGET_RATE_MG_PER_S, per_worker_w, max_workers=MAX_WORKERS
-            )
-        else:
-            policy = DynamicCarbonBudgetPolicy(
-                TARGET_RATE_MG_PER_S, per_worker_w, max_workers=MAX_WORKERS
-            )
-        env.engine.add_application(
-            app, ShareConfig(grid_power_w=float("inf")), policy
-        )
-    ticks = int(TRACE_HOURS * 60)
-    env.engine.run(ticks)
-    return {"env": env, "apps": (app1, app2)}
+def run_web_budgeting_case(policy: str, seed: int = 2023) -> Dict[str, float]:
+    """Figures 6 and 7: both web apps for 48 h under one policy.
 
-
-def _service_result(env, app: WebApplication, label: str) -> ServiceRunResult:
-    account = env.ecovisor.ledger.account(app.name)
-    return ServiceRunResult(
-        policy_label=label,
-        app_name=app.name,
-        slo_ms=app.slo_ms,
-        ticks=app.tick_count,
-        violation_ticks=app.violation_ticks,
-        mean_p95_ms=app.mean_latency_ms,
-        worst_p95_ms=app.worst_latency_ms,
-        carbon_g=account.carbon_g,
-        energy_wh=account.energy_wh,
-    )
-
-
-def fig06_07_web_budgeting(
-    seed: int = 2023,
-    carbon_trace: Optional[CarbonTrace] = None,
-) -> Dict[str, object]:
-    """Figures 6 and 7: static rate-limit vs dynamic budget, both apps.
-
-    Returns per-policy :class:`ServiceRunResult` rows plus the time
-    series the two figures plot (latency, carbon rate, worker counts,
-    carbon-intensity, request rates).
+    ``policy`` is ``static`` (the rate-limit system policy) or
+    ``dynamic`` (the carbon budget).  Per app: SLO violations, p95
+    latency, carbon, and the carbon-rate and worker series' mean and
+    peak; plus how the first app's workers correlate with grid carbon
+    (Figure 7b's inverse tracking).
     """
-    static = _run("static", carbon_trace, seed)
-    dynamic = _run("dynamic", carbon_trace, seed)
+    import numpy as np
 
-    results: List[ServiceRunResult] = []
-    for label, run in (("System Policy", static), ("Dynamic Budget", dynamic)):
-        for app in run["apps"]:
-            results.append(_service_result(run["env"], app, label))
+    if policy not in ("static", "dynamic"):
+        raise ValueError(f"unknown web policy: {policy!r}")
+    env = grid_environment(trace=make_region_trace("caiso", days=2, seed=seed))
+    apps = _web_apps(seed)
+    per_worker_w = worker_power_w(DEFAULT_CLUSTER, cores=1.0)
+    policy_class = CarbonRateLimitPolicy if policy == "static" else DynamicCarbonBudgetPolicy
+    for app in apps:
+        env.engine.add_application(
+            app,
+            ShareConfig(grid_power_w=float("inf")),
+            policy_class(TARGET_RATE_MG_PER_S, per_worker_w, max_workers=MAX_WORKERS),
+        )
+    env.engine.run(int(TRACE_HOURS * 60))
 
-    bundle = SeriesBundle(title="Figs 6-7: web carbon budgeting")
-    static_db = static["env"].ecovisor.database
-    dynamic_db = dynamic["env"].ecovisor.database
-    carbon = static_db.series("grid.carbon_g_per_kwh")
-    bundle.add("carbon_intensity", list(carbon.times()), list(carbon.values()))
-    for db, prefix in ((static_db, "static"), (dynamic_db, "dynamic")):
-        for app_name in ("webapp1", "webapp2"):
-            for signal, series_name in (
-                ("p95_ms", f"app.{app_name}.p95_ms"),
-                ("workers", f"app.{app_name}.containers"),
-                ("carbon_rate", f"app.{app_name}.carbon_rate_mg_s"),
-                ("request_rate", f"app.{app_name}.request_rate_rps"),
-            ):
-                series = db.series(series_name)
-                bundle.add(
-                    f"{prefix}.{app_name}.{signal}",
-                    list(series.times()),
-                    list(series.values()),
-                )
-
-    return {
-        "results": results,
-        "bundle": bundle,
-        "target_rate_mg_per_s": TARGET_RATE_MG_PER_S,
-        "slo_ms": {"webapp1": SLO_MS[0], "webapp2": SLO_MS[1]},
-    }
+    db = env.ecovisor.database
+    metrics: Dict[str, float] = {"target_rate_mg_per_s": TARGET_RATE_MG_PER_S}
+    for app in apps:
+        rates = np.asarray(list(db.series(f"app.{app.name}.carbon_rate_mg_s").values()))
+        workers = np.asarray(list(db.series(f"app.{app.name}.containers").values()))
+        metrics.update(
+            {
+                f"{app.name}_violation_fraction": app.violation_fraction,
+                f"{app.name}_mean_p95_ms": float(app.mean_latency_ms),
+                f"{app.name}_worst_p95_ms": float(app.worst_latency_ms),
+                f"{app.name}_carbon_g": float(env.ecovisor.ledger.account(app.name).carbon_g),
+                f"{app.name}_mean_rate_mg_s": float(rates.mean()),
+                f"{app.name}_max_rate_mg_s": float(rates.max()),
+                f"{app.name}_mean_workers": float(workers.mean()),
+                f"{app.name}_max_workers": float(workers.max()),
+            }
+        )
+    carbon = list(db.series("grid.carbon_g_per_kwh").values())
+    workers = list(db.series("app.webapp1.containers").values())
+    n = min(len(carbon), len(workers))
+    metrics["webapp1_workers_carbon_corr"] = float(np.corrcoef(carbon[:n], workers[:n])[0, 1])
+    return metrics

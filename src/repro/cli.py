@@ -1,14 +1,12 @@
-"""Command-line interface: regenerate figures and run scenario sweeps.
+"""Command-line interface: check the paper's claims and run scenario sweeps.
 
 Usage::
 
-    python -m repro list                 # available experiments
-    python -m repro fig04a               # ML training policy comparison
-    python -m repro fig04a --reps 4      # quicker, fewer arrivals
-    python -m repro fig10 --points 20,50,80
+    python -m repro claims --jobs 2      # the paper's claims, checked
     python -m repro scenarios            # the registered scenario catalog
     python -m repro routes               # the live /v1 REST route table
     python -m repro sweep smoke --jobs 2 # run a scenario matrix in parallel
+    python -m repro sweep fig04a_ml_training --param reps=4
     python -m repro sweep fig10_solar_caps --jobs 4 --param solar_pct=10/50/90
     python -m repro sweep extension_market --jobs 4 --out market.csv
     python -m repro profile fleet_medium # tick-phase profile of a fleet run
@@ -19,150 +17,26 @@ Usage::
     python -m repro traces show caiso-2022
     python -m repro traces validate      # checksum-verify every dataset
 
-Each figure command runs the same experiment builder the benchmarks use
-and prints the figure's rows.  ``sweep`` expands a registered scenario's
-parameter matrix and executes it across worker processes (``--jobs``),
-printing one tidy row per run plus provenance (config hash, wall time).
-``--param k=v,...`` pins parameters; a ``/``-separated value list (e.g.
+Every paper figure is one catalog scenario (``repro scenarios``).
+``claims`` runs them all at their committed defaults and prints the
+claims table (:mod:`repro.analysis.claims`): each row's paper value,
+reproduced value and check; it exits 1 and names every row that fails.
+``sweep`` expands one registered scenario's parameter matrix and
+executes it across worker processes (``--jobs``), printing one tidy row
+per run plus provenance (config hash, wall time).  ``--param k=v,...``
+pins parameters; a ``/``-separated value list (e.g.
 ``solar_pct=10/50/90``) redefines a sweep axis.  ``--out PATH`` persists
 the results table (CSV when PATH ends in ``.csv``, canonical JSON
-otherwise) so CI and benchmarks can consume artifacts instead of
-scraping stdout.  Everything is deterministic: a parallel sweep produces
-byte-identical metrics (and written tables) to the serial fallback
-(``--jobs 1``).
+otherwise) so CI can consume artifacts instead of scraping stdout.
+Everything is deterministic: a parallel sweep produces byte-identical
+metrics (and written tables) to the serial fallback (``--jobs 1``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-
-def _print_batch(summaries, title: str) -> None:
-    base = summaries[0]
-    print(f"=== {title} ===")
-    print(f"{'policy':14s} {'runtime':>11s} {'x agn':>7s} {'carbon':>10s} "
-          f"{'vs agn':>8s}")
-    for s in summaries:
-        print(
-            f"{s.policy_label:14s} {s.mean_runtime_hours:9.2f} h "
-            f"{s.runtime_ratio_vs(base):6.2f}x {s.mean_carbon_g:8.3f} g "
-            f"{s.carbon_change_vs(base) * 100:+7.1f}%"
-        )
-
-
-def cmd_fig01(args) -> None:
-    import numpy as np
-
-    from repro.analysis import fig01_carbon_traces
-
-    bundle = fig01_carbon_traces(days=args.days)
-    print("=== Figure 1: carbon intensity by region (g/kWh) ===")
-    for region in ("ontario", "uruguay", "caiso"):
-        values = np.asarray([v for _, v in bundle.series[region]])
-        print(
-            f"{region:10s} mean {values.mean():6.1f}  min {values.min():6.1f}  "
-            f"max {values.max():6.1f}  std {values.std():6.1f}"
-        )
-
-
-def cmd_fig04a(args) -> None:
-    from repro.analysis import fig04a_ml_training
-
-    _print_batch(
-        fig04a_ml_training(reps=args.reps),
-        f"Figure 4a: ML training ({args.reps} arrivals)",
-    )
-
-
-def cmd_fig04b(args) -> None:
-    from repro.analysis import fig04b_blast
-
-    _print_batch(
-        fig04b_blast(reps=args.reps),
-        f"Figure 4b: BLAST ({args.reps} arrivals)",
-    )
-
-
-def cmd_fig05(args) -> None:
-    from repro.analysis import fig05_multitenancy
-
-    out = fig05_multitenancy(days=args.days)
-    print("=== Figure 5: multi-tenant scaling ===")
-    print(f"ML threshold:    {out['ml_threshold']:.1f} g/kWh")
-    print(f"BLAST threshold: {out['blast_threshold']:.1f} g/kWh")
-    for name in ("ml-training", "blast"):
-        counts = [v for _, v in out["bundle"].series[f"{name}_containers"]]
-        print(f"{name:12s} containers 0..{max(counts):.0f}")
-    print(f"carbon: ML {out['ml_carbon_g']:.3f} g, BLAST {out['blast_carbon_g']:.3f} g")
-
-
-def cmd_fig06(args) -> None:
-    from repro.analysis import fig06_07_web_budgeting
-
-    out = fig06_07_web_budgeting()
-    print("=== Figures 6-7: web carbon budgeting (48 h) ===")
-    for r in out["results"]:
-        print(
-            f"{r.policy_label:16s} {r.app_name:9s} SLO {r.slo_ms:4.0f}ms "
-            f"violations {r.violation_fraction * 100:5.2f}%  "
-            f"carbon {r.carbon_g:6.2f} g"
-        )
-
-
-def cmd_fig08(args) -> None:
-    from repro.analysis import fig08_09_battery_policies
-
-    out = fig08_09_battery_policies()
-    print("=== Figures 8-9: battery policies (zero-carbon) ===")
-    print(
-        f"spark: static {out['spark_runtime_static_s'] / 3600:.1f} h, "
-        f"dynamic {out['spark_runtime_dynamic_s'] / 3600:.1f} h "
-        f"(-{out['spark_runtime_reduction_pct']:.1f}%)"
-    )
-    for r in out["web_results"]:
-        print(
-            f"web {r.policy_label:14s} violations "
-            f"{r.violation_fraction * 100:5.1f}%"
-        )
-    print(f"carbon: {out['zero_carbon']}")
-
-
-def _parse_points(spec: Optional[str], default: Sequence[int]) -> tuple:
-    if not spec:
-        return tuple(default)
-    return tuple(int(p) for p in spec.split(","))
-
-
-def cmd_fig10(args) -> None:
-    from repro.analysis import fig10_solar_caps
-
-    rows = fig10_solar_caps(
-        percentages=_parse_points(args.points, (10, 30, 50, 70, 90))
-    )
-    print("=== Figure 10(c): solar power balancing ===")
-    for row in rows:
-        print(
-            f"solar {row['solar_pct']:3.0f}%  improvement "
-            f"{row['runtime_improvement_pct']:5.1f}%  "
-            f"work/J {row['energy_efficiency_per_j']:.4f}"
-        )
-
-
-def cmd_fig11(args) -> None:
-    from repro.analysis import fig11_straggler_mitigation
-
-    rows = fig11_straggler_mitigation(
-        percentages=_parse_points(args.points, (100, 125, 150, 175, 200))
-    )
-    print("=== Figure 11: straggler mitigation ===")
-    for row in rows:
-        print(
-            f"solar {row['solar_pct']:3.0f}%  improvement "
-            f"{row['runtime_improvement_pct']:5.1f}%  "
-            f"work/J {row['energy_efficiency_per_j']:.4f}"
-        )
+from typing import Any, Dict, List, Optional, Sequence
 
 
 def _parse_param_value(text: str) -> Any:
@@ -311,6 +185,23 @@ def cmd_traces(args) -> int:
     raise UnknownTraceNameError(
         "traces action", action, ("list", "show", "validate")
     )
+
+
+def cmd_claims(args) -> int:
+    """``repro claims``: evaluate the claims table; 1 if any row fails."""
+    from repro.analysis.claims import evaluate
+
+    report = evaluate(jobs=args.jobs)
+    mode = f"{args.jobs} worker processes" if args.jobs > 1 else "serial"
+    print(f"=== claims: {len(report.outcomes)} rows ({mode}) ===")
+    for line in report.table():
+        print(line)
+    failures = report.failures()
+    for line in failures:
+        print(f"FAIL {line}")
+    held = sum(1 for o in report.outcomes if o.ok)
+    print(f"=== {held}/{len(report.outcomes)} claims hold ===")
+    return 1 if failures else 0
 
 
 def cmd_sweep(args) -> int:
@@ -531,33 +422,19 @@ def cmd_serve(args) -> int:
     return 0
 
 
-COMMANDS: Dict[str, Callable] = {
-    "fig01": cmd_fig01,
-    "fig04a": cmd_fig04a,
-    "fig04b": cmd_fig04b,
-    "fig05": cmd_fig05,
-    "fig06": cmd_fig06,
-    "fig07": cmd_fig06,  # same experiment; Figure 7 is its other view
-    "fig08": cmd_fig08,
-    "fig09": cmd_fig08,  # same experiment; Figure 9 is its other view
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Regenerate figures from the Ecovisor paper (ASPLOS 2023).",
+        description="Reproduce the Ecovisor paper (ASPLOS 2023).",
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(COMMANDS) + [
-            "list", "profile", "routes", "scenarios", "serve", "sweep",
+        choices=[
+            "claims", "profile", "routes", "scenarios", "serve", "sweep",
             "traces",
         ],
-        help="which figure to regenerate, 'list', 'routes', 'scenarios', "
-             "'serve', 'sweep', 'profile', or 'traces'",
+        help="'claims', 'routes', 'scenarios', 'serve', 'sweep', "
+             "'profile', or 'traces'",
     )
     parser.add_argument(
         "scenario", nargs="?", default=None,
@@ -571,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for 'sweep' (1 = serial fallback)",
+        help="worker processes for 'sweep' and 'claims' (1 = serial fallback)",
     )
     parser.add_argument(
         "--param", action="append", default=None, metavar="K=V[,K=V...]",
@@ -585,18 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose", action="store_true",
         help="show scenario descriptions in 'scenarios'",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=10,
-        help="repetitions for Figure 4 experiments (default 10)",
-    )
-    parser.add_argument(
-        "--days", type=int, default=2,
-        help="trace days for Figures 1 and 5 (default 2)",
-    )
-    parser.add_argument(
-        "--points", type=str, default=None,
-        help="comma-separated sweep points for Figures 10/11",
     )
     parser.add_argument(
         "--ticks", type=int, default=None,
@@ -634,17 +499,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"unexpected argument {args.dataset!r} "
             f"(only 'traces show' takes a dataset name)"
         )
-    if args.experiment == "list":
-        print("available experiments:")
-        for name in sorted(COMMANDS):
-            print(f"  {name}")
-        print(
-            "plus: scenarios (catalog), sweep <scenario> (parallel runner), "
-            "profile <scenario> (tick-phase profiler), "
-            "serve <scenario> (async API gateway), "
-            "traces (bundled dataset registry)"
-        )
-        return 0
+    if args.experiment == "claims":
+        return cmd_claims(args)
     if args.experiment == "routes":
         cmd_routes(args)
         return 0
@@ -676,13 +532,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_serve(args)
         except (ScenarioError, ValueError) as exc:
             parser.error(str(exc))
-    if args.experiment == "traces":
-        try:
-            return cmd_traces(args)
-        except ValueError as exc:
-            parser.error(str(exc))
-    COMMANDS[args.experiment](args)
-    return 0
+    try:
+        return cmd_traces(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

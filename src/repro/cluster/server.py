@@ -125,14 +125,6 @@ class Server:
         others = self.allocated_cores - container.cores
         return others + new_cores <= self.total_cores + 1e-9
 
-    def measured_power_w(self) -> float:
-        """Attributed power of all running containers on this server.
-
-        Matches the software-defined meter's view: per-container attributed
-        power, excluding idle power of unallocated cores (which belongs to
-        the platform baseline, visible in Figure 5d's cluster series).
-        """
-        return sum(c.last_power_w for c in self._containers.values())
 
     def baseline_idle_power_w(self) -> float:
         """Idle power of cores not allocated to any container.

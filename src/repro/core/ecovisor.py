@@ -1242,11 +1242,6 @@ class Ecovisor:
     # Current environment readings (the tick signals every snapshot carries)
     # ------------------------------------------------------------------
     @property
-    def current_tick_index(self) -> int:
-        """Index of the most recently begun tick (0 before the first)."""
-        return self._current_tick_index
-
-    @property
     def next_tick_index(self) -> int:
         """Index of the tick the next ``begin_tick`` will run.
 

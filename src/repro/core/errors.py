@@ -65,10 +65,6 @@ class EnergyConservationError(EcovisorError):
     """
 
 
-class BudgetExhaustedError(EcovisorError):
-    """A carbon budget was exhausted and the policy disallows overdraft."""
-
-
 class TraceError(EcovisorError):
     """A trace (carbon, solar, or workload) was malformed or out of range."""
 

@@ -1112,13 +1112,10 @@ class FleetArrays:
                 b._level_wh = lvl_l[k]
                 e = out_l[k]
                 b._total_discharged_wh += e
-                b._cycle_throughput_wh += e
                 e = in1_l[k]
                 b._total_charged_wh += e
-                b._cycle_throughput_wh += e
                 e = in2_l[k]
                 b._total_charged_wh += e
-                b._cycle_throughput_wh += e
                 vb._last_discharge_w = ldis_l[k]
                 vb._last_charge_w = lchg_l[k]
 

@@ -147,14 +147,6 @@ class EnergyState:
         """State of charge in [0, 1]; 0.0 when no battery share."""
         return self.battery.soc_fraction if self.battery is not None else 0.0
 
-    # ------------------------------------------------------------------
-    # Derived figures
-    # ------------------------------------------------------------------
-    @property
-    def app_power_w(self) -> float:
-        """Total measured container power of the application (W)."""
-        return sum(self.container_power_w.values())
-
     def finalized(
         self,
         *,

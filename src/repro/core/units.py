@@ -48,29 +48,9 @@ def wh_to_kwh(watt_hours: float) -> float:
     return watt_hours / WH_PER_KWH
 
 
-def kwh_to_wh(kilowatt_hours: float) -> float:
-    """Convert an energy value in kilowatt-hours to watt-hours."""
-    return kilowatt_hours * WH_PER_KWH
-
-
-def wh_to_joules(watt_hours: float) -> float:
-    """Convert an energy value in watt-hours to joules."""
-    return watt_hours * JOULES_PER_WH
-
-
-def joules_to_wh(joules: float) -> float:
-    """Convert an energy value in joules to watt-hours."""
-    return joules / JOULES_PER_WH
-
-
 def seconds_to_hours(seconds: float) -> float:
     """Convert a duration in seconds to hours."""
     return seconds / SECONDS_PER_HOUR
-
-
-def hours_to_seconds(hours: float) -> float:
-    """Convert a duration in hours to seconds."""
-    return hours * SECONDS_PER_HOUR
 
 
 def energy_wh(power_w: float, duration_s: float) -> float:

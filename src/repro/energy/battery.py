@@ -42,7 +42,6 @@ class Battery:
         self._level_wh = self._config.initial_soc_fraction * self._config.capacity_wh
         self._total_charged_wh = 0.0
         self._total_discharged_wh = 0.0
-        self._cycle_throughput_wh = 0.0
 
     @property
     def config(self) -> BatteryConfig:
@@ -112,11 +111,6 @@ class Battery:
         """Cumulative output energy delivered at the terminals."""
         return self._total_discharged_wh
 
-    @property
-    def equivalent_full_cycles(self) -> float:
-        """Cycle count estimated from total throughput (for wear studies)."""
-        return self._cycle_throughput_wh / (2.0 * self._config.capacity_wh)
-
     def charge(self, requested_power_w: float, duration_s: float) -> float:
         """Charge at up to ``requested_power_w`` for ``duration_s`` seconds.
 
@@ -138,7 +132,6 @@ class Battery:
             self._config.capacity_wh,
         )
         self._total_charged_wh += input_wh
-        self._cycle_throughput_wh += input_wh
         Battery._write_epoch += 1
         return power_w(input_wh, duration_s)
 
@@ -163,15 +156,14 @@ class Battery:
             self._level_wh - drained_wh, 0.0, self._config.capacity_wh
         )
         self._total_discharged_wh += output_wh
-        self._cycle_throughput_wh += output_wh
         Battery._write_epoch += 1
         return power_w(output_wh, duration_s)
 
     def set_level_wh(self, level_wh: float) -> None:
         """Set the absolute stored energy, clamped to [0, capacity].
 
-        A controller operation, not an energy flow: the throughput and
-        cycle meters are untouched.  Used when a virtual battery is
+        A controller operation, not an energy flow: the throughput
+        meters are untouched.  Used when a virtual battery is
         rescaled to a new share of the physical bank — the rescaled
         model inherits the stored energy the share can hold.
         """

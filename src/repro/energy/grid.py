@@ -14,7 +14,7 @@ every watt-hour taken from the grid.
 from __future__ import annotations
 
 from repro.core.config import GridConfig
-from repro.core.units import energy_wh, power_w
+from repro.core.units import energy_wh
 from repro.energy.source import PowerSource
 
 
@@ -67,7 +67,3 @@ class GridConnection(PowerSource):
             return 0.0
         self._exported_wh += energy_wh(power_w_value, duration_s)
         return power_w_value
-
-    def average_draw_w(self, duration_s: float) -> float:
-        """Average power implied by the cumulative meter over a duration."""
-        return power_w(self.total_energy_wh, duration_s)

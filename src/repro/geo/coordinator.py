@@ -44,10 +44,6 @@ class SharedWorkPool:
         return self._total
 
     @property
-    def consumed_units(self) -> float:
-        return self._consumed
-
-    @property
     def remaining_units(self) -> float:
         return max(0.0, self._total - self._consumed)
 
@@ -164,10 +160,6 @@ class GeoCoordinator:
     @property
     def migrations(self) -> int:
         return self._migrations
-
-    @property
-    def home_site(self) -> Optional[str]:
-        return self._home
 
     def submit(self, total_work_units: float) -> SharedWorkPool:
         """Create the shared pool and register a worker job at every site."""

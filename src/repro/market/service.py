@@ -103,10 +103,6 @@ class PriceSignal:
         """
         return self._trace.percentile(q, window_start_s, window_end_s)
 
-    def mean_price(self, start_s: float = 0.0, end_s: float | None = None) -> float:
-        """Mean trace price over a window (for reporting and normalizing)."""
-        return self._trace.mean(start_s, end_s)
-
     def observed_percentile(self, q: float) -> float:
         """Percentile over *observed* history only (no lookahead)."""
         if not self._history:

@@ -124,10 +124,6 @@ class Metric:
         self._children: Dict[Tuple[str, ...], "Metric"] = {}
 
     # -- family plumbing ------------------------------------------------
-    @property
-    def is_family(self) -> bool:
-        return bool(self.labelnames)
-
     def labels(self, **labelvalues: Any) -> "Metric":
         """The concrete child series for one label-value combination."""
         if not self.labelnames:

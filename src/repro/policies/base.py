@@ -77,10 +77,6 @@ class Policy(abc.ABC):
             raise RuntimeError(f"{type(self).__name__} is not attached")
         return self._api
 
-    @property
-    def is_attached(self) -> bool:
-        return self._api is not None
-
     def attach(self, app: Application, api: EcovisorAPI) -> None:
         """Bind the policy to its application and register for ticks."""
         self._app = app

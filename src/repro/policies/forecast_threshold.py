@@ -1,6 +1,6 @@
 """Wait&Scale with a *forecast-derived* threshold.
 
-The paper (and our Figure 4 benchmarks) compute the carbon threshold
+The paper (and our Figure 4 scenarios) compute the carbon threshold
 from the trace itself — i.e., with perfect foresight.  A deployable
 policy must instead derive the threshold from a forecast and refresh it
 as observations accumulate.  This policy re-derives its percentile
@@ -8,8 +8,8 @@ threshold every ``refresh_interval_s`` from a
 :class:`~repro.carbon.forecast.CarbonForecaster`, and otherwise behaves
 exactly like :class:`~repro.policies.wait_and_scale.WaitAndScalePolicy`.
 
-The imperfect-foresight cost is quantified in
-``benchmarks/bench_ablation_forecast.py``.  The compared signal is named
+The imperfect-foresight cost is quantified by the
+``ablation_forecast`` scenario.  The compared signal is named
 by two class attributes, so
 :class:`~repro.policies.price_threshold.PriceThresholdPolicy` runs the
 same rule against the grid price.

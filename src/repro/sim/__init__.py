@@ -26,13 +26,7 @@ from repro.sim.experiment import (
     run_batch_policy,
     solar_battery_environment,
 )
-from repro.sim.results import (
-    BatchRunResult,
-    BatchSummary,
-    SeriesBundle,
-    ServiceRunResult,
-    summarize_batch,
-)
+from repro.sim.results import BatchRunResult, BatchSummary, summarize_batch
 from repro.sim.scenarios import Scenario, ScenarioSpec, expand, register
 from repro.sim import catalog  # noqa: F401  (registers the built-in scenarios)
 from repro.sim.runner import (
@@ -52,8 +46,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "ScenarioSpec",
-    "SeriesBundle",
-    "ServiceRunResult",
     "SimulationEngine",
     "SweepResult",
     "UNLIMITED_GRID_SHARE",

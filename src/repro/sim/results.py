@@ -1,18 +1,17 @@
 """Result records and summaries for experiment runs.
 
 The paper reports batch results as (carbon emissions, completion time)
-pairs with standard deviations over ten runs (Figure 4), and service
-results as latency/SLO time series plus total emissions (Figures 6-8).
-These dataclasses are the printable/testable form of those outputs.
+pairs with standard deviations over ten runs (Figure 4).  These
+dataclasses are the printable/testable form of those outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
-from repro.core.units import SECONDS_PER_HOUR
+from repro.core.units import SECONDS_PER_HOUR, sequential_sum
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,17 @@ class BatchSummary:
             return math.inf
         return (self.mean_carbon_g - other.mean_carbon_g) / other.mean_carbon_g
 
+    def metrics(self) -> Dict[str, float]:
+        """The summary as a scenario's flat metrics."""
+        return {
+            "mean_runtime_s": self.mean_runtime_s,
+            "std_runtime_s": self.std_runtime_s,
+            "mean_carbon_g": self.mean_carbon_g,
+            "std_carbon_g": self.std_carbon_g,
+            "mean_energy_wh": self.mean_energy_wh,
+            "completion_rate": self.completion_rate,
+        }
+
 
 def summarize_batch(results: Sequence[BatchRunResult]) -> BatchSummary:
     """Aggregate repeated runs of one policy into a summary row."""
@@ -84,58 +94,12 @@ def summarize_batch(results: Sequence[BatchRunResult]) -> BatchSummary:
     )
 
 
-@dataclass(frozen=True)
-class ServiceRunResult:
-    """One web-service run under one policy (a Figure 6 line)."""
-
-    policy_label: str
-    app_name: str
-    slo_ms: float
-    ticks: int
-    violation_ticks: int
-    mean_p95_ms: float
-    worst_p95_ms: float
-    carbon_g: float
-    energy_wh: float
-
-    @property
-    def violation_fraction(self) -> float:
-        if self.ticks == 0:
-            return 0.0
-        return self.violation_ticks / self.ticks
-
-    @property
-    def met_slo_always(self) -> bool:
-        return self.violation_ticks == 0
-
-
-@dataclass
-class SeriesBundle:
-    """Named (times, values) series extracted from the telemetry DB.
-
-    The per-figure builders in :mod:`repro.analysis.figures` return these
-    so benches can print the same rows/series the paper plots.
-    """
-
-    title: str
-    series: Dict[str, List[tuple]] = field(default_factory=dict)
-
-    def add(self, name: str, times: Sequence[float], values: Sequence[float]) -> None:
-        self.series[name] = list(zip(times, values))
-
-    def names(self) -> List[str]:
-        return sorted(self.series)
-
-    def __len__(self) -> int:
-        return len(self.series)
-
-
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    return sequential_sum(values) / len(values)
 
 
 def _std(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = _mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(sequential_sum((v - mu) ** 2 for v in values) / (len(values) - 1))

@@ -246,7 +246,7 @@ def run_sweep(
 
 
 def default_jobs() -> int:
-    """Worker count for benchmarks: ``$REPRO_SWEEP_JOBS`` or min(4, cpus)."""
+    """Worker count for the claims test: ``$REPRO_SWEEP_JOBS`` or min(4, cpus)."""
     env = os.environ.get(JOBS_ENV_VAR)
     if env:
         try:

@@ -53,10 +53,6 @@ class Scenario:
     sweep: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
 
-    def parameter_names(self) -> Tuple[str, ...]:
-        """Every parameter the scenario accepts (defaults and axes)."""
-        return tuple(sorted({*self.defaults, *self.sweep}))
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

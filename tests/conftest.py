@@ -144,3 +144,23 @@ def small_fleet_params() -> dict:
     serial-vs-parallel sweep parity of ``fleet_*`` rests on.
     """
     return {"apps": 10, "ticks": 20, "seed": 2023, "mix": "balanced"}
+
+
+@pytest.fixture(scope="session")
+def claims_report():
+    """The claims table evaluated once per session at the scenarios'
+    committed defaults, on ``default_jobs()`` worker processes."""
+    from repro.analysis.claims import evaluate
+    from repro.sim.runner import default_jobs
+
+    return evaluate(jobs=default_jobs())
+
+
+def claim_holds(report, figure: str, quantity: str) -> None:
+    """Assert that the claims row ``figure | quantity`` holds."""
+    matches = [
+        o for o in report.outcomes
+        if o.claim.figure == figure and o.claim.quantity == quantity
+    ]
+    assert len(matches) == 1, f"no single claims row {figure} | {quantity}"
+    assert matches[0].ok, f"{figure} | {quantity}: " + "; ".join(matches[0].problems())

@@ -1,50 +1,34 @@
-"""Integration: remaining analysis-builder surfaces."""
+"""Integration: the Figure 1 and Figure 10(a)/(b) scenarios.
 
-import pytest
+The shape checks are rows of the paper's claims table
+(:mod:`repro.analysis.claims`), read from the session's one evaluation.
+"""
 
-from repro.analysis.figures_batch import fig01_carbon_traces
-from repro.analysis.figures_solar import fig10_day_series
+from repro.sim.runner import run_sweep
+from tests.conftest import claim_holds
 
 
 class TestFig01Bundle:
-    def test_three_regions_present(self):
-        bundle = fig01_carbon_traces(days=1)
-        assert bundle.names() == ["caiso", "ontario", "uruguay"]
+    def test_three_regions_present(self, claims_report):
+        claim_holds(claims_report, "1", "Uruguay / Ontario mean intensity")
+        claim_holds(claims_report, "1", "CAISO / Uruguay mean intensity")
 
-    def test_five_minute_sampling(self):
-        bundle = fig01_carbon_traces(days=1)
-        times = [t for t, _ in bundle.series["caiso"]]
-        assert times[1] - times[0] == pytest.approx(300.0)
-        assert len(times) == 288  # one day of 5-minute samples
+    def test_five_minute_sampling(self, claims_report):
+        claim_holds(claims_report, "1", "sampling interval, s")
+        claim_holds(claims_report, "1", "samples per day, fewest over the regions")
 
     def test_deterministic(self):
-        a = fig01_carbon_traces(days=1)
-        b = fig01_carbon_traces(days=1)
-        assert a.series == b.series
+        overrides = {"days": 1}
+        first = run_sweep("fig01_carbon_traces", overrides=overrides).metrics_json()
+        assert run_sweep("fig01_carbon_traces", overrides=overrides).metrics_json() == first
 
 
 class TestFig10DaySeries:
-    @pytest.fixture(scope="class")
-    def bundle(self):
-        return fig10_day_series()
+    def test_solar_and_app_power_series_present(self, claims_report):
+        claim_holds(claims_report, "10a-b", "ticks drawing > 0.5 W above solar")
 
-    def test_solar_and_app_power_series_present(self, bundle):
-        names = bundle.names()
-        assert "solar_w" in names
-        assert "application_power_w" in names
+    def test_per_container_cap_series_present(self, claims_report):
+        claim_holds(claims_report, "10a-b", "per-container cap series")
 
-    def test_per_container_cap_series_present(self, bundle):
-        container_series = [
-            n for n in bundle.names() if n.startswith("container.")
-        ]
-        assert len(container_series) >= 10  # one per node
-
-    def test_application_power_bounded_by_solar_envelope(self, bundle):
-        """The dynamic caps keep demand within the solar supply."""
-        solar = dict(bundle.series["solar_w"])
-        app = dict(bundle.series["application_power_w"])
-        overdraws = [
-            t for t in app
-            if t in solar and app[t] > solar[t] + 0.5  # half-watt tolerance
-        ]
-        assert len(overdraws) <= len(app) * 0.02
+    def test_application_power_bounded_by_solar_envelope(self, claims_report):
+        claim_holds(claims_report, "10a-b", "ticks drawing > 0.5 W above solar")

@@ -1,65 +1,39 @@
-"""Integration: Figure 10/11 solar-exploitation shapes (coarse sweeps)."""
+"""Integration: Figure 10/11 solar-exploitation shapes.
 
-import pytest
+Each check is one row of the paper's claims table
+(:mod:`repro.analysis.claims`), read from the session's one evaluation at
+the scenarios' committed defaults.
+"""
 
-from repro.analysis.figures_solar import (
-    fig10_solar_caps,
-    fig11_straggler_mitigation,
-)
-
-
-@pytest.fixture(scope="module")
-def fig10_rows():
-    return fig10_solar_caps(percentages=(20, 50, 80))
-
-
-@pytest.fixture(scope="module")
-def fig11_rows():
-    return fig11_straggler_mitigation(percentages=(100, 150, 200))
+from tests.conftest import claim_holds
 
 
 class TestFig10:
-    def test_all_runs_complete(self, fig10_rows):
-        for row in fig10_rows:
-            assert row["static_completed"] == 1.0
-            assert row["dynamic_completed"] == 1.0
+    def test_all_runs_complete(self, claims_report):
+        claim_holds(claims_report, "10c", "runs completed")
 
-    def test_dynamic_never_slower(self, fig10_rows):
-        for row in fig10_rows:
-            assert row["runtime_improvement_pct"] >= -1.0
+    def test_dynamic_never_slower(self, claims_report):
+        claim_holds(claims_report, "10c", "lowest improvement over the sweep")
 
-    def test_improvement_grows_as_solar_shrinks(self, fig10_rows):
-        """Paper: 'as solar energy decreases, the importance of
-        dynamically balancing power to reduce runtime increases'."""
-        improvements = [r["runtime_improvement_pct"] for r in fig10_rows]
-        assert improvements[0] > improvements[-1]
+    def test_improvement_grows_as_solar_shrinks(self, claims_report):
+        claim_holds(claims_report, "10c", "improvement at 20% minus at 80% solar")
 
-    def test_energy_efficiency_rises_with_solar(self, fig10_rows):
-        efficiencies = [r["energy_efficiency_per_j"] for r in fig10_rows]
-        assert efficiencies == sorted(efficiencies)
+    def test_energy_efficiency_rises_with_solar(self, claims_report):
+        claim_holds(claims_report, "10c", "smallest work/J step, 10% to 80% solar")
 
 
 class TestFig11:
-    def test_all_runs_complete(self, fig11_rows):
-        for row in fig11_rows:
-            assert row["baseline_completed"] == 1.0
-            assert row["replicas_completed"] == 1.0
+    def test_all_runs_complete(self, claims_report):
+        claim_holds(claims_report, "11", "runs completed")
 
-    def test_no_improvement_without_excess(self, fig11_rows):
-        at_100 = fig11_rows[0]
-        assert at_100["solar_pct"] == 100.0
-        assert abs(at_100["runtime_improvement_pct"]) < 5.0
+    def test_no_improvement_without_excess(self, claims_report):
+        claim_holds(claims_report, "11", "runtime improvement at 100% solar")
 
-    def test_excess_solar_buys_runtime(self, fig11_rows):
-        at_150 = fig11_rows[1]
-        assert at_150["runtime_improvement_pct"] > 10.0
+    def test_excess_solar_buys_runtime(self, claims_report):
+        claim_holds(claims_report, "11", "runtime improvement at 150% solar")
 
-    def test_diminishing_returns(self, fig11_rows):
-        """Going 150% -> 200% adds little (at most one replica finishes)."""
-        gain_150 = fig11_rows[1]["runtime_improvement_pct"]
-        gain_200 = fig11_rows[2]["runtime_improvement_pct"]
-        assert gain_200 - gain_150 < gain_150
+    def test_diminishing_returns(self, claims_report):
+        claim_holds(claims_report, "11", "gain 150-200% minus improvement at 150%")
 
-    def test_energy_efficiency_declines_with_excess(self, fig11_rows):
-        efficiencies = [r["energy_efficiency_per_j"] for r in fig11_rows]
-        assert efficiencies[-1] <= efficiencies[0]
+    def test_energy_efficiency_declines_with_excess(self, claims_report):
+        claim_holds(claims_report, "11", "work/J at 200% / at 100% solar")

@@ -36,7 +36,7 @@ class TestMarketSweep:
     def test_all_runs_complete_and_bill_consistently(self, small_sweep):
         for row in small_sweep.rows_ok():
             assert row["completed"] == 1.0, row
-            assert row["cost_recompute_abs_err"] < 1e-9, row
+            assert row["cost_recompute_abs_err"] == 0.0, row
             assert row["cost_usd"] >= 0.0
 
     def test_parallel_is_byte_identical(self, small_sweep):

@@ -1,62 +1,40 @@
-"""Integration: multi-tenant operation on one shared ecovisor (Fig 5)."""
+"""Integration: Multi-tenant operation on one shared ecovisor (Figure 5).
 
-import pytest
+Each check is one row of the paper's claims table
+(:mod:`repro.analysis.claims`), read from the session's one evaluation at
+the scenarios' committed defaults.
+"""
 
-from repro.analysis.figures_batch import fig05_multitenancy
-
-
-@pytest.fixture(scope="module")
-def outcome():
-    return fig05_multitenancy(days=2)
+from tests.conftest import claim_holds
 
 
 class TestConcurrentExecution:
-    def test_both_jobs_complete(self, outcome):
-        assert outcome["ml_completed"]
-        assert outcome["blast_completed"]
+    def test_both_jobs_complete(self, claims_report):
+        claim_holds(claims_report, "5", "jobs completed")
 
-    def test_thresholds_differ_per_application(self, outcome):
-        """Each app chose its own percentile threshold (30th vs 33rd)."""
-        assert outcome["ml_threshold"] != outcome["blast_threshold"]
+    def test_thresholds_differ_per_application(self, claims_report):
+        claim_holds(claims_report, "5", "ML minus BLAST threshold, g/kWh")
 
-    def test_per_app_carbon_isolated(self, outcome):
-        assert outcome["ml_carbon_g"] > 0
-        assert outcome["blast_carbon_g"] > 0
+    def test_per_app_carbon_isolated(self, claims_report):
+        claim_holds(claims_report, "5", "carbon of the cleaner app, g")
 
 
 class TestContainerSeries:
-    def test_series_present(self, outcome):
-        names = outcome["bundle"].names()
-        assert "carbon_intensity" in names
-        assert "ml-training_containers" in names
-        assert "blast_containers" in names
-        assert "cluster_containers" in names
+    def test_series_present(self, claims_report):
+        claim_holds(claims_report, "5", "ML peak containers")
+        claim_holds(claims_report, "5", "BLAST peak containers")
+        claim_holds(claims_report, "5", "cluster peak containers")
 
-    def test_ml_scales_between_zero_and_eight(self, outcome):
-        counts = {v for _, v in outcome["bundle"].series["ml-training_containers"]}
-        assert counts <= {0.0, 8.0}
-        assert 8.0 in counts
-        assert 0.0 in counts
+    def test_ml_scales_between_zero_and_eight(self, claims_report):
+        claim_holds(claims_report, "5", "ML peak containers")
+        claim_holds(claims_report, "5", "ML fewest containers")
+        claim_holds(claims_report, "5", "ML ticks at neither 0 nor 8 containers")
 
-    def test_blast_scales_between_zero_and_twentyfour(self, outcome):
-        counts = {v for _, v in outcome["bundle"].series["blast_containers"]}
-        # 24 workers + 1 coordinator while running; coordinator-only
-        # (1.0) while suspended; 0 after completion.
-        assert max(counts) == 25.0
+    def test_blast_scales_between_zero_and_twentyfour(self, claims_report):
+        claim_holds(claims_report, "5", "BLAST peak containers")
 
-    def test_cluster_is_sum_of_apps(self, outcome):
-        series = outcome["bundle"].series
-        ml = [v for _, v in series["ml-training_containers"]]
-        blast = [v for _, v in series["blast_containers"]]
-        cluster = [v for _, v in series["cluster_containers"]]
-        for a, b, c in zip(ml, blast, cluster):
-            assert c == pytest.approx(a + b)
+    def test_cluster_is_sum_of_apps(self, claims_report):
+        claim_holds(claims_report, "5", "cluster peak containers")
 
-    def test_apps_sometimes_run_simultaneously(self, outcome):
-        series = outcome["bundle"].series
-        ml = [v for _, v in series["ml-training_containers"]]
-        blast = [v for _, v in series["blast_containers"]]
-        together = [
-            1 for a, b in zip(ml, blast) if a > 0 and b > 1
-        ]
-        assert len(together) > 0
+    def test_apps_sometimes_run_simultaneously(self, claims_report):
+        claim_holds(claims_report, "5", "ticks both apps run")

@@ -110,13 +110,6 @@ class TestEnergyWindows:
 
 
 class TestWearAccounting:
-    def test_cycle_counting(self, small_battery_config):
-        battery = Battery(small_battery_config)
-        battery.charge(25.0, HOUR)
-        battery.discharge(25.0, HOUR)
-        # 50 Wh throughput over a 2*100 Wh full cycle = 0.25 cycles.
-        assert battery.equivalent_full_cycles == pytest.approx(0.25)
-
     def test_meters_accumulate(self, small_battery_config):
         battery = Battery(small_battery_config)
         battery.charge(10.0, HOUR)

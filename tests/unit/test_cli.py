@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import claims
 from repro.cli import build_parser, build_route_rows, main, parse_param_overrides
+from repro.sim import scenarios
 
 DOCS_API_TOUR = Path(__file__).resolve().parents[2] / "docs" / "api_tour.md"
 
@@ -16,16 +18,25 @@ class TestParser:
             build_parser().parse_args(["nope"])
 
     def test_accepts_all_figures(self):
-        for name in (
-            "fig01", "fig04a", "fig04b", "fig05", "fig06", "fig07",
-            "fig08", "fig09", "fig10", "fig11", "list",
-        ):
-            args = build_parser().parse_args([name])
-            assert args.experiment == name
+        # One scenario per paper figure (Figure 7 is a view of 6's runs,
+        # 9 of 8's); `claims` checks them all.
+        figures = {
+            name for name in scenarios.names() if "figure" in scenarios.get(name).tags
+        }
+        assert figures == {
+            "fig01_carbon_traces", "fig04a_ml_training", "fig04b_blast",
+            "fig05_multitenancy", "fig06_web_budgeting", "fig08_battery_policies",
+            "fig10_solar_day", "fig10_solar_caps", "fig11_stragglers",
+        }
+        for name in sorted(figures):
+            assert build_parser().parse_args(["sweep", name]).scenario == name
+        assert build_parser().parse_args(["claims"]).experiment == "claims"
 
     def test_points_option(self):
-        args = build_parser().parse_args(["fig10", "--points", "20,50"])
-        assert args.points == "20,50"
+        # The per-figure options are gone: `--param` sets scenario values.
+        for option in ("--points", "--reps", "--days"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", "fig10_solar_caps", option, "50"])
 
     def test_sweep_arguments(self):
         args = build_parser().parse_args(
@@ -56,27 +67,31 @@ class TestParamOverrides:
 
 
 class TestCommands:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig04a" in out
-        assert "fig11" in out
+    def test_list(self):
+        # `list` and the per-figure commands are gone: `scenarios` lists
+        # the catalog, `claims` checks every figure.
+        for command in ("list", "fig04a", "fig10"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_fig01(self, capsys):
-        assert main(["fig01", "--days", "1"]) == 0
+        assert main(["sweep", "fig01_carbon_traces", "--param", "days=1"]) == 0
         out = capsys.readouterr().out
-        assert "ontario" in out and "caiso" in out
+        assert "region=ontario" in out and "region=caiso" in out
+        assert "samples=288" in out
 
     def test_fig04a_small(self, capsys):
-        assert main(["fig04a", "--reps", "2"]) == 0
+        assert main(["sweep", "fig04a_ml_training", "--param", "reps=2"]) == 0
         out = capsys.readouterr().out
-        assert "W&S (2X)" in out
-        assert "CO2-agnostic" in out
+        assert "policy=ws-2x" in out
+        assert "policy=agnostic" in out
+        assert "4/4 ok" in out
 
     def test_fig10_small(self, capsys):
-        assert main(["fig10", "--points", "50"]) == 0
+        assert main(["sweep", "fig10_solar_caps", "--param", "solar_pct=50"]) == 0
         out = capsys.readouterr().out
-        assert "solar  50%" in out
+        assert "solar_pct=50" in out
+        assert "2/2 ok" in out
 
     def test_scenarios_listing(self, capsys):
         assert main(["scenarios"]) == 0
@@ -140,7 +155,7 @@ class TestRouteDocsSync:
 
     def test_figure_command_rejects_stray_positional(self, capsys):
         with pytest.raises(SystemExit):
-            main(["fig10", "oops", "--points", "50"])
+            main(["claims", "oops"])
         assert "unexpected argument 'oops'" in capsys.readouterr().err
 
     def test_single_run_sweep_reports_serial(self, capsys):
@@ -150,11 +165,6 @@ class TestRouteDocsSync:
         ) == 0
         out = capsys.readouterr().out
         assert "1 runs (serial)" in out
-
-    def test_fig10_duplicate_points_deduped(self, capsys):
-        assert main(["fig10", "--points", "50,50"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("solar  50%") == 1
 
     def test_sweep_out_writes_json(self, capsys, tmp_path):
         out = tmp_path / "table.json"
@@ -202,6 +212,33 @@ class TestRouteDocsSync:
             main(["sweep", "smoke", "--param", "typo=5"])
         err = capsys.readouterr().err
         assert "has no parameter 'typo'" in err
+
+
+class TestClaimsCommand:
+    """`repro claims` over a one-row table on the smoke scenario."""
+
+    def _one_row(self, monkeypatch, check):
+        row = claims.Claim(
+            "smoke", "ticks executed, fewest run", "-", 6, "{:.0f}", check,
+            lambda t: min(r["ticks_executed"] for r in t["smoke"]), "test row",
+        )
+        monkeypatch.setattr(claims, "CLAIMS", (row,))
+        monkeypatch.setattr(claims, "SCENARIOS", ("smoke",))
+
+    def test_holding_row_exits_zero(self, capsys, monkeypatch):
+        self._one_row(monkeypatch, claims.at_least(1.0))
+        assert main(["claims"]) == 0
+        out = capsys.readouterr().out
+        assert "| smoke | ticks executed, fewest run | - | 6 | >= 1 | test row |" in out
+        assert "1/1 claims hold" in out
+        assert "FAIL" not in out
+
+    def test_failing_row_exits_one_and_is_named(self, capsys, monkeypatch):
+        self._one_row(monkeypatch, claims.at_least(1000.0))
+        assert main(["claims", "--jobs", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL smoke | ticks executed, fewest run: fails >= 1000" in out
+        assert "0/1 claims hold" in out
 
 
 class TestProfile:

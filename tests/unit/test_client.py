@@ -107,7 +107,7 @@ class TestAdminClient:
         share = admin.admit_app("b", solar_fraction=0.2, battery_fraction=0.2)
         assert share.name == "b"
         effective_at = admin.set_share("b", solar_fraction=0.3)
-        assert effective_at == server._ecovisor.current_tick_index + 1
+        assert effective_at == server._ecovisor.next_tick_index
         account = admin.evict_app("b")
         assert account["finalized"] is True
         assert "b" not in [a.name for a in admin.list_apps()]

@@ -44,10 +44,3 @@ class TestExport:
     def test_export_rejects_negative(self):
         with pytest.raises(ValueError):
             GridConnection().export(-5.0, 60.0)
-
-
-class TestAverages:
-    def test_average_draw(self):
-        grid = GridConnection()
-        grid.draw(100.0, 1800.0)  # 50 Wh over half an hour
-        assert grid.average_draw_w(3600.0) == pytest.approx(50.0)

@@ -3,12 +3,7 @@
 
 import pytest
 
-from repro.sim.results import (
-    BatchRunResult,
-    SeriesBundle,
-    ServiceRunResult,
-    summarize_batch,
-)
+from repro.sim.results import BatchRunResult, summarize_batch
 
 
 def result(label="p", runtime=3600.0, carbon=1.0, completed=True):
@@ -58,32 +53,13 @@ class TestBatchSummary:
     def test_runtime_hours_on_result(self):
         assert result(runtime=1800.0).runtime_hours == pytest.approx(0.5)
 
-
-class TestServiceResult:
-    def test_violation_fraction(self):
-        r = ServiceRunResult(
-            policy_label="p", app_name="a", slo_ms=60.0, ticks=100,
-            violation_ticks=5, mean_p95_ms=40.0, worst_p95_ms=80.0,
-            carbon_g=1.0, energy_wh=2.0,
-        )
-        assert r.violation_fraction == pytest.approx(0.05)
-        assert not r.met_slo_always
-
-    def test_zero_ticks(self):
-        r = ServiceRunResult(
-            policy_label="p", app_name="a", slo_ms=60.0, ticks=0,
-            violation_ticks=0, mean_p95_ms=0.0, worst_p95_ms=0.0,
-            carbon_g=0.0, energy_wh=0.0,
-        )
-        assert r.violation_fraction == 0.0
-        assert r.met_slo_always
-
-
-class TestSeriesBundle:
-    def test_add_and_names(self):
-        bundle = SeriesBundle(title="t")
-        bundle.add("a", [0.0, 1.0], [10.0, 20.0])
-        bundle.add("b", [0.0], [1.0])
-        assert bundle.names() == ["a", "b"]
-        assert len(bundle) == 2
-        assert bundle.series["a"] == [(0.0, 10.0), (1.0, 20.0)]
+    def test_metrics_are_the_summary_fields(self):
+        summary = summarize_batch([result(runtime=3600.0), result(runtime=7200.0)])
+        assert summary.metrics() == {
+            "mean_runtime_s": 5400.0,
+            "std_runtime_s": summary.std_runtime_s,
+            "mean_carbon_g": 1.0,
+            "std_carbon_g": 0.0,
+            "mean_energy_wh": summary.mean_energy_wh,
+            "completion_rate": 1.0,
+        }

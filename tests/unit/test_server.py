@@ -62,14 +62,6 @@ class TestGrowth:
 
 
 class TestMeasurement:
-    def test_measured_power_sums_containers(self, server):
-        a, b = Container("app", 1), Container("app", 1)
-        server.place(a)
-        server.place(b)
-        a.record_tick(1.0, 0.0, 0.0)
-        b.record_tick(0.5, 0.0, 0.0)
-        assert server.measured_power_w() == pytest.approx(1.5)
-
     def test_baseline_idle_power(self, server):
         server.place(Container("app", 2))
         # Half the cores are free: half the idle power is baseline.

@@ -86,9 +86,6 @@ class TestSnapshotContents:
         state = api.state()
         assert set(state.container_power_w) == {container.id}
         assert state.container_power_w[container.id] > 0
-        assert state.app_power_w == pytest.approx(
-            sum(state.container_power_w.values())
-        )
 
 
 class TestBatteryAbsentUnification:

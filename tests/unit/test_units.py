@@ -26,22 +26,10 @@ class TestEnergyConversions:
     def test_wh_to_kwh(self):
         assert units.wh_to_kwh(500.0) == 0.5
 
-    def test_kwh_to_wh(self):
-        assert units.kwh_to_wh(1.2) == 1200.0
-
-    def test_wh_to_joules(self):
-        assert units.wh_to_joules(1.0) == 3600.0
-
-    def test_joules_to_wh(self):
-        assert units.joules_to_wh(7200.0) == 2.0
-
 
 class TestTimeConversions:
     def test_seconds_to_hours(self):
         assert units.seconds_to_hours(5400.0) == 1.5
-
-    def test_hours_to_seconds(self):
-        assert units.hours_to_seconds(0.5) == 1800.0
 
 
 class TestEnergyAndPower:
