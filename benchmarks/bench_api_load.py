@@ -1,38 +1,23 @@
-"""Gateway load harness: cached-GET throughput and SSE fan-out.
+"""Gateway checks over real loopback sockets: lossless SSE fan-out, and a
+smoke test of a running ``repro serve``.
 
-Builds a fleet, fronts it with the asyncio :class:`GatewayServer`, and
-hammers it over real loopback sockets in two phases:
+Without options the script builds a 50-tenant fleet, fronts it with the
+asyncio :class:`GatewayServer`, opens 500 concurrent event streams
+(spread over the fleet's apps, each resuming from its feed tip), then
+bursts 100 journal events per app.  Every subscriber must receive every
+event of its app with contiguous ids: **zero loss** below the
+per-connection queue bound (256).  It exits 1 on any loss and reports
+the fan-out delivery rate (frames/s across all subscribers):
 
-1. **Cached GET storm** — ``--clients`` concurrent keep-alive clients
-   loop ``GET /v1/apps/{app}/state`` with ``If-None-Match`` for
-   ``--duration`` seconds.  After each client's first request every
-   response is a 304 served from the per-tick shared snapshot cache, so
-   this measures the gateway's conditional-GET hot path: requests/s and
-   p50/p99 latency.
-2. **SSE fan-out** — ``--subscribers`` concurrent streams (spread over
-   the fleet's apps, each resuming from its feed tip), then a burst of
-   ``--events-per-app`` journal events per app.  Every subscriber must
-   receive every event of its app with contiguous ids — **zero loss**
-   below the queue bound — and the phase reports fan-out delivery
-   throughput (frames/s across all subscribers).
+    PYTHONPATH=src python benchmarks/bench_api_load.py
 
-The committed baseline lives at ``benchmarks/BENCH_api_load.json``; the
-CI ``perf-regression`` job reruns the harness with ``--check`` and fails
-the build on a >1.5x requests/s drop (the zero-loss fan-out property is
-asserted unconditionally, baseline or not):
-
-    PYTHONPATH=src python benchmarks/bench_api_load.py \
-        --check benchmarks/BENCH_api_load.json
-
-    PYTHONPATH=src python benchmarks/bench_api_load.py \
-        --write-baseline benchmarks/BENCH_api_load.json
-
-With ``--connect HOST:PORT`` the harness instead targets an already
-running server (e.g. ``python -m repro serve fleet_small``): it
-discovers apps via ``/v1/admin/apps``, runs the cached GET storm, and a
-short SSE subscribe + Last-Event-ID reconnect check — the CI
-``gateway-smoke`` step.  External mode skips the fan-out burst (it needs
-in-process event injection) and never writes or checks baselines.
+With ``--connect HOST:PORT`` it targets an already running server
+(e.g. ``python -m repro serve fleet_small``) instead: it discovers apps
+via ``/v1/admin/apps``, runs 8 keep-alive conditional-GET clients for
+0.5 s (every status must be 200 or 304), and checks that an SSE stream
+resumed with ``Last-Event-ID`` continues at the next id — CI's gateway
+smoke step.  ``--out`` writes the result as JSON.  Request throughput is
+perfbench's serve_50 workload (``perfbench/NOTES.md``).
 """
 
 from __future__ import annotations
@@ -51,9 +36,16 @@ from repro.sim.fleet import build_fleet
 
 SCHEMA = "bench_api_load/v1"
 
+#: The fan-out fleet and burst; the burst stays below the queue bound,
+#: where the zero-loss property holds.
+FLEET = {"apps": 50, "ticks": 20, "seed": 2023, "mix": "balanced"}
+SUBSCRIBERS = 500
+EVENTS_PER_APP = 100
+QUEUE_SIZE = 256
 
-def entry_key(apps: int, clients: int, subscribers: int) -> str:
-    return f"apps={apps},clients={clients},subscribers={subscribers}"
+#: The smoke's conditional-GET clients and how long they poll.
+SMOKE_CLIENTS = 8
+SMOKE_SECONDS = 0.5
 
 
 async def _read_response(reader: asyncio.StreamReader) -> Tuple[int, Dict[str, str], bytes]:
@@ -91,13 +83,10 @@ async def _get_json(host: str, port: int, path: str) -> Any:
         writer.close()
 
 
-async def _cached_get_storm(
-    host: str, port: int, apps: List[str], clients: int, duration: float
-) -> Dict[str, Any]:
-    """Phase 1: keep-alive conditional-GET clients, shared wall clock."""
-    latencies: List[float] = []
+async def _cached_get_storm(host: str, port: int, apps: List[str]) -> Dict[str, Any]:
+    """Keep-alive conditional-GET clients, shared wall clock."""
     totals = {"requests": 0, "not_modified": 0}
-    deadline = time.perf_counter() + duration
+    deadline = time.perf_counter() + SMOKE_SECONDS
 
     async def client(app: str) -> None:
         reader, writer = await asyncio.open_connection(host, port)
@@ -108,11 +97,9 @@ async def _cached_get_storm(
                 if etag:
                     head += f"If-None-Match: {etag}\r\n"
                 head += "\r\n"
-                started = time.perf_counter()
                 writer.write(head.encode())
                 await writer.drain()
                 status, headers, _ = await _read_response(reader)
-                latencies.append(time.perf_counter() - started)
                 if status not in (200, 304):
                     raise ConnectionError(f"state poll -> {status}")
                 totals["requests"] += 1
@@ -122,24 +109,13 @@ async def _cached_get_storm(
         finally:
             writer.close()
 
-    started = time.perf_counter()
-    await asyncio.gather(*(client(apps[i % len(apps)]) for i in range(clients)))
-    wall_s = time.perf_counter() - started
-    latencies.sort()
-
-    def pct(q: float) -> float:
-        return latencies[min(int(q * len(latencies)), len(latencies) - 1)]
-
+    await asyncio.gather(*(client(apps[i % len(apps)]) for i in range(SMOKE_CLIENTS)))
     return {
-        "clients": clients,
-        "duration_s": duration,
-        "wall_s": wall_s,
+        "clients": SMOKE_CLIENTS,
+        "duration_s": SMOKE_SECONDS,
         "requests_total": totals["requests"],
-        "requests_per_s": totals["requests"] / wall_s,
         "not_modified_total": totals["not_modified"],
         "etag_hit_rate": totals["not_modified"] / max(totals["requests"], 1),
-        "latency_p50_ms": pct(0.50) * 1e3,
-        "latency_p99_ms": pct(0.99) * 1e3,
     }
 
 
@@ -153,13 +129,8 @@ async def _read_sse_head(reader: asyncio.StreamReader) -> None:
             return
 
 
-async def _sse_fanout(
-    gateway: GatewayServer,
-    apps: List[str],
-    subscribers: int,
-    events_per_app: int,
-) -> Dict[str, Any]:
-    """Phase 2: fan one event burst out to every subscriber, losslessly."""
+async def _sse_fanout(gateway: GatewayServer, apps: List[str]) -> Dict[str, Any]:
+    """Fan one event burst out to every subscriber, losslessly."""
     host, port = "127.0.0.1", gateway.port
     journal = gateway.ecovisor.journal
     tips = await gateway.run_on_writer(
@@ -174,7 +145,7 @@ async def _sse_fanout(
     def note_ready() -> None:
         nonlocal registered
         registered += 1
-        if registered == subscribers:
+        if registered == SUBSCRIBERS:
             all_ready.set()
 
     async def subscribe(app: str) -> Tuple[int, List[int]]:
@@ -193,7 +164,7 @@ async def _sse_fanout(
                 if line in (b"\n", b"\r\n"):
                     break
             note_ready()
-            while len(ids) < events_per_app:
+            while len(ids) < EVENTS_PER_APP:
                 line = await reader.readline()
                 if not line:
                     break
@@ -205,12 +176,12 @@ async def _sse_fanout(
 
     tasks = [
         asyncio.ensure_future(subscribe(apps[i % len(apps)]))
-        for i in range(subscribers)
+        for i in range(SUBSCRIBERS)
     ]
 
     def burst() -> None:
         for app in apps:
-            for i in range(events_per_app):
+            for i in range(EVENTS_PER_APP):
                 journal.record(
                     app,
                     CarbonChangeEvent(
@@ -229,7 +200,7 @@ async def _sse_fanout(
 
     lost = 0
     for tip, ids in results:
-        expected = list(range(tip, tip + events_per_app))
+        expected = list(range(tip, tip + EVENTS_PER_APP))
         if ids != expected:
             lost += 1
     delivered = sum(len(ids) for _, ids in results)
@@ -237,8 +208,8 @@ async def _sse_fanout(
         "gateway_sse_queue_dropped_total"
     ).value
     return {
-        "subscribers": subscribers,
-        "events_per_app": events_per_app,
+        "subscribers": SUBSCRIBERS,
+        "events_per_app": EVENTS_PER_APP,
         "fanout_events_total": delivered,
         "fanout_wall_s": wall_s,
         "fanout_events_per_s": delivered / wall_s,
@@ -276,53 +247,27 @@ async def _sse_reconnect_check(host: str, port: int, app: str) -> Dict[str, Any]
     return {"first_id": first, "resumed_id": resumed}
 
 
-async def run_inprocess(
-    apps: int,
-    ticks: int,
-    mix: str,
-    seed: int,
-    clients: int,
-    duration: float,
-    subscribers: int,
-    events_per_app: int,
-    queue_size: int,
-) -> Dict[str, Any]:
-    env = build_fleet(
-        {"apps": apps, "ticks": max(ticks, 1), "seed": seed, "mix": mix}
-    )
+async def run_inprocess() -> Dict[str, Any]:
+    env = build_fleet(FLEET)
     gateway = GatewayServer(
-        env.ecovisor, config=GatewayConfig(port=0, queue_size=queue_size)
+        env.ecovisor, config=GatewayConfig(port=0, queue_size=QUEUE_SIZE)
     )
     await gateway.start()
     try:
-        await TickDriver(gateway, env.engine).run(ticks)
+        await TickDriver(gateway, env.engine).run(FLEET["ticks"])
         names = sorted(env.ecovisor.app_shares())
-        storm = await _cached_get_storm(
-            "127.0.0.1", gateway.port, names, clients, duration
-        )
-        fanout = await _sse_fanout(gateway, names, subscribers, events_per_app)
+        fanout = await _sse_fanout(gateway, names)
     finally:
         await gateway.stop()
-    return {
-        "schema": SCHEMA,
-        "apps": apps,
-        "ticks": ticks,
-        "mix": mix,
-        "seed": seed,
-        "queue_size": queue_size,
-        **storm,
-        **fanout,
-    }
+    return {"schema": SCHEMA, **FLEET, "queue_size": QUEUE_SIZE, **fanout}
 
 
-async def run_external(
-    host: str, port: int, clients: int, duration: float
-) -> Dict[str, Any]:
+async def run_external(host: str, port: int) -> Dict[str, Any]:
     listing = await _get_json(host, port, "/v1/admin/apps")
     names = sorted(entry["name"] for entry in listing["apps"])
     if not names:
         raise SystemExit(f"no apps registered at {host}:{port}")
-    storm = await _cached_get_storm(host, port, names, clients, duration)
+    storm = await _cached_get_storm(host, port, names)
     reconnect = await _sse_reconnect_check(host, port, names[0])
     return {
         "schema": SCHEMA,
@@ -335,15 +280,13 @@ async def run_external(
 
 
 def print_table(result: Dict[str, Any]) -> None:
-    print(
-        f"\n=== gateway load: {result['apps']} apps, "
-        f"{result['clients']} clients x {result['duration_s']:.1f}s ==="
-    )
-    print(f"{'requests':>22s}: {result['requests_total']}")
-    print(f"{'throughput':>22s}: {result['requests_per_s']:.0f} req/s")
-    print(f"{'etag hit rate':>22s}: {result['etag_hit_rate'] * 100:.1f}% (304s)")
-    print(f"{'latency p50':>22s}: {result['latency_p50_ms']:.3f} ms")
-    print(f"{'latency p99':>22s}: {result['latency_p99_ms']:.3f} ms")
+    print(f"\n=== gateway: {result['apps']} apps ===")
+    if "requests_total" in result:
+        print(
+            f"{'conditional GETs':>22s}: {result['requests_total']} from "
+            f"{result['clients']} clients in {result['duration_s']:.1f}s"
+        )
+        print(f"{'etag hit rate':>22s}: {result['etag_hit_rate'] * 100:.1f}% (304s)")
     if "fanout_events_total" in result:
         print(
             f"{'sse fan-out':>22s}: {result['subscribers']} subscribers x "
@@ -364,8 +307,8 @@ def print_table(result: Dict[str, Any]) -> None:
 
 
 def check_zero_loss(result: Dict[str, Any]) -> int:
-    """Unconditional correctness gate: no loss below the queue bound."""
-    if result.get("subscribers_with_loss") or result.get("queue_dropped_total"):
+    """No loss below the queue bound."""
+    if result["subscribers_with_loss"] or result["queue_dropped_total"]:
         print(
             f"FAIL: SSE fan-out lost events below the queue bound "
             f"({result['subscribers_with_loss']} lossy subscribers, "
@@ -378,138 +321,29 @@ def check_zero_loss(result: Dict[str, Any]) -> int:
     return 0
 
 
-def load_baseline(path: Path) -> Dict[str, Any]:
-    if not path.exists():
-        return {"schema": SCHEMA, "entries": {}}
-    data = json.loads(path.read_text())
-    if data.get("schema") != SCHEMA or "entries" not in data:
-        raise SystemExit(f"{path}: not a {SCHEMA} baseline file")
-    return data
-
-
-def check_against_baseline(
-    result: Dict[str, Any], path: Path, max_regression: float
-) -> int:
-    key = entry_key(result["apps"], result["clients"], result["subscribers"])
-    baseline = load_baseline(path).get("entries", {}).get(key)
-    if baseline is None:
-        print(f"FAIL: no baseline entry {key!r} in {path}", file=sys.stderr)
-        return 1
-    status = 0
-    for metric in ("requests_per_s", "fanout_events_per_s"):
-        floor = baseline[metric] / max_regression
-        verdict = "ok" if result[metric] >= floor else "REGRESSION"
-        print(
-            f"perf gate [{key}] {metric}: measured {result[metric]:.0f}, "
-            f"baseline {baseline[metric]:.0f}, floor {floor:.0f} "
-            f"(max regression {max_regression:.2f}x) -> {verdict}"
-        )
-        if verdict != "ok":
-            status = 1
-    if status:
-        print(
-            "Gateway throughput regressed beyond the budget. If "
-            "intentional, apply the 'perf-baseline-reset' PR label and "
-            "regenerate benchmarks/BENCH_api_load.json "
-            "(see docs/gateway.md).",
-            file=sys.stderr,
-        )
-    return status
-
-
-def write_baseline(result: Dict[str, Any], path: Path) -> None:
-    data = load_baseline(path)
-    key = entry_key(result["apps"], result["clients"], result["subscribers"])
-    data["entries"][key] = result
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"baseline entry {key!r} written to {path}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--apps", type=int, default=50)
-    parser.add_argument("--ticks", type=int, default=20)
-    parser.add_argument("--mix", type=str, default="balanced")
-    parser.add_argument("--seed", type=int, default=2023)
-    parser.add_argument("--clients", type=int, default=32)
-    parser.add_argument("--duration", type=float, default=2.0)
-    parser.add_argument("--subscribers", type=int, default=500)
-    parser.add_argument("--events-per-app", type=int, default=100)
-    parser.add_argument(
-        "--queue-size",
-        type=int,
-        default=256,
-        help="per-connection SSE queue bound (events-per-app must stay below)",
-    )
     parser.add_argument(
         "--connect",
         type=str,
         default=None,
         metavar="HOST:PORT",
-        help="target a running `repro serve` instead of an in-process "
-        "gateway (cached-GET storm + SSE reconnect smoke only)",
+        help="smoke-test a running `repro serve` instead of the in-process "
+        "fan-out check",
     )
     parser.add_argument("--out", type=str, default=None, help="JSON output path")
-    parser.add_argument(
-        "--check",
-        type=str,
-        default=None,
-        help="baseline file to gate against (exit 1 on regression)",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=1.5,
-        help="allowed throughput slowdown vs the baseline (default 1.5x)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=str,
-        default=None,
-        help="write/update this run's entry in the given baseline file",
-    )
     args = parser.parse_args()
 
     if args.connect is not None:
         host, _, port = args.connect.rpartition(":")
-        result = asyncio.run(
-            run_external(host or "127.0.0.1", int(port), args.clients, args.duration)
-        )
-        print_table(result)
-        if args.out:
-            Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True))
-        if args.check or args.write_baseline:
-            raise SystemExit("--connect mode does not support baselines")
-        return
-
-    if args.events_per_app >= args.queue_size:
-        raise SystemExit(
-            "--events-per-app must stay below --queue-size: the zero-loss "
-            "property only holds below the queue bound"
-        )
-    result = asyncio.run(
-        run_inprocess(
-            apps=args.apps,
-            ticks=args.ticks,
-            mix=args.mix,
-            seed=args.seed,
-            clients=args.clients,
-            duration=args.duration,
-            subscribers=args.subscribers,
-            events_per_app=args.events_per_app,
-            queue_size=args.queue_size,
-        )
-    )
+        result = asyncio.run(run_external(host or "127.0.0.1", int(port)))
+        status = 0
+    else:
+        result = asyncio.run(run_inprocess())
+        status = check_zero_loss(result)
     print_table(result)
-    status = check_zero_loss(result)
     if args.out:
         Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True))
-    if args.write_baseline:
-        write_baseline(result, Path(args.write_baseline))
-    if args.check:
-        status = check_against_baseline(
-            result, Path(args.check), args.max_regression
-        ) or status
     raise SystemExit(status)
 
 

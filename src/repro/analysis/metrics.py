@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.units import JOULES_PER_WH
 
 
@@ -45,26 +43,3 @@ def energy_efficiency_per_joule(work_units: float, energy_wh: float) -> float:
     if energy_wh <= 0:
         return 0.0
     return work_units / (energy_wh * JOULES_PER_WH)
-
-
-def carbon_reduction_pct(baseline_g: float, policy_g: float) -> float:
-    """Percent carbon reduction vs a baseline (positive = cleaner)."""
-    if baseline_g <= 0:
-        return 0.0
-    return (baseline_g - policy_g) / baseline_g * 100.0
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Percentile of a sample; NaN for empty input."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return float("nan")
-    return float(np.percentile(arr, q))
-
-
-def slo_violation_fraction(latencies_ms: Sequence[float], slo_ms: float) -> float:
-    """Fraction of samples exceeding the SLO."""
-    arr = np.asarray(list(latencies_ms), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float((arr > slo_ms).mean())

@@ -41,7 +41,6 @@ _EXPORTS = {
     "CarbonChangeEvent": "repro.core.events",
     "Event": "repro.core.events",
     "EventBus": "repro.core.events",
-    "ResourceRevocationEvent": "repro.core.events",
     "SolarChangeEvent": "repro.core.events",
     "TickEvent": "repro.core.events",
     "AppEnergyLibrary": "repro.core.library",

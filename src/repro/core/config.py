@@ -200,7 +200,6 @@ class GridConfig:
     """Grid connection. ``max_power_w`` of ``inf`` means unconstrained."""
 
     max_power_w: float = float("inf")
-    net_metering: bool = False
 
     def validate(self) -> None:
         if not self.max_power_w > 0:
@@ -241,17 +240,10 @@ class PriceServiceConfig:
 
 @dataclass(frozen=True)
 class EcovisorConfig:
-    """Top-level ecovisor knobs (paper Section 3).
-
-    ``solar_buffer_fraction`` is the sliver of battery capacity the
-    ecovisor always retains to buffer one tick of solar output, so that
-    applications always know the solar power available to them in the next
-    tick interval.
-    """
+    """Top-level ecovisor knobs (paper Section 3)."""
 
     tick_interval_s: float = SECONDS_PER_MINUTE
     solar_buffer_enabled: bool = True
-    solar_buffer_fraction: float = 0.01
     carbon_change_threshold_g_per_kwh: float = 10.0
     solar_change_threshold_w: float = 5.0
     price_change_threshold_usd_per_kwh: float = 0.05
@@ -259,8 +251,6 @@ class EcovisorConfig:
     def validate(self) -> None:
         if not self.tick_interval_s > 0:
             raise ConfigurationError("tick interval must be positive")
-        if not 0.0 <= self.solar_buffer_fraction < 0.5:
-            raise ConfigurationError("solar buffer fraction must be in [0, 0.5)")
         if not self.carbon_change_threshold_g_per_kwh >= 0:
             raise ConfigurationError("carbon change threshold must be >= 0")
         if not self.solar_change_threshold_w >= 0:

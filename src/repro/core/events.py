@@ -147,19 +147,6 @@ class ShareChangedEvent(Event):
     previous_grid_power_w: float = 0.0
 
 
-@dataclass(frozen=True)
-class ResourceRevocationEvent(Event):
-    """The platform revoked containers from an application.
-
-    Distributed applications on container orchestration platforms are
-    already designed to tolerate revocations (paper Section 3); power
-    shortages under clean-energy volatility manifest the same way.
-    """
-
-    app_name: str = ""
-    container_ids: tuple = ()
-
-
 EventCallback = Callable[[Event], None]
 
 #: Registry of concrete event types by class name — the wire format's
@@ -177,7 +164,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         AppAdmittedEvent,
         AppEvictedEvent,
         ShareChangedEvent,
-        ResourceRevocationEvent,
     )
 }
 
@@ -195,9 +181,9 @@ def event_record(event: Event) -> tuple:
 
     Fields follow declaration order, so a :class:`SolarChangeEvent`
     flattens to ``("SolarChangeEvent", time_s, app_name, previous_w,
-    current_w)``.  A record holds only strings, numbers and tuples of
-    them, which the garbage collector stops tracking once it has seen
-    them.  Only the :data:`EVENT_TYPES` types have a record.
+    current_w)``.  A record holds only strings and numbers, which the
+    garbage collector stops tracking once it has seen them.  Only the
+    :data:`EVENT_TYPES` types have a record.
     """
     fields = _RECORD_FIELDS.get(type(event))
     if fields is None:
@@ -238,14 +224,8 @@ def event_from_dict(payload: Dict[str, Any]) -> Event:
     cls = EVENT_TYPES.get(type_name)
     if cls is None:
         raise ValueError(f"unknown event type: {type_name!r}")
-    kwargs = {
-        f.name: tuple(data[f.name])
-        if isinstance(data.get(f.name), list)
-        else data[f.name]
-        for f in dataclasses.fields(cls)
-        if f.name in data
-    }
-    return cls(**kwargs)
+    fields = (f.name for f in dataclasses.fields(cls))
+    return cls(**{name: data[name] for name in fields if name in data})
 
 
 class EventBus:

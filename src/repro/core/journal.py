@@ -19,13 +19,14 @@ information the feed's consumers cannot get from ``GET .../state``.
 
 Entries are flat: each is the record
 :func:`~repro.core.events.event_record` makes, a tuple of the type name
-and the field values (strings, numbers, tuples of them).  Sequences are
+and the field values (strings and numbers).  Sequences are
 contiguous, so a feed stores no per-entry sequence number: an entry's is
 the feed's oldest plus its position.  A broadcast shares one record
 across every feed, and the columnar begin phase journals its solar
 changes as :func:`~repro.core.events.solar_change_record` records
-without building events that no subscriber would receive.  Such tuples hold nothing the garbage collector must walk, and
-CPython stops tracking them the first time a collection sees them, so a
+without building events that no subscriber would receive.  Such tuples
+hold nothing the garbage collector must walk, and CPython stops tracking
+them the first time a collection sees them, so a
 1000-tenant journal adds next to nothing to full-collection pauses.
 :meth:`EventJournal.read` builds events only for the entries it
 returns, after ``limit``: equal to, not the same objects as, those the

@@ -25,7 +25,6 @@ class GridConnection(PowerSource):
         super().__init__("grid")
         self._config = config or GridConfig()
         self._config.validate()
-        self._exported_wh = 0.0
 
     @property
     def config(self) -> GridConfig:
@@ -34,11 +33,6 @@ class GridConnection(PowerSource):
     @property
     def max_power_w(self) -> float:
         return self._config.max_power_w
-
-    @property
-    def exported_wh(self) -> float:
-        """Energy net-metered back to the grid (zero unless enabled)."""
-        return self._exported_wh
 
     def available_power_w(self, time_s: float) -> float:
         """The grid supplies up to its interconnect limit at any time."""
@@ -54,16 +48,3 @@ class GridConnection(PowerSource):
         granted_w = min(requested_power_w, self._config.max_power_w)
         self._meter(energy_wh(granted_w, duration_s))
         return granted_w
-
-    def export(self, power_w_value: float, duration_s: float) -> float:
-        """Net-meter excess power back to the grid, if the config allows.
-
-        Returns the power actually exported (zero when net metering is
-        disabled, matching the paper's prototype which curtails instead).
-        """
-        if power_w_value < 0:
-            raise ValueError(f"export power must be >= 0, got {power_w_value}")
-        if not self._config.net_metering:
-            return 0.0
-        self._exported_wh += energy_wh(power_w_value, duration_s)
-        return power_w_value

@@ -525,9 +525,9 @@ def run_regional(params: Dict[str, Any]) -> Dict[str, Any]:
     description=(
         "Fleet scale (50 tenants): mixed ML/Spark workloads under a "
         "mixed policy assignment on one ecovisor with solar, battery, "
-        "and a real-time price signal.  The hot-path scenario family "
-        "behind benchmarks/bench_scale.py; all randomness derives from "
-        "config_digest of the parameters (see repro.sim.fleet)."
+        "and a real-time price signal.  The population `repro serve` "
+        "runs under perfbench's serve_50 workload; all randomness derives "
+        "from config_digest of the parameters (see repro.sim.fleet)."
     ),
     defaults={"seed": 2023, "apps": 50, "ticks": 240, "mix": "balanced"},
     tags=("fleet", "scale"),
@@ -542,10 +542,9 @@ def run_fleet_small(params: Dict[str, Any]) -> Dict[str, Any]:
 @register(
     "fleet_medium",
     description=(
-        "Fleet scale (200 tenants): the committed perf-baseline "
-        "scenario — bench_scale.py measures tick-loop throughput on "
-        "this population and CI gates on regressions against "
-        "benchmarks/BENCH_scale.json."
+        "Fleet scale (200 tenants): the middle population between "
+        "fleet_small and fleet_large; nightly CI sweeps it with the "
+        "parallel runner."
     ),
     defaults={"seed": 2023, "apps": 200, "ticks": 120, "mix": "balanced"},
     tags=("fleet", "scale"),

@@ -25,11 +25,11 @@ therefore build bit-identical fleets, which is what makes
 ``repro sweep fleet_* --jobs N`` byte-identical serial vs parallel.
 
 The registered scenarios (see :mod:`repro.sim.catalog`) are
-``fleet_small`` (50 apps), ``fleet_medium`` (200 apps, the committed
-perf-baseline scenario of ``benchmarks/bench_scale.py``), ``fleet_large``
-(1000 apps), and ``fleet_churn`` — a dynamic-tenancy fleet where, on top
-of the static population, tenants arrive and depart mid-run on a
-digest-seeded Poisson schedule (``build_churn_fleet``), exercising the
+``fleet_small`` (50 apps, the population perfbench's serve_50 workload
+serves), ``fleet_medium`` (200 apps), ``fleet_large`` (1000 apps), and
+``fleet_churn`` — a dynamic-tenancy fleet where, on top of the static
+population, tenants arrive and depart mid-run on a digest-seeded Poisson
+schedule (``build_churn_fleet``), exercising the
 control plane's ``admit_app``/``set_share``/``evict_app`` path at scale.
 """
 

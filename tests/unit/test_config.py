@@ -125,10 +125,6 @@ class TestEcovisorConfig:
     def test_defaults_valid(self):
         EcovisorConfig().validate()
 
-    def test_rejects_huge_solar_buffer(self):
-        with pytest.raises(ConfigurationError):
-            EcovisorConfig(solar_buffer_fraction=0.9).validate()
-
     @pytest.mark.parametrize(
         "field",
         [

@@ -28,19 +28,3 @@ class TestDraw:
     def test_available_power_is_limit(self):
         grid = GridConnection(GridConfig(max_power_w=42.0))
         assert grid.available_power_w(0.0) == 42.0
-
-
-class TestExport:
-    def test_export_disabled_by_default(self):
-        grid = GridConnection()
-        assert grid.export(50.0, 3600.0) == 0.0
-        assert grid.exported_wh == 0.0
-
-    def test_export_with_net_metering(self):
-        grid = GridConnection(GridConfig(net_metering=True))
-        assert grid.export(50.0, 3600.0) == pytest.approx(50.0)
-        assert grid.exported_wh == pytest.approx(50.0)
-
-    def test_export_rejects_negative(self):
-        with pytest.raises(ValueError):
-            GridConnection().export(-5.0, 60.0)

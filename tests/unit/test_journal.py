@@ -230,7 +230,6 @@ _FIELD_VALUES = {
     "float": st.floats(allow_nan=False, width=64),
     "int": st.integers(min_value=-(2**40), max_value=2**40),
     "str": st.text(max_size=6),
-    "tuple": st.lists(st.text(max_size=4), max_size=3).map(tuple),
 }
 
 

@@ -1,16 +1,8 @@
 """Analysis metric helpers."""
 
-import math
-
 import pytest
 
-from repro.analysis.metrics import (
-    carbon_reduction_pct,
-    energy_efficiency_per_joule,
-    percentile,
-    runtime_improvement_pct,
-    slo_violation_fraction,
-)
+from repro.analysis.metrics import energy_efficiency_per_joule, runtime_improvement_pct
 
 
 class TestRuntimeImprovement:
@@ -31,27 +23,3 @@ class TestEnergyEfficiency:
 
     def test_zero_energy(self):
         assert energy_efficiency_per_joule(10.0, 0.0) == 0.0
-
-
-class TestCarbonReduction:
-    def test_basic(self):
-        assert carbon_reduction_pct(4.0, 3.0) == pytest.approx(25.0)
-
-    def test_zero_baseline(self):
-        assert carbon_reduction_pct(0.0, 1.0) == 0.0
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1.0, 2.0, 3.0], 50) == pytest.approx(2.0)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(percentile([], 50))
-
-
-class TestSloViolations:
-    def test_fraction(self):
-        assert slo_violation_fraction([10, 20, 70, 80], 60.0) == pytest.approx(0.5)
-
-    def test_empty(self):
-        assert slo_violation_fraction([], 60.0) == 0.0
